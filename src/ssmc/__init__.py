@@ -7,7 +7,6 @@ affinity matrix that spectral clustering partitions.  The ``theory`` module
 provides computable checkers for the recovery guarantees of this model.
 """
 
-from ._accel import HAVE_NUMBA, NUMBA_ENABLED
 from .data import (
     SHIFT_JITTER,
     LabeledTensor,
@@ -24,8 +23,6 @@ from .solver import (
     SolverConfig,
     SolverReport,
     affinity_from_tensor,
-    group_shrink_row,
-    group_shrink_tube,
     solve_self_representation,
 )
 from .spectral import ClusterLabels, kmeans, spectral_cluster
@@ -61,8 +58,10 @@ from .theory import (
 
 __version__ = "0.1.0"
 
+# Always False: there is no JIT build.  perfbench/run.py records it in its env line.
+NUMBA_ENABLED = False
+
 __all__ = [
-    "HAVE_NUMBA",
     "NUMBA_ENABLED",
     "SHIFT_JITTER",
     "LabeledTensor",
@@ -77,8 +76,6 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "affinity_from_tensor",
-    "group_shrink_row",
-    "group_shrink_tube",
     "solve_self_representation",
     "ClusterLabels",
     "kmeans",

@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -220,6 +220,13 @@ def _report_dict(report):
     return d
 
 
+def _warnings(report, labels, cfg):
+    found = list(labels.warnings)
+    if not report.converged:
+        found.append(f"solver stopped at max_iters={cfg.max_iters} without converging")
+    return found
+
+
 def cmd_cluster(args):
     cfg = _solver_config(args)
     tensor = _load_input(args)
@@ -237,7 +244,7 @@ def cmd_cluster(args):
         "k": args.k,
         "labels": [int(v) for v in labels.labels],
         "solver_report": _report_dict(report),
-        "warnings": list(labels.warnings),
+        "warnings": _warnings(report, labels, cfg),
     }
     if truth is not None:
         payload["clustering_error"] = clustering_error(labels, truth)
@@ -268,19 +275,11 @@ def cmd_sweep(args):
     for lam in grid:
         row = {"lambda_g": lam}
         try:
-            cfg = SolverConfig(
-                lambda_g=lam,
-                lambda_h=base.lambda_h,
-                affine=base.affine,
-                rho=base.rho,
-                max_iters=base.max_iters,
-                tol_abs=base.tol_abs,
-                tol_rel=base.tol_rel,
-                normalize_columns=base.normalize_columns,
-            )
+            cfg = replace(base, lambda_g=lam)
             _, report, _, labels = _run_pipeline(tensor, cfg, args.k, args.seed)
             row["iterations"] = report.iterations
             row["objective"] = report.objective
+            row["converged"] = report.converged
             row["clustering_error"] = (
                 clustering_error(labels, truth) if truth is not None else None
             )
@@ -292,7 +291,9 @@ def cmd_sweep(args):
     _emit(payload, args.out)
     if args.out:
         csv_path = args.out.rsplit(".", 1)[0] + ".csv"
-        fields = ["lambda_g", "clustering_error", "iterations", "objective", "error_message"]
+        fields = [
+            "lambda_g", "clustering_error", "iterations", "objective", "converged", "error_message",
+        ]
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields, restval="")
             writer.writeheader()
@@ -339,7 +340,7 @@ def cmd_synth(args):
         "clustering_error": err,
         "labels": [int(v) for v in labels.labels],
         "solver_report": _report_dict(report),
-        "warnings": list(labels.warnings),
+        "warnings": _warnings(report, labels, cfg),
     }
     _emit(payload, args.out, stdout_extra={"runtime_seconds": runtime})
     return 0

@@ -1,11 +1,4 @@
-"""Hot numeric kernels, each shipped in a JIT build and a pure-numpy build.
-
-Public entry points (:func:`jacobi_eigh`, :func:`jacobi_svd`,
-:func:`cho_solve_batched`, :func:`scale_tubes`, :func:`scale_rows`,
-:func:`lloyd`) dispatch on :data:`ssmc._accel.NUMBA_ENABLED` by default and
-accept ``use_numba`` to force one build, which is how the benchmark and the
-build-agreement tests compare the two paths.  The underlying builds are also
-importable directly under ``*_py`` / ``*_jit`` names.
+"""Hot numeric kernels of the solver and of k-means.
 
 Dense Fourier-face stacks are laid out ``(F, n, m)`` with the face index
 first, so per-face work hits contiguous memory.
@@ -13,234 +6,27 @@ first, so per-face work hits contiguous memory.
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, jit_build
 
-_SWEEP_LIMIT = 100
-_OFF_TOL = 1e-12
-
-
-def _pick(use_numba, jit_fn, py_fn):
-    if use_numba is None:
-        use_numba = NUMBA_ENABLED
-    return jit_fn if use_numba else py_fn
-
-
-# ---------------------------------------------------------------------------
-# Cyclic Jacobi eigendecomposition of a real symmetric matrix.
-# ---------------------------------------------------------------------------
-
-
-def _eigh_sweeps_src(A, V):
-    n = A.shape[0]
-    norm_a = np.sqrt((A * A).sum())
-    if norm_a == 0.0:
-        return A, V
-    skip = 1e-18 * norm_a
-    for _ in range(_SWEEP_LIMIT):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * A[p, q] * A[p, q]
-        if np.sqrt(off) <= _OFF_TOL * norm_a:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if np.abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ap = A[:, p].copy()
-                aq = A[:, q].copy()
-                A[:, p] = c * ap - s * aq
-                A[:, q] = s * ap + c * aq
-                ap = A[p, :].copy()
-                aq = A[q, :].copy()
-                A[p, :] = c * ap - s * aq
-                A[q, :] = s * ap + c * aq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    return A, V
-
-
-eigh_sweeps_py = _eigh_sweeps_src
-eigh_sweeps_jit = jit_build(_eigh_sweeps_src)
-
-
-def jacobi_eigh(A, use_numba=None):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns ``(w, V)`` with eigenvalues ascending and ``A ~= V @ diag(w) @ V.T``.
-    The input is symmetrized as ``(A + A.T) / 2`` before sweeping.  Sweeps stop
-    once the off-diagonal Frobenius mass drops below ``1e-12 * ||A||_F``.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("jacobi_eigh expects a square matrix")
-    n = A.shape[0]
-    work = np.ascontiguousarray((A + A.T) / 2.0)
-    V = np.eye(n, dtype=np.float64)
-    sweeps = _pick(use_numba, eigh_sweeps_jit, eigh_sweeps_py)
-    work, V = sweeps(work, V)
-    w = np.diag(work).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], np.ascontiguousarray(V[:, order])
-
-
-# ---------------------------------------------------------------------------
-# One-sided Jacobi SVD of a complex matrix.
-# ---------------------------------------------------------------------------
-#
-# Works on Bt of shape (n, m) whose row j is column j of the matrix being
-# decomposed, so every inner product runs over a contiguous row.  Vt starts
-# as the identity and receives the same rotations; its rows end up as the
-# columns of the right factor.
-
-
-def _svd_sweeps_src(Bt, Vt):
-    n = Bt.shape[0]
-    for _ in range(_SWEEP_LIMIT):
-        diag_mass = 0.0
-        for j in range(n):
-            dj = np.vdot(Bt[j], Bt[j]).real
-            diag_mass += dj * dj
-        off_mass = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = np.vdot(Bt[p], Bt[q])
-                off_mass += 2.0 * (g.real * g.real + g.imag * g.imag)
-        total = np.sqrt(diag_mass + off_mass)
-        if np.sqrt(off_mass) <= _OFF_TOL * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gamma = np.vdot(Bt[p], Bt[q])
-                g = np.abs(gamma)
-                alpha = np.vdot(Bt[p], Bt[p]).real
-                beta = np.vdot(Bt[q], Bt[q]).real
-                if g <= 1e-18 * np.sqrt(alpha * beta) or g == 0.0:
-                    continue
-                phi = gamma / g
-                tau = (beta - alpha) / (2.0 * g)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                bp = Bt[p].copy()
-                bq = Bt[q].copy()
-                Bt[p] = c * bp - s * np.conj(phi) * bq
-                Bt[q] = s * phi * bp + c * bq
-                vp = Vt[p].copy()
-                vq = Vt[q].copy()
-                Vt[p] = c * vp - s * np.conj(phi) * vq
-                Vt[q] = s * phi * vp + c * vq
-    return Bt, Vt
-
-
-svd_sweeps_py = _svd_sweeps_src
-svd_sweeps_jit = jit_build(_svd_sweeps_src)
-
-
-def jacobi_svd(A, use_numba=None):
-    """One-sided Jacobi SVD of a complex (or real) matrix.
-
-    Returns ``(U, s, Vh)`` with singular values descending, matching the
-    ``np.linalg.svd(A, full_matrices=False)`` shapes.  Columns of ``U``
-    belonging to zero singular values are left as zero vectors.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise ValueError("jacobi_svd expects a matrix")
-    m, n = A.shape
-    if m == 0 or n == 0:
-        k = min(m, n)
-        return (
-            np.zeros((m, k), dtype=np.complex128),
-            np.zeros(k, dtype=np.float64),
-            np.zeros((k, n), dtype=np.complex128),
-        )
-    if m < n:
-        U2, s, Vh2 = jacobi_svd(A.conj().T, use_numba=use_numba)
-        return Vh2.conj().T, s, U2.conj().T
-    Bt = np.ascontiguousarray(A.T)
-    Vt = np.eye(n, dtype=np.complex128)
-    sweeps = _pick(use_numba, svd_sweeps_jit, svd_sweeps_py)
-    Bt, Vt = sweeps(Bt, Vt)
-    s = np.sqrt((Bt.real**2 + Bt.imag**2).sum(axis=1))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    Bt = Bt[order]
-    Vt = Vt[order]
-    safe = np.where(s > 0.0, s, 1.0)
-    U = np.ascontiguousarray((Bt / safe[:, None]).T)
-    U[:, s == 0.0] = 0.0
-    Vh = np.conj(Vt)
-    return U, s, Vh
-
-
-# ---------------------------------------------------------------------------
-# Batched solve with precomputed Cholesky factors.
-# ---------------------------------------------------------------------------
-
-
-def cho_solve_batched_py(L, B):
-    X = np.linalg.solve(L, B)
-    return np.linalg.solve(np.conj(np.transpose(L, (0, 2, 1))), X)
-
-
-def _cho_solve_batched_src(L, B):
-    F, n, m = B.shape
-    X = np.empty_like(B)
-    for f in range(F):
-        for col in range(m):
-            # forward substitution: L y = b
-            for i in range(n):
-                acc = B[f, i, col]
-                for j in range(i):
-                    acc -= L[f, i, j] * X[f, j, col]
-                X[f, i, col] = acc / L[f, i, i]
-            # back substitution: L^H x = y
-            for i in range(n - 1, -1, -1):
-                acc = X[f, i, col]
-                for j in range(i + 1, n):
-                    acc -= np.conj(L[f, j, i]) * X[f, j, col]
-                X[f, i, col] = acc / np.conj(L[f, i, i])
-    return X
-
-
-cho_solve_batched_jit = jit_build(_cho_solve_batched_src)
-
-
-def cho_solve_batched(L, B, use_numba=None):
+def cho_solve_batched(L, B):
     """Solve ``(L_f L_f^H) X_f = B_f`` for each face given lower factors.
 
     ``L`` has shape ``(F, n, n)`` (lower triangular Cholesky factors) and
     ``B`` shape ``(F, n, m)``; both complex128.
     """
-    fn = _pick(use_numba, cho_solve_batched_jit, cho_solve_batched_py)
-    return fn(L, B)
+    X = np.linalg.solve(L, B)
+    return np.linalg.solve(np.conj(np.transpose(L, (0, 2, 1))), X)
 
 
-# ---------------------------------------------------------------------------
-# Group shrinkage over Fourier-face stacks.
-# ---------------------------------------------------------------------------
-#
 # Group norms use the spatial scaling sqrt(inv_d * sum_f w_f |.|^2), where w
 # carries the conjugate-symmetry multiplicities of a half-spectrum stack.
 
 
-def scale_tubes_py(V, w, inv_d, tau):
+def scale_tubes(V, w, inv_d, tau):
+    """Shrink each tube (fixed ``(i, j)``, all faces) of a face stack.
+
+    Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
+    taken in the spatial scaling.  ``tau = 0`` keeps nonzero tubes unchanged.
+    """
     sq = V.real**2 + V.imag**2
     nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)) * inv_d)
     factor = np.zeros_like(nrm)
@@ -249,39 +35,8 @@ def scale_tubes_py(V, w, inv_d, tau):
     return V * factor
 
 
-def _scale_tubes_src(V, w, inv_d, tau):
-    F, n, m = V.shape
-    out = np.empty_like(V)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for f in range(F):
-                v = V[f, i, j]
-                acc += w[f] * (v.real * v.real + v.imag * v.imag)
-            nrm = np.sqrt(acc * inv_d)
-            if nrm > tau:
-                factor = 1.0 - tau / nrm
-            else:
-                factor = 0.0
-            for f in range(F):
-                out[f, i, j] = V[f, i, j] * factor
-    return out
-
-
-scale_tubes_jit = jit_build(_scale_tubes_src)
-
-
-def scale_tubes(V, w, inv_d, tau, use_numba=None):
-    """Shrink each tube (fixed ``(i, j)``, all faces) of a face stack.
-
-    Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
-    taken in the spatial scaling.  ``tau = 0`` keeps nonzero tubes unchanged.
-    """
-    fn = _pick(use_numba, scale_tubes_jit, scale_tubes_py)
-    return fn(V, w, inv_d, tau)
-
-
-def scale_rows_py(V, w, inv_d, tau):
+def scale_rows(V, w, inv_d, tau):
+    """Shrink each horizontal slice (fixed ``i``, all faces and columns)."""
     sq = V.real**2 + V.imag**2
     nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1) * inv_d)
     factor = np.zeros_like(nrm)
@@ -290,44 +45,20 @@ def scale_rows_py(V, w, inv_d, tau):
     return V * factor[None, :, None]
 
 
-def _scale_rows_src(V, w, inv_d, tau):
-    F, n, m = V.shape
-    out = np.empty_like(V)
-    for i in range(n):
-        acc = 0.0
-        for f in range(F):
-            for j in range(m):
-                v = V[f, i, j]
-                acc += w[f] * (v.real * v.real + v.imag * v.imag)
-        nrm = np.sqrt(acc * inv_d)
-        if nrm > tau:
-            factor = 1.0 - tau / nrm
-        else:
-            factor = 0.0
-        for f in range(F):
-            for j in range(m):
-                out[f, i, j] = V[f, i, j] * factor
-    return out
+def lloyd(X, C0, max_iter):
+    """Run Lloyd iterations from initial centroids ``C0``.
 
-
-scale_rows_jit = jit_build(_scale_rows_src)
-
-
-def scale_rows(V, w, inv_d, tau, use_numba=None):
-    """Shrink each horizontal slice (fixed ``i``, all faces and columns)."""
-    fn = _pick(use_numba, scale_rows_jit, scale_rows_py)
-    return fn(V, w, inv_d, tau)
-
-
-# ---------------------------------------------------------------------------
-# Lloyd iterations for k-means.
-# ---------------------------------------------------------------------------
-
-
-def lloyd_py(X, C0, max_iter):
+    Returns ``(labels, centroids, inertia_history, n_iter)``.  Nearest-centroid
+    ties break toward the lowest centroid index, the inertia history is
+    recorded right after each assignment step (so it is non-increasing), and
+    a cluster that loses all its points keeps its previous centroid.
+    Iteration stops when assignments repeat or ``max_iter`` is reached.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    C = np.array(C0, dtype=np.float64)
+    max_iter = int(max_iter)
     n = X.shape[0]
-    k = C0.shape[0]
-    C = C0.copy()
+    k = C.shape[0]
     prev = np.full(n, -1, dtype=np.int64)
     hist = np.empty(max_iter, dtype=np.float64)
     it = 0
@@ -345,70 +76,3 @@ def lloyd_py(X, C0, max_iter):
             if mask.any():
                 C[c] = X[mask].mean(axis=0)
     return labels, C, hist[:it].copy(), it
-
-
-def _lloyd_src(X, C0, max_iter):
-    n, d = X.shape
-    k = C0.shape[0]
-    C = C0.copy()
-    labels = np.zeros(n, dtype=np.int64)
-    prev = np.full(n, -1, dtype=np.int64)
-    hist = np.empty(max_iter, dtype=np.float64)
-    sums = np.empty((k, d), dtype=np.float64)
-    counts = np.empty(k, dtype=np.int64)
-    it = 0
-    while it < max_iter:
-        inertia = 0.0
-        for i in range(n):
-            best = 0
-            best_d = np.inf
-            for c in range(k):
-                dist = 0.0
-                for j in range(d):
-                    diff = X[i, j] - C[c, j]
-                    dist += diff * diff
-                if dist < best_d:
-                    best_d = dist
-                    best = c
-            labels[i] = best
-            inertia += best_d
-        hist[it] = inertia
-        it += 1
-        same = True
-        for i in range(n):
-            if labels[i] != prev[i]:
-                same = False
-                break
-        if same:
-            break
-        prev[:] = labels
-        sums[:] = 0.0
-        counts[:] = 0
-        for i in range(n):
-            c = labels[i]
-            counts[c] += 1
-            for j in range(d):
-                sums[c, j] += X[i, j]
-        for c in range(k):
-            if counts[c] > 0:
-                for j in range(d):
-                    C[c, j] = sums[c, j] / counts[c]
-    return labels, C, hist[:it].copy(), it
-
-
-lloyd_jit = jit_build(_lloyd_src)
-
-
-def lloyd(X, C0, max_iter, use_numba=None):
-    """Run Lloyd iterations from initial centroids ``C0``.
-
-    Returns ``(labels, centroids, inertia_history, n_iter)``.  Nearest-centroid
-    ties break toward the lowest centroid index, the inertia history is
-    recorded right after each assignment step (so it is non-increasing), and
-    a cluster that loses all its points keeps its previous centroid.
-    Iteration stops when assignments repeat or ``max_iter`` is reached.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    C0 = np.ascontiguousarray(C0, dtype=np.float64)
-    fn = _pick(use_numba, lloyd_jit, lloyd_py)
-    return fn(X, C0, int(max_iter))

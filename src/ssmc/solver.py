@@ -32,8 +32,6 @@ from .t_algebra import _as_tensor3
 __all__ = [
     "SolverConfig",
     "SolverReport",
-    "group_shrink_tube",
-    "group_shrink_row",
     "solve_self_representation",
     "affinity_from_tensor",
 ]
@@ -79,35 +77,6 @@ class SolverReport:
     objective: float
     converged: bool
     objective_history: list = field(default_factory=list)
-
-
-def group_shrink_tube(v, tau):
-    """Shrink one full-spectrum tube: ``max(0, 1 - tau/||v||_scaled) v``.
-
-    The scaled norm is ``d**-0.5 ||v||_2``, the Frobenius norm of the
-    spatial tube the spectrum came from.  Zero when the norm is at or
-    below ``tau``.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    v = np.asarray(v, dtype=np.complex128)
-    nrm = np.linalg.norm(v.ravel()) / np.sqrt(v.shape[-1])
-    if nrm <= tau:
-        return np.zeros_like(v)
-    return v * (1.0 - tau / nrm)
-
-
-def group_shrink_row(v, tau):
-    """Shrink one full-spectrum row of tubes, shape ``(n, d)``, as one group."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2:
-        raise ValueError(f"row must have shape (n, d), got {v.shape}")
-    nrm = np.linalg.norm(v.ravel()) / np.sqrt(v.shape[1])
-    if nrm <= tau:
-        return np.zeros_like(v)
-    return v * (1.0 - tau / nrm)
 
 
 def _face_weights(d):

@@ -54,7 +54,7 @@ def _kmeanspp_init(points, k, rng):
     return centers
 
 
-def kmeans(points, k, seed, use_numba=None):
+def kmeans(points, k, seed):
     """k-means with seeded k-means++ starts.
 
     Runs 20 restarts of at most 300 Lloyd iterations each and keeps the
@@ -73,7 +73,7 @@ def kmeans(points, k, seed, use_numba=None):
     for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         c0 = _kmeanspp_init(points, k, rng)
-        labels, _, hist, _ = kernels.lloyd(points, c0, KMEANS_MAX_ITERS, use_numba=use_numba)
+        labels, _, hist, _ = kernels.lloyd(points, c0, KMEANS_MAX_ITERS)
         if hist[-1] < best_inertia:
             best_inertia = float(hist[-1])
             best_labels = labels
@@ -94,11 +94,11 @@ def _validate_affinity(m):
     return (m + m.T) / 2.0
 
 
-def spectral_cluster(m, k, seed, use_numba=None):
+def spectral_cluster(m, k, seed):
     """Cluster the samples of a symmetric nonnegative affinity into ``k`` groups.
 
     Steps: normalize ``m`` by degrees as ``D**-0.5 m D**-0.5``, take the
-    ``k`` eigenvectors of largest eigenvalue (cyclic Jacobi eigensolver),
+    ``k`` eigenvectors of largest eigenvalue (LAPACK ``eigh``),
     row-normalize the embedding (zero rows stay zero), k-means the rows.
     A zero-degree sample has its degree replaced by 1 and adds a warning to
     the result metadata.  Deterministic given ``(m, k, seed)``.
@@ -116,10 +116,10 @@ def spectral_cluster(m, k, seed, use_numba=None):
         warnings = (f"isolated vertices (zero degree) at indices {idx}; degree set to 1",)
     inv_root = 1.0 / np.sqrt(deg)
     sym = inv_root[:, None] * m * inv_root[None, :]
-    _, vecs = kernels.jacobi_eigh(sym, use_numba=use_numba)
+    _, vecs = np.linalg.eigh(sym)
     embedding = vecs[:, n - k :]
     row_norms = np.linalg.norm(embedding, axis=1)
     safe = np.where(row_norms > 0, row_norms, 1.0)
     embedding = embedding / safe[:, None]
-    result = kmeans(embedding, k, seed, use_numba=use_numba)
+    result = kmeans(embedding, k, seed)
     return ClusterLabels(labels=result.labels, k=k, warnings=warnings)

@@ -15,8 +15,6 @@ import struct
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "FormatError",
     "fft3",
@@ -208,7 +206,7 @@ def tubal_angle_cos(a, b):
     return t[0, 0, :] / (2.0 * na * nb)
 
 
-def bcirc_singular_values(a, use_numba=None):
+def bcirc_singular_values(a):
     """All ``min(h, l) * d`` singular values of ``bcirc(a)``, descending.
 
     The depth-axis DFT block-diagonalizes the block-circulant matrix, so the
@@ -216,13 +214,8 @@ def bcirc_singular_values(a, use_numba=None):
     each Fourier face.  No size guard: nothing is materialized.
     """
     a = _as_tensor3(a)
-    h, l, d = a.shape
-    fa = np.fft.fft(a, axis=2)
-    out = np.empty(min(h, l) * d, dtype=np.float64)
-    k = min(h, l)
-    for f in range(d):
-        _, s, _ = kernels.jacobi_svd(fa[:, :, f], use_numba=use_numba)
-        out[f * k : (f + 1) * k] = s
+    faces = np.transpose(np.fft.fft(a, axis=2), (2, 0, 1))
+    out = np.linalg.svd(faces, compute_uv=False).ravel()
     out[::-1].sort()
     return out
 

@@ -79,7 +79,7 @@ class TheoremReport:
     rank_deficient: bool = False
 
 
-def is_generating_set(y, use_numba=None):
+def is_generating_set(y):
     """True iff the ``(h, d, depth)`` slices generate a ``d``-dim submodule.
 
     Holds exactly when no Fourier face of ``y`` has a zero singular value;
@@ -87,15 +87,12 @@ def is_generating_set(y, use_numba=None):
     ``sigma_min > 1e-10 * max(sigma_max, 1)``.
     """
     y = _as_tensor3(y, "generators")
-    h, d, depth = y.shape
+    h, d, _ = y.shape
     if d > h:
         raise ValueError(f"more generators ({d}) than rows ({h})")
-    faces = np.fft.fft(y, axis=2)
-    for f in range(depth):
-        _, s, _ = kernels.jacobi_svd(faces[:, :, f], use_numba=use_numba)
-        if s[-1] <= RANK_TOL * max(s[0], 1.0):
-            return False
-    return True
+    faces = np.transpose(np.fft.fft(y, axis=2), (2, 0, 1))
+    s = np.linalg.svd(faces, compute_uv=False)
+    return bool((s[:, -1] > RANK_TOL * np.maximum(s[:, 0], 1.0)).all())
 
 
 def _unit_combination(gens, rng):
@@ -147,7 +144,6 @@ def theorem3_check(
     subtensor_budget=SUBTENSOR_BUDGET,
     seed=0,
     coherence_trials=64,
-    use_numba=None,
 ):
     """Check the sufficient recovery condition for cluster ``i``.
 
@@ -180,9 +176,7 @@ def theorem3_check(
 
     rest = [sj.points for j, sj in enumerate(data) if j != i]
     if rest:
-        sigma_max_rest = float(
-            bcirc_singular_values(np.concatenate(rest, axis=1), use_numba=use_numba)[0]
-        )
+        sigma_max_rest = float(bcirc_singular_values(np.concatenate(rest, axis=1))[0])
     else:
         sigma_max_rest = 0.0
     lhs = math.sqrt(d_i) * coherence_max * sigma_max_rest
@@ -193,7 +187,7 @@ def theorem3_check(
     found_full_rank = False
     for idx in _subtensor_indices(m_i, d_i, subtensor_budget, rng):
         searched += 1
-        vals = bcirc_singular_values(si.points[:, list(idx), :], use_numba=use_numba)
+        vals = bcirc_singular_values(si.points[:, list(idx), :])
         if vals[-1] > RANK_TOL * max(vals[0], 1.0):
             found_full_rank = True
             rhs = max(rhs, float(vals[-1]))
@@ -209,15 +203,7 @@ def theorem3_check(
     )
 
 
-def _face_pinv(face, use_numba=None):
-    u, s, vh = kernels.jacobi_svd(face, use_numba=use_numba)
-    if s[0] == 0.0:
-        return np.zeros((face.shape[1], face.shape[0]), dtype=np.complex128)
-    r = int((s > 1e-12 * s[0]).sum())
-    return (vh[:r].conj().T / s[:r][None, :]) @ u[:, :r].conj().T
-
-
-def min_f1_representation(dictionary, x, tol, max_iters=100000, use_numba=None):
+def min_f1_representation(dictionary, x, tol, max_iters=100000):
     """Minimize ``||a||_F1`` subject to ``dictionary * a = x``.
 
     ``dictionary`` is ``(h, m, depth)``, ``x`` an ``(h, 1, depth)`` oriented
@@ -235,7 +221,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000, use_numba=None):
 
     yf = np.transpose(np.fft.fft(dictionary, axis=2), (2, 0, 1))  # (depth, h, m)
     xf = np.fft.fft(x[:, 0, :], axis=1).T  # (depth, h)
-    pinv = np.stack([_face_pinv(yf[f], use_numba=use_numba) for f in range(depth)])
+    pinv = np.linalg.pinv(yf, rcond=1e-12)
     a0 = np.einsum("fmh,fh->fm", pinv, xf)
     for f in range(depth):
         resid = float(np.linalg.norm(xf[f] - yf[f] @ a0[f]))
@@ -254,9 +240,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000, use_numba=None):
     scale = max(1.0, float(np.sqrt((np.abs(a0) ** 2).sum() * inv_d)))
     for _ in range(max_iters):
         a = np.einsum("fml,fl->fm", proj, z - u) + a0
-        z_new = kernels.scale_tubes(
-            (a + u)[:, :, None], w_all, inv_d, 1.0 / rho, use_numba=use_numba
-        )[:, :, 0]
+        z_new = kernels.scale_tubes((a + u)[:, :, None], w_all, inv_d, 1.0 / rho)[:, :, 0]
         u += a - z_new
         r = np.sqrt((np.abs(a - z_new) ** 2).sum() * inv_d)
         s = rho * np.sqrt((np.abs(z_new - z) ** 2).sum() * inv_d)

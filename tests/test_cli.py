@@ -165,7 +165,9 @@ def test_sweep_error_column_varies_across_grid(tmp_path, capsys):
     assert len(errors) == 3
     assert len(set(errors)) > 1
     csv_text = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert csv_text[0] == "lambda_g,clustering_error,iterations,objective,error_message"
+    assert csv_text[0] == (
+        "lambda_g,clustering_error,iterations,objective,converged,error_message"
+    )
     assert len(csv_text) == 4
 
 
@@ -184,6 +186,21 @@ def test_sweep_records_per_row_failures(two_cluster_files, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert "error_message" in rows[0] and "lambda_g" in rows[0]
     assert rows[1]["iterations"] >= 1
+
+
+def test_unconverged_solve_is_reported(two_cluster_files, tmp_path, capsys):
+    tensor_path, _ = two_cluster_files
+    out = tmp_path / "sweep.json"
+    base = ["--input", tensor_path, "--k", "2", "--max-iters", "1"]
+    assert run_cli(["sweep"] + base + ["--grid", "1,10", "--out", str(out)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["converged"] for row in rows] == [False, False]
+    csv_rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[4] for line in csv_rows] == ["False", "False"]
+    assert run_cli(["cluster"] + base) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["solver_report"]["converged"] is False
+    assert "solver stopped at max_iters=1 without converging" in payload["warnings"]
 
 
 # -- synth -------------------------------------------------------------------

@@ -1,125 +1,8 @@
-"""Kernel-level tests: LAPACK oracles and agreement between the two builds."""
+"""Kernel-level tests: LAPACK oracles and direct reference formulas."""
 
 import numpy as np
-import pytest
 
 from ssmc import kernels
-
-
-def _random_symmetric(rng, n):
-    a = rng.standard_normal((n, n))
-    return (a + a.T) / 2.0
-
-
-def _random_complex(rng, m, n):
-    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-
-# -- jacobi_eigh -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
-def test_eigh_matches_lapack(n):
-    rng = np.random.default_rng(n)
-    a = _random_symmetric(rng, n)
-    w, v = kernels.jacobi_eigh(a)
-    w_ref = np.linalg.eigvalsh(a)
-    scale = max(1.0, np.abs(w_ref).max())
-    assert np.abs(w - w_ref).max() < 1e-12 * scale
-
-
-def test_eigh_reconstructs_and_is_orthogonal():
-    rng = np.random.default_rng(0)
-    a = _random_symmetric(rng, 12)
-    w, v = kernels.jacobi_eigh(a)
-    nrm = np.linalg.norm(a)
-    assert np.linalg.norm(v @ np.diag(w) @ v.T - a) < 1e-12 * nrm
-    assert np.linalg.norm(v.T @ v - np.eye(12)) < 1e-12
-    assert (np.diff(w) >= 0).all()
-
-
-def test_eigh_zero_and_diagonal_inputs():
-    w, v = kernels.jacobi_eigh(np.zeros((4, 4)))
-    assert (w == 0).all()
-    assert np.array_equal(v, np.eye(4))
-    d = np.diag([3.0, -1.0, 2.0])
-    w, v = kernels.jacobi_eigh(d)
-    assert np.array_equal(w, [-1.0, 2.0, 3.0])
-
-
-def test_eigh_does_not_mutate_input_and_rejects_nonsquare():
-    rng = np.random.default_rng(1)
-    a = _random_symmetric(rng, 5)
-    a0 = a.copy()
-    kernels.jacobi_eigh(a)
-    assert np.array_equal(a, a0)
-    with pytest.raises(ValueError, match="square"):
-        kernels.jacobi_eigh(rng.standard_normal((3, 4)))
-
-
-def test_eigh_builds_agree():
-    rng = np.random.default_rng(2)
-    a = _random_symmetric(rng, 9)
-    w_py, v_py = kernels.jacobi_eigh(a, use_numba=False)
-    w_jit, v_jit = kernels.jacobi_eigh(a, use_numba=True)
-    assert np.abs(w_py - w_jit).max() < 1e-13
-    assert np.abs(v_py - v_jit).max() < 1e-13
-
-
-# -- jacobi_svd --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("m,n", [(1, 1), (4, 4), (6, 3), (3, 6), (8, 5), (5, 8)])
-def test_svd_singular_values_match_lapack(m, n):
-    rng = np.random.default_rng(m * 10 + n)
-    a = _random_complex(rng, m, n)
-    u, s, vh = kernels.jacobi_svd(a)
-    s_ref = np.linalg.svd(a, compute_uv=False)
-    assert np.abs(s - s_ref).max() < 1e-12 * max(1.0, s_ref[0])
-    assert u.shape == (m, min(m, n))
-    assert vh.shape == (min(m, n), n)
-
-
-def test_svd_reconstructs_and_factors_unitary():
-    rng = np.random.default_rng(3)
-    a = _random_complex(rng, 7, 4)
-    u, s, vh = kernels.jacobi_svd(a)
-    assert np.abs(u @ np.diag(s) @ vh - a).max() < 1e-12 * s[0]
-    assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
-    assert np.abs(vh @ vh.conj().T - np.eye(4)).max() < 1e-12
-    assert (np.diff(s) <= 0).all()
-
-
-def test_svd_rank_deficient_zeroes_extra_u_columns():
-    rng = np.random.default_rng(4)
-    x = _random_complex(rng, 5, 1)
-    y = _random_complex(rng, 1, 3)
-    a = x @ y  # rank one
-    u, s, vh = kernels.jacobi_svd(a)
-    assert s[0] > 0
-    assert np.abs(s[1:]).max() < 1e-12 * s[0]
-    assert np.abs(u @ np.diag(s) @ vh - a).max() < 1e-12 * s[0]
-
-
-def test_svd_real_input_and_zero_matrix():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 6))
-    _, s, _ = kernels.jacobi_svd(a)
-    s_ref = np.linalg.svd(a, compute_uv=False)
-    assert np.abs(s - s_ref).max() < 1e-12 * s_ref[0]
-    u, s, vh = kernels.jacobi_svd(np.zeros((3, 2)))
-    assert (s == 0).all()
-    assert (u == 0).all()
-
-
-def test_svd_builds_agree():
-    rng = np.random.default_rng(6)
-    a = _random_complex(rng, 6, 4)
-    u_py, s_py, vh_py = kernels.jacobi_svd(a, use_numba=False)
-    u_jit, s_jit, vh_jit = kernels.jacobi_svd(a, use_numba=True)
-    assert np.abs(s_py - s_jit).max() < 1e-13
-    assert np.abs(u_py - u_jit).max() < 1e-13
-    assert np.abs(vh_py - vh_jit).max() < 1e-13
 
 
 # -- cho_solve_batched -------------------------------------------------------
@@ -130,25 +13,14 @@ def _hpd_stack(rng, f, n):
     return np.einsum("fij,fkj->fik", base, base.conj()) + 2.0 * n * np.eye(n)[None]
 
 
-@pytest.mark.parametrize("use_numba", [False, True])
-def test_cho_solve_matches_direct_solve(use_numba):
+def test_cho_solve_matches_direct_solve():
     rng = np.random.default_rng(7)
     mats = _hpd_stack(rng, 4, 6)
     chol = np.linalg.cholesky(mats)
     rhs = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
-    x = kernels.cho_solve_batched(chol, rhs, use_numba=use_numba)
+    x = kernels.cho_solve_batched(chol, rhs)
     x_ref = np.linalg.solve(mats, rhs)
     assert np.abs(x - x_ref).max() < 1e-12 * max(1.0, np.abs(x_ref).max())
-
-
-def test_cho_solve_builds_agree():
-    rng = np.random.default_rng(8)
-    mats = _hpd_stack(rng, 3, 5)
-    chol = np.linalg.cholesky(mats)
-    rhs = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-    x_py = kernels.cho_solve_batched(chol, rhs, use_numba=False)
-    x_jit = kernels.cho_solve_batched(chol, rhs, use_numba=True)
-    assert np.abs(x_py - x_jit).max() < 1e-12
 
 
 # -- group shrinkage ---------------------------------------------------------
@@ -168,14 +40,13 @@ def _spatial_tube_norms(v, w, inv_d):
     return np.sqrt(np.tensordot(w, sq, axes=(0, 0)) * inv_d)
 
 
-@pytest.mark.parametrize("use_numba", [False, True])
-def test_scale_tubes_applies_group_shrink(use_numba):
+def test_scale_tubes_applies_group_shrink():
     rng = np.random.default_rng(9)
     d = 6
     w = _half_weights(d)
     v = rng.standard_normal((w.size, 4, 5)) + 1j * rng.standard_normal((w.size, 4, 5))
     tau = 0.7
-    out = kernels.scale_tubes(v, w, 1.0 / d, tau, use_numba=use_numba)
+    out = kernels.scale_tubes(v, w, 1.0 / d, tau)
     nrm = _spatial_tube_norms(v, w, 1.0 / d)
     factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
     assert np.abs(out - v * factor).max() < 1e-14
@@ -190,28 +61,17 @@ def test_scale_tubes_edge_cases():
     assert (kernels.scale_tubes(v, w, 0.25, big) == 0).all()
 
 
-@pytest.mark.parametrize("use_numba", [False, True])
-def test_scale_rows_applies_group_shrink(use_numba):
+def test_scale_rows_applies_group_shrink():
     rng = np.random.default_rng(11)
     d = 5
     w = _half_weights(d)
     v = rng.standard_normal((w.size, 4, 6)) + 1j * rng.standard_normal((w.size, 4, 6))
     tau = 1.1
-    out = kernels.scale_rows(v, w, 1.0 / d, tau, use_numba=use_numba)
+    out = kernels.scale_rows(v, w, 1.0 / d, tau)
     sq = v.real**2 + v.imag**2
     nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1) / d)
     factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
     assert np.abs(out - v * factor[None, :, None]).max() < 1e-14
-
-
-def test_shrink_builds_agree():
-    rng = np.random.default_rng(12)
-    w = _half_weights(7)
-    v = rng.standard_normal((w.size, 5, 5)) + 1j * rng.standard_normal((w.size, 5, 5))
-    for fn in (kernels.scale_tubes, kernels.scale_rows):
-        out_py = fn(v, w, 1.0 / 7, 0.4, use_numba=False)
-        out_jit = fn(v, w, 1.0 / 7, 0.4, use_numba=True)
-        assert np.abs(out_py - out_jit).max() < 1e-14
 
 
 # -- lloyd -------------------------------------------------------------------
@@ -221,12 +81,11 @@ def _blob_points(rng, centers, per):
     return np.vstack([rng.normal(c, 0.1, (per, 2)) for c in centers])
 
 
-@pytest.mark.parametrize("use_numba", [False, True])
-def test_lloyd_separates_clear_blobs(use_numba):
+def test_lloyd_separates_clear_blobs():
     rng = np.random.default_rng(13)
     pts = _blob_points(rng, [(0.0, 0.0), (10.0, 10.0)], 20)
     c0 = np.array([[1.0, 1.0], [9.0, 9.0]])
-    labels, centers, hist, n_iter = kernels.lloyd(pts, c0, 50, use_numba=use_numba)
+    labels, centers, hist, n_iter = kernels.lloyd(pts, c0, 50)
     assert (labels[:20] == 0).all() and (labels[20:] == 1).all()
     assert n_iter <= 50
     assert np.abs(centers[0] - pts[:20].mean(axis=0)).max() < 1e-12
@@ -253,15 +112,3 @@ def test_lloyd_empty_cluster_keeps_centroid():
     labels, centers, _, _ = kernels.lloyd(pts, c0, 10)
     assert (labels == 0).all()
     assert centers[1, 0] == 100.0
-
-
-def test_lloyd_builds_agree():
-    rng = np.random.default_rng(15)
-    pts = _blob_points(rng, [(0.0, 0.0), (4.0, 4.0), (-4.0, 4.0)], 15)
-    c0 = pts[rng.choice(45, 3, replace=False)]
-    lab_py, cen_py, hist_py, it_py = kernels.lloyd(pts, c0, 80, use_numba=False)
-    lab_jit, cen_jit, hist_jit, it_jit = kernels.lloyd(pts, c0, 80, use_numba=True)
-    assert np.array_equal(lab_py, lab_jit)
-    assert it_py == it_jit
-    assert np.abs(cen_py - cen_jit).max() < 1e-12
-    assert np.abs(hist_py - hist_jit).max() < 1e-9

@@ -1,14 +1,13 @@
-"""Solver tests: proxes, constraints, objective accounting, depth-1 reduction."""
+"""Solver tests: constraints, objective accounting, depth-1 reduction, depth-shift invariance."""
 
 import numpy as np
 import pytest
 
 from ssmc import t_algebra as ta
+from ssmc.data import SynthSpec, generate_synthetic
 from ssmc.solver import (
     SolverConfig,
     affinity_from_tensor,
-    group_shrink_row,
-    group_shrink_tube,
     solve_self_representation,
 )
 
@@ -71,33 +70,6 @@ def test_rejects_non_finite_and_zero_input():
         solve_self_representation(y, SolverConfig(lambda_g=1.0))
     with pytest.raises(ValueError, match="identically zero"):
         solve_self_representation(np.zeros((2, 3, 2)), SolverConfig(lambda_g=1.0))
-
-
-# -- shrinkage operators -----------------------------------------------------
-
-
-def test_group_shrink_tube_formula():
-    d = 4
-    v = np.full(d, 2.0, dtype=complex)  # scaled norm = 2
-    out = group_shrink_tube(v, 0.5)
-    assert np.abs(out - 0.75 * v).max() < 1e-14
-    assert (group_shrink_tube(v, 2.0) == 0).all()
-    assert np.array_equal(group_shrink_tube(v, 0.0), v)
-    with pytest.raises(ValueError, match="tau"):
-        group_shrink_tube(v, -0.1)
-
-
-def test_group_shrink_row_formula():
-    rng = np.random.default_rng(0)
-    row = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    nrm = np.linalg.norm(row) / np.sqrt(5)
-    out = group_shrink_row(row, nrm / 2.0)
-    assert np.abs(out - 0.5 * row).max() < 1e-12
-    assert (group_shrink_row(row, nrm * 1.01) == 0).all()
-    single = row[:1]
-    assert np.array_equal(group_shrink_row(single, 0.3), group_shrink_tube(single, 0.3))
-    with pytest.raises(ValueError, match=r"\(n, d\)"):
-        group_shrink_row(row.ravel(), 0.1)
 
 
 # -- solved representations --------------------------------------------------
@@ -205,6 +177,32 @@ def test_normalize_columns_equals_manual_scaling():
     w_n, _ = solve_self_representation(y, cfg_n)
     w_m, _ = solve_self_representation(manual, cfg_m)
     assert np.array_equal(w_n, w_m)
+
+
+@pytest.mark.parametrize("lambda_h", [0.0, 0.5])
+def test_depth_shift_of_a_sample_leaves_affinity_unchanged(lambda_h):
+    """Circularly shifting samples along depth changes neither objective nor affinity.
+
+    A depth shift by ``s`` is tube multiplication by the unit tube ``e_s``, so
+    the optimum maps ``c[:, j] -> c[:, j] * e_s`` and ``c[j, :] -> c[j, :] *
+    e_-s`` with the same tube norms.  In the Fourier domain the shift is a
+    diagonal phase on each face, and every ADMM iterate follows it, so even an
+    unconverged run is invariant.  The affine program is *not*: its column
+    tube-sum constraint does not follow the phase, and there the affinity moves.
+    """
+    spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
+    y = generate_synthetic(spec).tensor
+    shifted = y.copy()
+    shifted[:, 1, :] = np.roll(y[:, 1, :], 3, axis=1)
+    shifted[:, 10, :] = np.roll(y[:, 10, :], -2, axis=1)
+    cfg = SolverConfig(lambda_g=1.0, lambda_h=lambda_h, max_iters=60)
+    w, report = solve_self_representation(y, cfg)
+    w_s, report_s = solve_self_representation(shifted, cfg)
+    assert report_s.iterations == report.iterations
+    assert abs(report_s.objective - report.objective) <= 1e-12 * abs(report.objective)
+    m = affinity_from_tensor(w)
+    m_s = affinity_from_tensor(w_s)
+    assert np.abs(m_s - m).max() <= 1e-10 * np.abs(m).max()
 
 
 # -- affinity ----------------------------------------------------------------

@@ -231,6 +231,21 @@ def test_target_shape_is_validated():
         min_f1_representation(dictionary, np.zeros((4, 1, 4)), tol=1e-8)
 
 
+def test_repeated_slice_dictionary_gives_feasible_representation():
+    # a repeated slice makes every Fourier face rank-deficient, so the
+    # per-face pseudo-inverse must truncate the zero singular value
+    rng = np.random.default_rng(14)
+    base = rng.standard_normal((5, 3, 4))
+    dictionary = np.concatenate([base, base[:, :1, :]], axis=1)
+    coeffs = rng.standard_normal((3, 1, 4))
+    x = ta.tprod(base, coeffs)
+    a = min_f1_representation(dictionary, x, tol=1e-8)
+    assert a.shape == (4, 1, 4)
+    assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8 * ta.norm_fro(x)
+    known = np.concatenate([coeffs, np.zeros((1, 1, 4))], axis=0)
+    assert ta.norm_f1(a) <= ta.norm_f1(known) + 1e-6
+
+
 @pytest.mark.parametrize("seed", [100, 101])
 def test_min_f1_matches_douglas_rachford_reference(seed):
     rng = np.random.default_rng(seed)
