@@ -1,6 +1,7 @@
 """Kernel-level tests: LAPACK oracles and direct reference formulas."""
 
 import numpy as np
+import pytest
 
 from ssmc import kernels
 
@@ -13,11 +14,14 @@ def _hpd_stack(rng, f, n):
     return np.einsum("fij,fkj->fik", base, base.conj()) + 2.0 * n * np.eye(n)[None]
 
 
-def test_cho_solve_matches_direct_solve():
+@pytest.mark.parametrize("single_face", [False, True])
+def test_cho_solve_matches_direct_solve(single_face):
+    # one face is the depth-1 stack, where the batch axis has length 1
+    f = 1 if single_face else 4
     rng = np.random.default_rng(7)
-    mats = _hpd_stack(rng, 4, 6)
+    mats = _hpd_stack(rng, f, 6)
     chol = np.linalg.cholesky(mats)
-    rhs = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+    rhs = rng.standard_normal((f, 6, 3)) + 1j * rng.standard_normal((f, 6, 3))
     x = kernels.cho_solve_batched(chol, rhs)
     x_ref = np.linalg.solve(mats, rhs)
     assert np.abs(x - x_ref).max() < 1e-12 * max(1.0, np.abs(x_ref).max())
@@ -40,9 +44,11 @@ def _spatial_tube_norms(v, w, inv_d):
     return np.sqrt(np.tensordot(w, sq, axes=(0, 0)) * inv_d)
 
 
-def test_scale_tubes_applies_group_shrink():
+@pytest.mark.parametrize("even_depth", [False, True])
+def test_scale_tubes_applies_group_shrink(even_depth):
+    # an even depth adds the Nyquist face, which carries weight 1, not 2
     rng = np.random.default_rng(9)
-    d = 6
+    d = 6 if even_depth else 5
     w = _half_weights(d)
     v = rng.standard_normal((w.size, 4, 5)) + 1j * rng.standard_normal((w.size, 4, 5))
     tau = 0.7
@@ -61,9 +67,10 @@ def test_scale_tubes_edge_cases():
     assert (kernels.scale_tubes(v, w, 0.25, big) == 0).all()
 
 
-def test_scale_rows_applies_group_shrink():
+@pytest.mark.parametrize("even_depth", [False, True])
+def test_scale_rows_applies_group_shrink(even_depth):
     rng = np.random.default_rng(11)
-    d = 5
+    d = 6 if even_depth else 5
     w = _half_weights(d)
     v = rng.standard_normal((w.size, 4, 6)) + 1j * rng.standard_normal((w.size, 4, 6))
     tau = 1.1
@@ -81,14 +88,20 @@ def _blob_points(rng, centers, per):
     return np.vstack([rng.normal(c, 0.1, (per, 2)) for c in centers])
 
 
-def test_lloyd_separates_clear_blobs():
+@pytest.mark.parametrize("swapped_init", [False, True])
+def test_lloyd_separates_clear_blobs(swapped_init):
+    # labels follow the order of the initial centroids
     rng = np.random.default_rng(13)
     pts = _blob_points(rng, [(0.0, 0.0), (10.0, 10.0)], 20)
     c0 = np.array([[1.0, 1.0], [9.0, 9.0]])
+    first = 0
+    if swapped_init:
+        c0 = c0[::-1].copy()
+        first = 1
     labels, centers, hist, n_iter = kernels.lloyd(pts, c0, 50)
-    assert (labels[:20] == 0).all() and (labels[20:] == 1).all()
+    assert (labels[:20] == first).all() and (labels[20:] == 1 - first).all()
     assert n_iter <= 50
-    assert np.abs(centers[0] - pts[:20].mean(axis=0)).max() < 1e-12
+    assert np.abs(centers[first] - pts[:20].mean(axis=0)).max() < 1e-12
 
 
 def test_lloyd_inertia_never_increases():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from ssmc import kernels
 from ssmc import t_algebra as ta
 from ssmc.data import SynthSpec, generate_synthetic
 from ssmc.solver import (
     SolverConfig,
+    _face_weights,
     affinity_from_tensor,
     solve_self_representation,
 )
@@ -70,6 +72,54 @@ def test_rejects_non_finite_and_zero_input():
         solve_self_representation(y, SolverConfig(lambda_g=1.0))
     with pytest.raises(ValueError, match="identically zero"):
         solve_self_representation(np.zeros((2, 3, 2)), SolverConfig(lambda_g=1.0))
+
+
+# -- group shrinkage ---------------------------------------------------------
+# The solver shrinks half-spectrum face stacks; these check that the result,
+# taken back to the spatial domain, is the group shrink of the spatial tubes
+# and slices whose norms ||.||_F,1 and ||.||_FF,1 sum.
+
+
+def _shrink_spatial(kernel, x, tau):
+    d = x.shape[2]
+    xf = np.transpose(np.fft.rfft(x, axis=2), (2, 0, 1))
+    out = kernel(xf, _face_weights(d), 1.0 / d, tau)
+    return np.fft.irfft(np.transpose(out, (1, 2, 0)), n=d, axis=2)
+
+
+def test_group_shrink_tube_formula():
+    d = 4
+    v = np.zeros((1, 1, d))
+    v[0, 0, 1] = 2.0  # spatial tube norm 2
+    out = _shrink_spatial(kernels.scale_tubes, v, 0.5)
+    assert np.abs(out - 0.75 * v).max() < 1e-14
+    assert (_shrink_spatial(kernels.scale_tubes, v, 2.0) == 0).all()
+    assert np.abs(_shrink_spatial(kernels.scale_tubes, v, 0.0) - v).max() < 1e-15
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((3, 4, 5))
+    nrm = np.sqrt((x * x).sum(axis=2, keepdims=True))
+    tau = float(np.median(nrm))
+    ref = x * np.maximum(0.0, 1.0 - tau / nrm)
+    assert np.abs(_shrink_spatial(kernels.scale_tubes, x, tau) - ref).max() < 1e-12
+
+
+def test_group_shrink_row_formula():
+    rng = np.random.default_rng(0)
+    row = rng.standard_normal((1, 3, 5))
+    nrm = np.linalg.norm(row)
+    out = _shrink_spatial(kernels.scale_rows, row, nrm / 2.0)
+    assert np.abs(out - 0.5 * row).max() < 1e-12
+    assert (_shrink_spatial(kernels.scale_rows, row, nrm * 1.01) == 0).all()
+    single = row[:, :1]
+    assert np.abs(
+        _shrink_spatial(kernels.scale_rows, single, 0.3)
+        - _shrink_spatial(kernels.scale_tubes, single, 0.3)
+    ).max() < 1e-15
+    x = rng.standard_normal((4, 3, 6))
+    nrm = np.sqrt((x * x).sum(axis=(1, 2), keepdims=True))
+    tau = float(np.median(nrm))
+    ref = x * np.maximum(0.0, 1.0 - tau / nrm)
+    assert np.abs(_shrink_spatial(kernels.scale_rows, x, tau) - ref).max() < 1e-12
 
 
 # -- solved representations --------------------------------------------------
