@@ -7,18 +7,32 @@ first, so per-face work hits contiguous memory.
 import numpy as np
 
 
-def cho_solve_batched(L, B):
-    """Solve ``(L_f L_f^H) X_f = B_f`` for each face given lower factors.
-
-    ``L`` has shape ``(F, n, n)`` (lower triangular Cholesky factors) and
-    ``B`` shape ``(F, n, m)``; both complex128.
-    """
-    X = np.linalg.solve(L, B)
-    return np.linalg.solve(np.conj(np.transpose(L, (0, 2, 1))), X)
-
-
 # Group norms use the spatial scaling sqrt(inv_d * sum_f w_f |.|^2), where w
 # carries the conjugate-symmetry multiplicities of a half-spectrum stack.
+
+
+def weighted_sq_norms(x, w, total=False):
+    """Weighted squared moduli ``sum_f w_f |x[f, ...]|^2`` of a face stack.
+
+    Returns one value per entry, shape ``x.shape[1:]``, or with ``total`` their
+    sum ``sum_f w_f ||x[f]||_F^2`` as a float.  Both reduce over the faces with
+    BLAS on a float64 view, without real/imaginary temporaries; only a
+    non-contiguous stack (a transposed view, say) is copied first.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    xr = x.view(np.float64).reshape(x.shape[0], -1)  # re, im alternate
+    if total:
+        rows = xr[:, None, :]
+        return float(w @ (rows @ rows.transpose(0, 2, 1)).ravel())
+    t = w @ np.square(xr)
+    return (t[0::2] + t[1::2]).reshape(x.shape[1:])
+
+
+def _shrink_factor(nrm, tau):
+    factor = np.zeros_like(nrm)
+    pos = nrm > tau
+    factor[pos] = 1.0 - tau / nrm[pos]
+    return factor
 
 
 def scale_tubes(V, w, inv_d, tau):
@@ -27,22 +41,14 @@ def scale_tubes(V, w, inv_d, tau):
     Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
     taken in the spatial scaling.  ``tau = 0`` keeps nonzero tubes unchanged.
     """
-    sq = V.real**2 + V.imag**2
-    nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)) * inv_d)
-    factor = np.zeros_like(nrm)
-    pos = nrm > tau
-    factor[pos] = 1.0 - tau / nrm[pos]
-    return V * factor
+    nrm = np.sqrt(weighted_sq_norms(V, w) * inv_d)
+    return V * _shrink_factor(nrm, tau)
 
 
 def scale_rows(V, w, inv_d, tau):
     """Shrink each horizontal slice (fixed ``i``, all faces and columns)."""
-    sq = V.real**2 + V.imag**2
-    nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1) * inv_d)
-    factor = np.zeros_like(nrm)
-    pos = nrm > tau
-    factor[pos] = 1.0 - tau / nrm[pos]
-    return V * factor[None, :, None]
+    nrm = np.sqrt(weighted_sq_norms(V, w).sum(axis=1) * inv_d)
+    return V * _shrink_factor(nrm, tau)[None, :, None]
 
 
 def lloyd(X, C0, max_iter):

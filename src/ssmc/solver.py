@@ -10,8 +10,12 @@ product splits into independent per-frequency matrix products.
 
 Splitting: consensus ``c = a1 = a2`` with ``a1`` absorbing the tube group
 norm and ``a2`` the row group norm; the ``c`` update is a per-face ridge
-solve (Cholesky-factored once), the ``a`` updates are group shrinkages, and
-the duals are scaled.  The zero-diagonal constraint lives inside both
+solve, the ``a`` updates are group shrinkages, and the duals are scaled.  The
+ridge system ``2 lambda_g Y^H Y + 2 rho I`` is never formed: one thin SVD
+``Y = U diag(s) V^H`` per face, taken once per solve, gives its inverse by the
+matrix inversion lemma as ``(I - V diag(g) V^H) / (2 rho)`` with
+``g = 2 lambda_g s^2 / (2 lambda_g s^2 + 2 rho)``, so every iteration costs two
+thin matmuls per face.  The zero-diagonal constraint lives inside both
 shrinkage proxes (zero the diagonal, then shrink: the exact prox of the sum
 with the indicator).  The affine constraint lives inside the ``c`` update as
 an exact KKT correction of each ridge solution, using the precomputed
@@ -22,6 +26,7 @@ Only the ``d // 2 + 1`` non-redundant DFT faces of real tensors are stored;
 norms below equal their spatial-domain counterparts.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +76,21 @@ class SolverConfig:
 
 @dataclass
 class SolverReport:
+    """ADMM run record.
+
+    ``timings`` holds the seconds spent in each stage of the solve, from
+    ``time.perf_counter``: ``fft`` (input checks and the depth rFFT),
+    ``factor`` (the per-face SVD), ``iterate`` (the ADMM loop) and
+    ``finalize`` (the inverse rFFT).
+    """
+
     iterations: int
     primal_residual: float
     dual_residual: float
     objective: float
     converged: bool
     objective_history: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)
 
 
 def _face_weights(d):
@@ -91,7 +105,33 @@ def _face_weights(d):
 
 def _snorm2(x, w, inv_d):
     """Squared spatial Frobenius norm of a half-spectrum face stack."""
-    return float(np.tensordot(w, (x.real**2 + x.imag**2).sum(axis=(1, 2)), axes=1) * inv_d)
+    return kernels.weighted_sq_norms(x, w, total=True) * inv_d
+
+
+class _RidgeInverse:
+    """Applies ``(2 lambda_g Y_f^H Y_f + 2 rho I)^-1`` on every Fourier face.
+
+    ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
+    ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, zero singular values
+    allowed) the inverse is ``(I - V diag(g) V^H) / (2 rho)``, where
+    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + 2 rho)``.  ``fit`` is
+    ``V diag(g) V^H``, the inverse applied to ``2 lambda_g Y^H Y``.
+    """
+
+    def __init__(self, yf, lambda_g, rho):
+        _, s, vh = np.linalg.svd(yf, full_matrices=False)
+        s2 = 2.0 * lambda_g * s * s
+        g = s2 / (s2 + 2.0 * rho)
+        self.v = np.ascontiguousarray(np.conj(np.swapaxes(vh, 1, 2)))
+        self.gvh = g[:, :, None] * vh
+        self.scale = 0.5 / rho
+        self.fit = self.v @ self.gvh
+
+    def __call__(self, x):
+        out = self.v @ (self.gvh @ x)
+        np.subtract(x, out, out=out)
+        out *= self.scale
+        return out
 
 
 def _feasible(c, diag, affine, n):
@@ -116,11 +156,11 @@ class _Objective:
         self.lambda_h = lambda_h
 
     def __call__(self, c):
-        sq = (c.real**2 + c.imag**2) * self.inv_d
-        grp = np.tensordot(self.w, sq, axes=(0, 0))
+        grp = kernels.weighted_sq_norms(c, self.w) * self.inv_d
         f1 = float(np.sqrt(grp).sum())
         ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
-        resid = self.yf - np.einsum("fhl,flj->fhj", self.yf, c)
+        resid = self.yf @ c
+        np.subtract(self.yf, resid, out=resid)
         fid = _snorm2(resid, self.w, self.inv_d)
         return f1 + self.lambda_h * ff1 + self.lambda_g * fid
 
@@ -134,6 +174,7 @@ def solve_self_representation(y, cfg):
     Hitting ``max_iters`` is not an error; it is reported as
     ``converged=False``.
     """
+    start = time.perf_counter()
     y = _as_tensor3(y, "input tensor")
     if not np.isfinite(y).all():
         raise ValueError("input tensor contains non-finite values")
@@ -151,16 +192,16 @@ def solve_self_representation(y, cfg):
     w_freq = _face_weights(d)
     dh = w_freq.shape[0]
     yf = np.ascontiguousarray(np.transpose(np.fft.rfft(y, axis=2), (2, 0, 1)))
+    timings = {"fft": time.perf_counter() - start}
 
-    gram = np.einsum("fhi,fhj->fij", np.conj(yf), yf)
-    ridge = 2.0 * lam_g * gram + 2.0 * rho * np.eye(n)[None, :, :]
-    chol = np.linalg.cholesky(ridge)
-    rhs0 = 2.0 * lam_g * gram
+    start = time.perf_counter()
+    ridge = _RidgeInverse(yf, lam_g, rho)
     if cfg.affine:
-        ones = np.ones((dh, n, 1), dtype=np.complex128)
-        z = kernels.cho_solve_batched(chol, ones)[:, :, 0]
+        z = ridge(np.ones((dh, n, 1), dtype=np.complex128))[:, :, 0]
         z_sum = z.sum(axis=1)
+    timings["factor"] = time.perf_counter() - start
 
+    start = time.perf_counter()
     shape = (dh, n, n)
     a1 = np.zeros(shape, dtype=np.complex128)
     a2 = np.zeros(shape, dtype=np.complex128)
@@ -168,6 +209,7 @@ def solve_self_representation(y, cfg):
     u2 = np.zeros(shape, dtype=np.complex128)
     diag = np.arange(n)
     objective = _Objective(yf, w_freq, inv_d, lam_g, lam_h)
+    count = n * n * d
 
     history = []
     converged = False
@@ -175,8 +217,13 @@ def solve_self_representation(y, cfg):
     iterations = 0
     c_feas = np.zeros(shape, dtype=np.complex128)
     for iterations in range(1, cfg.max_iters + 1):
-        rhs = rhs0 + rho * (a1 - u1) + rho * (a2 - u2)
-        c = kernels.cho_solve_batched(chol, rhs)
+        # c = ridge^-1 (2 lam_g Y^H Y + rho (a1 - u1 + a2 - u2))
+        x = a1 - u1
+        x += a2
+        x -= u2
+        c = ridge(x)
+        c *= rho
+        c += ridge.fit
         if cfg.affine:
             coef = (1.0 - c.sum(axis=1)) / z_sum[:, None]
             c += z[:, :, None] * coef[:, None, :]
@@ -190,32 +237,37 @@ def solve_self_representation(y, cfg):
             a2_new = kernels.scale_rows(v2, w_freq, inv_d, lam_h / rho)
         else:
             a2_new = v2
-        u1 += c - a1_new
-        u2 += c - a2_new
+        gap1 = np.subtract(c, a1_new, out=v1)  # v1 is spent once shrunk
+        u1 += gap1
+        gap2 = c - a2_new
+        u2 += gap2
+        r_norm = np.sqrt(_snorm2(gap1, w_freq, inv_d) + _snorm2(gap2, w_freq, inv_d))
 
-        r_norm = np.sqrt(
-            _snorm2(c - a1_new, w_freq, inv_d) + _snorm2(c - a2_new, w_freq, inv_d)
-        )
-        s_norm = rho * np.sqrt(_snorm2((a1_new - a1) + (a2_new - a2), w_freq, inv_d))
+        step = np.subtract(a1_new, a1, out=a1)
+        step += a2_new
+        step -= a2
+        s_norm = rho * np.sqrt(_snorm2(step, w_freq, inv_d))
         a1, a2 = a1_new, a2_new
 
         c_feas = _feasible(c, diag, cfg.affine, n)
         history.append(objective(c_feas))
 
-        count = n * n * d
         eps_pri = np.sqrt(2.0 * count) * cfg.tol_abs + cfg.tol_rel * max(
             np.sqrt(2.0 * _snorm2(c, w_freq, inv_d)),
             np.sqrt(_snorm2(a1, w_freq, inv_d) + _snorm2(a2, w_freq, inv_d)),
         )
         eps_dual = np.sqrt(count) * cfg.tol_abs + cfg.tol_rel * rho * np.sqrt(
-            _snorm2(u1 + u2, w_freq, inv_d)
+            _snorm2(np.add(u1, u2, out=step), w_freq, inv_d)  # step is spent too
         )
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
+    timings["iterate"] = time.perf_counter() - start
 
+    start = time.perf_counter()
     w = np.fft.irfft(np.transpose(c_feas, (1, 2, 0)), n=d, axis=2)
     w = np.ascontiguousarray(w)
+    timings["finalize"] = time.perf_counter() - start
     report = SolverReport(
         iterations=iterations,
         primal_residual=float(r_norm),
@@ -223,6 +275,7 @@ def solve_self_representation(y, cfg):
         objective=history[-1],
         converged=converged,
         objective_history=history,
+        timings=timings,
     )
     return w, report
 

@@ -6,25 +6,23 @@ import pytest
 from ssmc import kernels
 
 
-# -- cho_solve_batched -------------------------------------------------------
+# -- weighted squared norms --------------------------------------------------
 
 
-def _hpd_stack(rng, f, n):
-    base = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
-    return np.einsum("fij,fkj->fik", base, base.conj()) + 2.0 * n * np.eye(n)[None]
-
-
-@pytest.mark.parametrize("single_face", [False, True])
-def test_cho_solve_matches_direct_solve(single_face):
-    # one face is the depth-1 stack, where the batch axis has length 1
-    f = 1 if single_face else 4
+@pytest.mark.parametrize("transposed", [False, True])
+def test_weighted_sq_norms_match_direct_formula(transposed):
+    # a transposed view is not contiguous, so the float64 view needs a copy
     rng = np.random.default_rng(7)
-    mats = _hpd_stack(rng, f, 6)
-    chol = np.linalg.cholesky(mats)
-    rhs = rng.standard_normal((f, 6, 3)) + 1j * rng.standard_normal((f, 6, 3))
-    x = kernels.cho_solve_batched(chol, rhs)
-    x_ref = np.linalg.solve(mats, rhs)
-    assert np.abs(x - x_ref).max() < 1e-12 * max(1.0, np.abs(x_ref).max())
+    w = np.array([1.0, 2.0, 2.0, 1.0])
+    x = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+    if transposed:  # same values, stored face-last
+        x = np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
+        assert not x.flags.c_contiguous
+    ref = np.tensordot(w, np.abs(x) ** 2, axes=(0, 0))
+    entries = kernels.weighted_sq_norms(x, w)
+    assert entries.shape == (5, 3)
+    assert np.abs(entries - ref).max() < 1e-13 * ref.max()
+    assert abs(kernels.weighted_sq_norms(x, w, total=True) - ref.sum()) < 1e-13 * ref.sum()
 
 
 # -- group shrinkage ---------------------------------------------------------

@@ -1,14 +1,17 @@
-"""Solver tests: constraints, objective accounting, depth-1 reduction, depth-shift invariance."""
+"""Solver tests: ridge inverse, constraints, objective accounting, depth-1 reduction, pinned
+iterate path, depth-shift and sample-permutation invariance."""
 
 import numpy as np
 import pytest
 
 from ssmc import kernels
 from ssmc import t_algebra as ta
-from ssmc.data import SynthSpec, generate_synthetic
+from ssmc.spectral import spectral_cluster
+from ssmc.data import SynthSpec, clustering_error, generate_synthetic
 from ssmc.solver import (
     SolverConfig,
     _face_weights,
+    _RidgeInverse,
     affinity_from_tensor,
     solve_self_representation,
 )
@@ -72,6 +75,33 @@ def test_rejects_non_finite_and_zero_input():
         solve_self_representation(y, SolverConfig(lambda_g=1.0))
     with pytest.raises(ValueError, match="identically zero"):
         solve_self_representation(np.zeros((2, 3, 2)), SolverConfig(lambda_g=1.0))
+
+
+# -- ridge inverse -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam_g", [1e-2, 1e2])
+@pytest.mark.parametrize(
+    "h,n,repeated",
+    [(3, 7, False), (9, 5, False), (9, 5, True)],
+    ids=["wide", "tall", "rank-deficient"],
+)
+def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
+    # a repeated sample column gives a zero singular value inside the thin SVD
+    rng = np.random.default_rng(7)
+    f, rho = 4, 0.7
+    yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
+    if repeated:
+        yf[:, :, -1] = yf[:, :, 0]
+    gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
+    mats = 2.0 * lam_g * gram + 2.0 * rho * np.eye(n)[None]
+    rhs = rng.standard_normal((f, n, 3)) + 1j * rng.standard_normal((f, n, 3))
+    ridge = _RidgeInverse(yf, lam_g, rho)
+    for got, want in [
+        (ridge(rhs), np.linalg.solve(mats, rhs)),
+        (ridge.fit, np.linalg.solve(mats, 2.0 * lam_g * gram)),
+    ]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- group shrinkage ---------------------------------------------------------
@@ -253,6 +283,55 @@ def test_depth_shift_of_a_sample_leaves_affinity_unchanged(lambda_h):
     m = affinity_from_tensor(w)
     m_s = affinity_from_tensor(w_s)
     assert np.abs(m_s - m).max() <= 1e-10 * np.abs(m).max()
+
+
+@pytest.mark.parametrize(
+    "affine,lambda_h,iterations,objective",
+    [(True, 0.5, 298, 54.34198342531603), (False, 0.0, 296, 30.09339976514602)],
+)
+def test_iterate_path_is_pinned(affine, lambda_h, iterations, objective):
+    """Iteration count and objective recorded from the solver that re-solved the
+    ridge system with triangular factors every iteration; the thin-SVD update
+    follows the same iterates, so the stopping rule fires at the same step."""
+    spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
+    y = generate_synthetic(spec).tensor
+    cfg = SolverConfig(lambda_g=1.0, lambda_h=lambda_h, affine=affine, tol_rel=1e-3)
+    _, report = solve_self_representation(y, cfg)
+    assert report.converged
+    assert report.iterations == iterations
+    assert abs(report.objective - objective) <= 1e-10 * objective
+
+
+def test_report_timings_cover_each_stage():
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal((4, 5, 3))
+    _, report = solve_self_representation(y, SolverConfig(lambda_g=10.0))
+    assert set(report.timings) == {"fft", "factor", "iterate", "finalize"}
+    assert all(v >= 0.0 for v in report.timings.values())
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_permuting_samples_permutes_the_representation(affine):
+    """Relabelling the samples relabels the solution: ``W -> W[p][:, p]``.
+
+    Every ADMM step (ridge solve, affine correction, shrinkages, stopping
+    rule) is equivariant under a simultaneous permutation of rows and columns,
+    so even an unconverged run with a fixed iteration count follows it.
+    """
+    spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
+    y = generate_synthetic(spec).tensor
+    p = np.random.default_rng(13).permutation(y.shape[1])
+    cfg = SolverConfig(
+        lambda_g=1.0, lambda_h=0.5, affine=affine, max_iters=60, tol_abs=0.0, tol_rel=0.0
+    )
+    w, report = solve_self_representation(y, cfg)
+    w_p, report_p = solve_self_representation(y[:, p], cfg)
+    assert report_p.iterations == report.iterations == 60
+    assert abs(report_p.objective - report.objective) <= 1e-12 * abs(report.objective)
+    assert np.abs(w_p - w[p][:, p]).max() <= 1e-10 * np.abs(w).max()
+    labels = spectral_cluster(affinity_from_tensor(w), 3, 0).labels
+    labels_p = spectral_cluster(affinity_from_tensor(w_p), 3, 0).labels
+    assert clustering_error(labels_p, labels[p]) == 0.0
 
 
 # -- affinity ----------------------------------------------------------------
