@@ -21,6 +21,20 @@ with the indicator).  The affine constraint lives inside the ``c`` update as
 an exact KKT correction of each ridge solution, using the precomputed
 solve of the ridge system against the all-ones vector.
 
+The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011, *ADMM*,
+section 3.4.1; Wohlberg 2017).  Once per iteration the relative residuals
+``r_norm / eps_pri`` and ``s_norm / eps_dual`` are compared: when one exceeds
+the other more than ``_RHO_MU = 10`` times, ``rho`` is multiplied (primal
+larger) or divided (dual larger) by ``_RHO_TAU = 2``, clamped to
+``[cfg.rho / 1e4, cfg.rho * 1e4]``.  ``cfg.rho`` is only the starting
+penalty.  A change of ``rho`` rescales the scaled duals by
+``rho_old / rho_new`` and re-weights the ridge inverse from the stored SVD,
+with no new factorization.  The first iteration run with a new ``rho`` is not
+tested for convergence: its dual residual measures a step taken under two
+penalties, and stopping there let a run end early with a dual residual of 0.
+With both tolerances zero the relative residuals are undefined and ``rho``
+stays fixed.
+
 Only the ``d // 2 + 1`` non-redundant DFT faces of real tensors are stored;
 ``_FACE_WEIGHTS`` carries the conjugate-symmetry multiplicities so that all
 norms below equal their spatial-domain counterparts.
@@ -41,6 +55,12 @@ __all__ = [
     "affinity_from_tensor",
 ]
 
+# Residual balancing: the imbalance that triggers a change of rho, the factor
+# of each change, and how far rho may move from cfg.rho either way.
+_RHO_MU = 10.0
+_RHO_TAU = 2.0
+_RHO_SPAN = 1e4
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -49,7 +69,9 @@ class SolverConfig:
     ``lambda_g`` weighs fidelity, ``lambda_h`` the row group norm,
     ``affine`` switches the affine-submodule constraint on,
     ``normalize_columns`` divides each lateral slice by its Frobenius norm
-    before solving (zero slices are left alone).
+    before solving (zero slices are left alone).  ``rho`` is the initial ADMM
+    penalty; the solver adapts it by residual balancing within
+    ``[rho / 1e4, rho * 1e4]``.
     """
 
     lambda_g: float
@@ -81,7 +103,8 @@ class SolverReport:
     ``timings`` holds the seconds spent in each stage of the solve, from
     ``time.perf_counter``: ``fft`` (input checks and the depth rFFT),
     ``factor`` (the per-face SVD), ``iterate`` (the ADMM loop) and
-    ``finalize`` (the inverse rFFT).
+    ``finalize`` (the inverse rFFT).  ``rho_history`` holds the penalty in
+    force at each iteration, parallel to ``objective_history``.
     """
 
     iterations: int
@@ -90,6 +113,7 @@ class SolverReport:
     objective: float
     converged: bool
     objective_history: list = field(default_factory=list)
+    rho_history: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
 
@@ -116,22 +140,34 @@ class _RidgeInverse:
     allowed) the inverse is ``(I - V diag(g) V^H) / (2 rho)``, where
     ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + 2 rho)``.  ``fit`` is
     ``V diag(g) V^H``, the inverse applied to ``2 lambda_g Y^H Y``.
+    ``set_rho`` re-weights both for a new ``rho`` from the stored SVD.
     """
 
     def __init__(self, yf, lambda_g, rho):
-        _, s, vh = np.linalg.svd(yf, full_matrices=False)
-        s2 = 2.0 * lambda_g * s * s
-        g = s2 / (s2 + 2.0 * rho)
-        self.v = np.ascontiguousarray(np.conj(np.swapaxes(vh, 1, 2)))
-        self.gvh = g[:, :, None] * vh
+        _, s, self.vh = np.linalg.svd(yf, full_matrices=False)
+        self.s2 = 2.0 * lambda_g * s * s
+        self.v = np.ascontiguousarray(np.conj(np.swapaxes(self.vh, 1, 2)))
+        self.gvh = np.empty_like(self.vh)
+        self.fit = np.empty((yf.shape[0], yf.shape[2], yf.shape[2]), dtype=self.vh.dtype)
+        self.set_rho(rho)
+
+    def set_rho(self, rho):
+        g = self.s2 / (self.s2 + 2.0 * rho)
+        np.multiply(g[:, :, None], self.vh, out=self.gvh)
         self.scale = 0.5 / rho
-        self.fit = self.v @ self.gvh
+        np.matmul(self.v, self.gvh, out=self.fit)
 
     def __call__(self, x):
         out = self.v @ (self.gvh @ x)
         np.subtract(x, out, out=out)
         out *= self.scale
         return out
+
+
+def _affine_vector(ridge, dh, n):
+    """The ridge solve against the all-ones vector, and its sum, per face."""
+    z = ridge(np.ones((dh, n, 1), dtype=np.complex128))[:, :, 0]
+    return z, z.sum(axis=1)
 
 
 def _feasible(c, diag, affine, n):
@@ -187,7 +223,8 @@ def solve_self_representation(y, cfg):
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
 
-    lam_g, lam_h, rho = cfg.lambda_g, cfg.lambda_h, cfg.rho
+    lam_g, lam_h, rho = cfg.lambda_g, cfg.lambda_h, float(cfg.rho)
+    rho_lo, rho_hi = rho / _RHO_SPAN, rho * _RHO_SPAN
     inv_d = 1.0 / d
     w_freq = _face_weights(d)
     dh = w_freq.shape[0]
@@ -197,8 +234,7 @@ def solve_self_representation(y, cfg):
     start = time.perf_counter()
     ridge = _RidgeInverse(yf, lam_g, rho)
     if cfg.affine:
-        z = ridge(np.ones((dh, n, 1), dtype=np.complex128))[:, :, 0]
-        z_sum = z.sum(axis=1)
+        z, z_sum = _affine_vector(ridge, dh, n)
     timings["factor"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -212,11 +248,14 @@ def solve_self_representation(y, cfg):
     count = n * n * d
 
     history = []
+    rho_history = []
+    rho_changed = False
     converged = False
     r_norm = s_norm = float("nan")
     iterations = 0
     c_feas = np.zeros(shape, dtype=np.complex128)
     for iterations in range(1, cfg.max_iters + 1):
+        rho_history.append(rho)
         # c = ridge^-1 (2 lam_g Y^H Y + rho (a1 - u1 + a2 - u2))
         x = a1 - u1
         x += a2
@@ -259,9 +298,24 @@ def solve_self_representation(y, cfg):
         eps_dual = np.sqrt(count) * cfg.tol_abs + cfg.tol_rel * rho * np.sqrt(
             _snorm2(np.add(u1, u2, out=step), w_freq, inv_d)  # step is spent too
         )
-        if r_norm <= eps_pri and s_norm <= eps_dual:
+        if not rho_changed and r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
+
+        # residual balancing, compared without dividing by a zero tolerance
+        new_rho = rho
+        if r_norm * eps_dual > _RHO_MU * s_norm * eps_pri:
+            new_rho = min(rho * _RHO_TAU, rho_hi)
+        elif s_norm * eps_pri > _RHO_MU * r_norm * eps_dual:
+            new_rho = max(rho / _RHO_TAU, rho_lo)
+        rho_changed = new_rho != rho
+        if rho_changed:
+            u1 *= rho / new_rho
+            u2 *= rho / new_rho
+            rho = new_rho
+            ridge.set_rho(rho)
+            if cfg.affine:
+                z, z_sum = _affine_vector(ridge, dh, n)
     timings["iterate"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -275,6 +329,7 @@ def solve_self_representation(y, cfg):
         objective=history[-1],
         converged=converged,
         objective_history=history,
+        rho_history=rho_history,
         timings=timings,
     )
     return w, report

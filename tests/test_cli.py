@@ -52,6 +52,8 @@ def test_cluster_end_to_end(two_cluster_files, tmp_path, capsys):
     assert payload["clustering_error"] == 0.0
     assert payload["solver_report"]["iterations"] >= 1
     assert "timings" not in payload["solver_report"]  # wall-clock, not deterministic
+    report = payload["solver_report"]
+    assert len(report["rho_history"]) == report["iterations"]
     assert json.loads(out.read_text()) == payload
     m = read_tsr1(aff)[:, :, 0]
     assert m.shape == (12, 12)

@@ -1,5 +1,5 @@
 """Solver tests: ridge inverse, constraints, objective accounting, depth-1 reduction, pinned
-iterate path, depth-shift and sample-permutation invariance."""
+iterate path, adaptive penalty, depth-shift and sample-permutation invariance."""
 
 import numpy as np
 import pytest
@@ -87,21 +87,26 @@ def test_rejects_non_finite_and_zero_input():
     ids=["wide", "tall", "rank-deficient"],
 )
 def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
-    # a repeated sample column gives a zero singular value inside the thin SVD
+    # a repeated sample column gives a zero singular value inside the thin SVD;
+    # after set_rho the same SVD must serve the new penalty like a fresh build
     rng = np.random.default_rng(7)
-    f, rho = 4, 0.7
+    f = 4
     yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
     if repeated:
         yf[:, :, -1] = yf[:, :, 0]
     gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
-    mats = 2.0 * lam_g * gram + 2.0 * rho * np.eye(n)[None]
     rhs = rng.standard_normal((f, n, 3)) + 1j * rng.standard_normal((f, n, 3))
-    ridge = _RidgeInverse(yf, lam_g, rho)
-    for got, want in [
-        (ridge(rhs), np.linalg.solve(mats, rhs)),
-        (ridge.fit, np.linalg.solve(mats, 2.0 * lam_g * gram)),
-    ]:
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    ridge = _RidgeInverse(yf, lam_g, 0.7)
+    for rho in [0.7, 5.6, 0.35]:  # up and down in factor-2 steps, as the solver moves
+        ridge.set_rho(rho)
+        fresh = _RidgeInverse(yf, lam_g, rho)
+        mats = 2.0 * lam_g * gram + 2.0 * rho * np.eye(n)[None]
+        for got, again, want in [
+            (ridge(rhs), fresh(rhs), np.linalg.solve(mats, rhs)),
+            (ridge.fit, fresh.fit, np.linalg.solve(mats, 2.0 * lam_g * gram)),
+        ]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(got - again).max() <= 1e-12 * np.abs(again).max()
 
 
 # -- group shrinkage ---------------------------------------------------------
@@ -287,12 +292,14 @@ def test_depth_shift_of_a_sample_leaves_affinity_unchanged(lambda_h):
 
 @pytest.mark.parametrize(
     "affine,lambda_h,iterations,objective",
-    [(True, 0.5, 298, 54.34198342531603), (False, 0.0, 296, 30.09339976514602)],
+    [(True, 0.5, 97, 54.34221986702451), (False, 0.0, 76, 30.09298465294617)],
+    ids=["affine", "non-affine"],
 )
 def test_iterate_path_is_pinned(affine, lambda_h, iterations, objective):
-    """Iteration count and objective recorded from the solver that re-solved the
-    ridge system with triangular factors every iteration; the thin-SVD update
-    follows the same iterates, so the stopping rule fires at the same step."""
+    """Iteration count and objective recorded from the solver that adapts rho
+    by residual balancing (rho rises 1 -> 8 on both paths).  A change to the
+    iterates (the update order, the balancing rule or its constants, the
+    stopping rule) moves the count; rounding alone does not."""
     spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
     y = generate_synthetic(spec).tensor
     cfg = SolverConfig(lambda_g=1.0, lambda_h=lambda_h, affine=affine, tol_rel=1e-3)
@@ -300,6 +307,63 @@ def test_iterate_path_is_pinned(affine, lambda_h, iterations, objective):
     assert report.converged
     assert report.iterations == iterations
     assert abs(report.objective - objective) <= 1e-10 * objective
+
+
+def _paper_scale(seed):
+    spec = SynthSpec(
+        h=28, d_per_cluster=[2] * 4, samples_per_cluster=[10] * 4, depth=28, seed=seed
+    )
+    return generate_synthetic(spec)
+
+
+def _assert_rho_history(report):
+    # one entry per iteration, and no stop on the first iteration of a new rho
+    assert len(report.rho_history) == len(report.objective_history) == report.iterations
+    if report.converged:
+        assert report.rho_history[-1] == report.rho_history[-2]
+
+
+def test_small_fidelity_weight_converges_at_paper_scale():
+    """lambda_g = 1e-2 at 28x40x28 ran into max_iters with a fixed rho = 1."""
+    labeled = _paper_scale(1)
+    cfg = SolverConfig(lambda_g=1e-2)
+    w, report = solve_self_representation(labeled.tensor, cfg)
+    assert report.converged
+    assert report.iterations < cfg.max_iters
+    assert max(report.rho_history) > cfg.rho
+    _assert_rho_history(report)
+    labels = spectral_cluster(affinity_from_tensor(w), 4, 1).labels
+    assert clustering_error(labels, labeled.truth.labels) == 0.0
+
+
+@pytest.mark.parametrize("lam_g", [1e-2, 1e2])
+def test_initial_rho_does_not_change_the_solution(lam_g):
+    y = _paper_scale(1).tensor
+    objectives = []
+    for rho in [0.01, 1.0, 100.0]:
+        _, report = solve_self_representation(y, SolverConfig(lambda_g=lam_g, rho=rho))
+        assert report.converged
+        assert report.rho_history[0] == rho
+        assert all(rho / 1e4 <= r <= rho * 1e4 for r in report.rho_history)
+        _assert_rho_history(report)
+        objectives.append(report.objective)
+    assert max(objectives) - min(objectives) <= 1e-3 * min(objectives)
+
+
+def test_zero_optimum_stops_only_once_rho_settles():
+    """When the row norm outweighs the fidelity the optimum is W = 0: the
+    shrinkages return 0, the dual residual is exactly 0 and rho doubles every
+    iteration.  Stopping on the first iteration of a new rho would end this
+    run at iteration 6 with W about 6e-8; the solver runs rho up to its upper
+    bound instead and reaches W = 0."""
+    y = np.random.default_rng(0).standard_normal((8, 6, 2))
+    cfg = SolverConfig(lambda_g=1e-2, lambda_h=0.3)
+    w, report = solve_self_representation(y, cfg)
+    assert report.converged
+    _assert_rho_history(report)
+    assert report.rho_history[-1] == 1e4 * cfg.rho
+    assert np.abs(w).max() <= 1e-12
+    assert abs(report.objective - cfg.lambda_g * (y * y).sum()) <= 1e-12 * report.objective
 
 
 def test_report_timings_cover_each_stage():
