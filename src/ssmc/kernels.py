@@ -35,20 +35,25 @@ def _shrink_factor(nrm, tau):
     return factor
 
 
-def scale_tubes(V, w, inv_d, tau):
-    """Shrink each tube (fixed ``(i, j)``, all faces) of a face stack.
+def scale_tubes(V, w, inv_d, tau, row_tau=0.0):
+    """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack.
 
     Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
     taken in the spatial scaling.  ``tau = 0`` keeps nonzero tubes unchanged.
+    With ``row_tau > 0`` the tube-shrunk result is then shrunk per horizontal
+    slice (fixed ``i``, all faces and columns) by ``row_tau``.  Tubes nest in
+    rows, so the composition is the exact prox of ``tau sum ||v_ij|| + row_tau
+    sum ||v_i||`` (Jenatton et al. 2011).  The row norms come from the shrunk
+    tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so ``V`` is read once for
+    the norms and once for the single multiply.
     """
     nrm = np.sqrt(weighted_sq_norms(V, w) * inv_d)
-    return V * _shrink_factor(nrm, tau)
-
-
-def scale_rows(V, w, inv_d, tau):
-    """Shrink each horizontal slice (fixed ``i``, all faces and columns)."""
-    nrm = np.sqrt(weighted_sq_norms(V, w).sum(axis=1) * inv_d)
-    return V * _shrink_factor(nrm, tau)[None, :, None]
+    factor = _shrink_factor(nrm, tau)
+    if row_tau > 0:
+        shrunk = factor * nrm
+        rows = np.sqrt(np.einsum("ij,ij->i", shrunk, shrunk))
+        factor *= _shrink_factor(rows, row_tau)[:, None]
+    return V * factor
 
 
 def lloyd(X, C0, max_iter):

@@ -8,26 +8,38 @@ Solves, over coefficient tensors ``c`` with zero diagonal tubes,
 the unit tube) by ADMM carried out in the Fourier domain, where the tensor
 product splits into independent per-frequency matrix products.
 
-Splitting: consensus ``c = a1 = a2`` with ``a1`` absorbing the tube group
-norm and ``a2`` the row group norm; the ``c`` update is a per-face ridge
-solve, the ``a`` updates are group shrinkages, and the duals are scaled.  The
-ridge system ``2 lambda_g Y^H Y + 2 rho I`` is never formed: one thin SVD
-``Y = U diag(s) V^H`` per face, taken once per solve, gives its inverse by the
-matrix inversion lemma as ``(I - V diag(g) V^H) / (2 rho)`` with
-``g = 2 lambda_g s^2 / (2 lambda_g s^2 + 2 rho)``, so every iteration costs two
-thin matmuls per face.  The zero-diagonal constraint lives inside both
-shrinkage proxes (zero the diagonal, then shrink: the exact prox of the sum
-with the indicator).  The affine constraint lives inside the ``c`` update as
-an exact KKT correction of each ridge solution, using the precomputed
-solve of the ridge system against the all-ones vector.
+Splitting: one block, ``c = a``.  The ``c`` update is a per-face ridge solve
+that takes the fidelity; the ``a`` update is the prox of everything else,
+``||a||_F1 + lambda_h ||a||_FF1`` plus the zero-diagonal constraint; the dual
+``u`` is scaled.  That prox is exact in closed form as the composition
+row-shrink after tube-shrink after zeroing the diagonal tubes: every tube
+group ``(i, j)`` lies inside row group ``i``, and for tree-structured groups
+the prox of the sum of group norms is the composition of the group proxes,
+leaves first (Jenatton et al. 2011, *Proximal methods for hierarchical sparse
+coding*).  Zeroing a diagonal tube is the prox of its indicator, a leaf of the
+same tree.  ``kernels.scale_tubes`` applies both shrinks in one multiply.
 
-The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011, *ADMM*,
+The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
+``Y = U diag(s) V^H`` per face, taken once per solve, gives ``rho`` times its
+inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
+``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``, so every iteration costs two
+thin matmuls per face.  The affine constraint lives inside the ``c`` update as
+an exact KKT correction of each ridge solution, using the precomputed solve
+of the ridge system against the all-ones vector.
+
+Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
+spatial Frobenius norm and ``N = n^2 d`` the number of coefficients:
+``r = ||c - a||`` and ``s = rho ||a - a_prev||`` must fall below
+``eps_pri = sqrt(N) tol_abs + tol_rel max(||c||, ||a||)`` and
+``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.
+
+The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011,
 section 3.4.1; Wohlberg 2017).  Once per iteration the relative residuals
 ``r_norm / eps_pri`` and ``s_norm / eps_dual`` are compared: when one exceeds
 the other more than ``_RHO_MU = 10`` times, ``rho`` is multiplied (primal
 larger) or divided (dual larger) by ``_RHO_TAU = 2``, clamped to
 ``[cfg.rho / 1e4, cfg.rho * 1e4]``.  ``cfg.rho`` is only the starting
-penalty.  A change of ``rho`` rescales the scaled duals by
+penalty.  A change of ``rho`` rescales the scaled dual by
 ``rho_old / rho_new`` and re-weights the ridge inverse from the stored SVD,
 with no new factorization.  The first iteration run with a new ``rho`` is not
 tested for convergence: its dual residual measures a step taken under two
@@ -36,7 +48,7 @@ With both tolerances zero the relative residuals are undefined and ``rho``
 stays fixed.
 
 Only the ``d // 2 + 1`` non-redundant DFT faces of real tensors are stored;
-``_FACE_WEIGHTS`` carries the conjugate-symmetry multiplicities so that all
+``_face_weights`` carries the conjugate-symmetry multiplicities so that all
 norms below equal their spatial-domain counterparts.
 """
 
@@ -104,7 +116,9 @@ class SolverReport:
     ``time.perf_counter``: ``fft`` (input checks and the depth rFFT),
     ``factor`` (the per-face SVD), ``iterate`` (the ADMM loop) and
     ``finalize`` (the inverse rFFT).  ``rho_history`` holds the penalty in
-    force at each iteration, parallel to ``objective_history``.
+    force at each iteration, and ``primal_history`` and ``dual_history`` the
+    residuals ``r`` and ``s`` of each iteration, all parallel to
+    ``objective_history``.
     """
 
     iterations: int
@@ -114,6 +128,8 @@ class SolverReport:
     converged: bool
     objective_history: list = field(default_factory=list)
     rho_history: list = field(default_factory=list)
+    primal_history: list = field(default_factory=list)
+    dual_history: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
 
@@ -133,13 +149,13 @@ def _snorm2(x, w, inv_d):
 
 
 class _RidgeInverse:
-    """Applies ``(2 lambda_g Y_f^H Y_f + 2 rho I)^-1`` on every Fourier face.
+    """Applies ``rho (2 lambda_g Y_f^H Y_f + rho I)^-1`` on every Fourier face.
 
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
     ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, zero singular values
-    allowed) the inverse is ``(I - V diag(g) V^H) / (2 rho)``, where
-    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + 2 rho)``.  ``fit`` is
-    ``V diag(g) V^H``, the inverse applied to ``2 lambda_g Y^H Y``.
+    allowed) this is ``I - V diag(g) V^H``, where
+    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``.  ``fit`` is
+    ``V diag(g) V^H = (2 lambda_g Y^H Y + rho I)^-1 2 lambda_g Y^H Y``.
     ``set_rho`` re-weights both for a new ``rho`` from the stored SVD.
     """
 
@@ -152,15 +168,13 @@ class _RidgeInverse:
         self.set_rho(rho)
 
     def set_rho(self, rho):
-        g = self.s2 / (self.s2 + 2.0 * rho)
+        g = self.s2 / (self.s2 + rho)
         np.multiply(g[:, :, None], self.vh, out=self.gvh)
-        self.scale = 0.5 / rho
         np.matmul(self.v, self.gvh, out=self.fit)
 
     def __call__(self, x):
         out = self.v @ (self.gvh @ x)
         np.subtract(x, out, out=out)
-        out *= self.scale
         return out
 
 
@@ -239,16 +253,16 @@ def solve_self_representation(y, cfg):
 
     start = time.perf_counter()
     shape = (dh, n, n)
-    a1 = np.zeros(shape, dtype=np.complex128)
-    a2 = np.zeros(shape, dtype=np.complex128)
-    u1 = np.zeros(shape, dtype=np.complex128)
-    u2 = np.zeros(shape, dtype=np.complex128)
+    a = np.zeros(shape, dtype=np.complex128)
+    u = np.zeros(shape, dtype=np.complex128)
     diag = np.arange(n)
     objective = _Objective(yf, w_freq, inv_d, lam_g, lam_h)
-    count = n * n * d
+    abs_floor = np.sqrt(n * n * d) * cfg.tol_abs
 
     history = []
     rho_history = []
+    primal_history = []
+    dual_history = []
     rho_changed = False
     converged = False
     r_norm = s_norm = float("nan")
@@ -256,48 +270,32 @@ def solve_self_representation(y, cfg):
     c_feas = np.zeros(shape, dtype=np.complex128)
     for iterations in range(1, cfg.max_iters + 1):
         rho_history.append(rho)
-        # c = ridge^-1 (2 lam_g Y^H Y + rho (a1 - u1 + a2 - u2))
-        x = a1 - u1
-        x += a2
-        x -= u2
-        c = ridge(x)
-        c *= rho
+        # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u) + fit
+        c = ridge(a - u)
         c += ridge.fit
         if cfg.affine:
             coef = (1.0 - c.sum(axis=1)) / z_sum[:, None]
             c += z[:, :, None] * coef[:, None, :]
 
-        v1 = c + u1
-        v1[:, diag, diag] = 0.0
-        a1_new = kernels.scale_tubes(v1, w_freq, inv_d, 1.0 / rho)
-        v2 = c + u2
-        v2[:, diag, diag] = 0.0
-        if lam_h > 0:
-            a2_new = kernels.scale_rows(v2, w_freq, inv_d, lam_h / rho)
-        else:
-            a2_new = v2
-        gap1 = np.subtract(c, a1_new, out=v1)  # v1 is spent once shrunk
-        u1 += gap1
-        gap2 = c - a2_new
-        u2 += gap2
-        r_norm = np.sqrt(_snorm2(gap1, w_freq, inv_d) + _snorm2(gap2, w_freq, inv_d))
-
-        step = np.subtract(a1_new, a1, out=a1)
-        step += a2_new
-        step -= a2
-        s_norm = rho * np.sqrt(_snorm2(step, w_freq, inv_d))
-        a1, a2 = a1_new, a2_new
+        v = c + u
+        v[:, diag, diag] = 0.0
+        a_new = kernels.scale_tubes(v, w_freq, inv_d, 1.0 / rho, lam_h / rho)
+        gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
+        u += gap
+        r_norm = float(np.sqrt(_snorm2(gap, w_freq, inv_d)))
+        step = np.subtract(a_new, a, out=a)
+        s_norm = float(rho * np.sqrt(_snorm2(step, w_freq, inv_d)))
+        a = a_new
+        primal_history.append(r_norm)
+        dual_history.append(s_norm)
 
         c_feas = _feasible(c, diag, cfg.affine, n)
         history.append(objective(c_feas))
 
-        eps_pri = np.sqrt(2.0 * count) * cfg.tol_abs + cfg.tol_rel * max(
-            np.sqrt(2.0 * _snorm2(c, w_freq, inv_d)),
-            np.sqrt(_snorm2(a1, w_freq, inv_d) + _snorm2(a2, w_freq, inv_d)),
+        eps_pri = abs_floor + cfg.tol_rel * np.sqrt(
+            max(_snorm2(c, w_freq, inv_d), _snorm2(a, w_freq, inv_d))
         )
-        eps_dual = np.sqrt(count) * cfg.tol_abs + cfg.tol_rel * rho * np.sqrt(
-            _snorm2(np.add(u1, u2, out=step), w_freq, inv_d)  # step is spent too
-        )
+        eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(_snorm2(u, w_freq, inv_d))
         if not rho_changed and r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -310,8 +308,7 @@ def solve_self_representation(y, cfg):
             new_rho = max(rho / _RHO_TAU, rho_lo)
         rho_changed = new_rho != rho
         if rho_changed:
-            u1 *= rho / new_rho
-            u2 *= rho / new_rho
+            u *= rho / new_rho
             rho = new_rho
             ridge.set_rho(rho)
             if cfg.affine:
@@ -324,12 +321,14 @@ def solve_self_representation(y, cfg):
     timings["finalize"] = time.perf_counter() - start
     report = SolverReport(
         iterations=iterations,
-        primal_residual=float(r_norm),
-        dual_residual=float(s_norm),
+        primal_residual=r_norm,
+        dual_residual=s_norm,
         objective=history[-1],
         converged=converged,
         objective_history=history,
         rho_history=rho_history,
+        primal_history=primal_history,
+        dual_history=dual_history,
         timings=timings,
     )
     return w, report

@@ -54,6 +54,7 @@ def test_cluster_end_to_end(two_cluster_files, tmp_path, capsys):
     assert "timings" not in payload["solver_report"]  # wall-clock, not deterministic
     report = payload["solver_report"]
     assert len(report["rho_history"]) == report["iterations"]
+    assert len(report["primal_history"]) == len(report["dual_history"]) == report["iterations"]
     assert json.loads(out.read_text()) == payload
     m = read_tsr1(aff)[:, :, 0]
     assert m.shape == (12, 12)

@@ -72,7 +72,7 @@ def test_scale_rows_applies_group_shrink(even_depth):
     w = _half_weights(d)
     v = rng.standard_normal((w.size, 4, 6)) + 1j * rng.standard_normal((w.size, 4, 6))
     tau = 1.1
-    out = kernels.scale_rows(v, w, 1.0 / d, tau)
+    out = kernels.scale_tubes(v, w, 1.0 / d, 0.0, tau)  # the row stage alone
     sq = v.real**2 + v.imag**2
     nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1) / d)
     factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
