@@ -222,7 +222,6 @@ def _run_pipeline(tensor, cfg, k, seed):
 def _report_dict(report):
     d = asdict(report)
     del d["timings"]  # wall-clock seconds would break byte-identical reruns
-    d["objective_history"] = [float(v) for v in d["objective_history"]]
     return d
 
 

@@ -46,6 +46,11 @@ def scale_tubes(V, w, inv_d, tau, row_tau=0.0):
     sum ||v_i||`` (Jenatton et al. 2011).  The row norms come from the shrunk
     tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so ``V`` is read once for
     the norms and once for the single multiply.
+
+    Returns ``(out, out_norms)``: the shrunk stack and the spatial tube norms
+    of ``out``, ``t_ij ||v_ij||`` with ``t_ij`` the combined shrink factor, so
+    ``sum out_norms**2`` is the squared spatial Frobenius norm of ``out``
+    without another pass over the stack.
     """
     nrm = np.sqrt(weighted_sq_norms(V, w) * inv_d)
     factor = _shrink_factor(nrm, tau)
@@ -53,7 +58,7 @@ def scale_tubes(V, w, inv_d, tau, row_tau=0.0):
         shrunk = factor * nrm
         rows = np.sqrt(np.einsum("ij,ij->i", shrunk, shrunk))
         factor *= _shrink_factor(rows, row_tau)[:, None]
-    return V * factor
+    return V * factor, factor * nrm
 
 
 def lloyd(X, C0, max_iter):

@@ -23,15 +23,26 @@ The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
 ``Y = U diag(s) V^H`` per face, taken once per solve, gives ``rho`` times its
 inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
 ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``, so every iteration costs two
-thin matmuls per face.  The affine constraint lives inside the ``c`` update as
-an exact KKT correction of each ridge solution, using the precomputed solve
-of the ridge system against the all-ones vector.
+thin matmuls per face.  The ``c`` update is that apply ``R`` of ``a - u`` plus
+the constant ``(2 lambda_g Y^H Y + rho I)^-1 2 lambda_g Y^H Y = I - R(I)``,
+which is never formed: ``R(x) + I - R(I) = R(x - I) + I``, so the update is
+``c = R(a - u - I) + I`` and the shift touches only the diagonal.  The affine
+constraint is an exact KKT correction of each ridge solution along ``z``, the
+ridge solve against the all-ones vector, folded into the same two matmuls as
+one more inner column: the left factor is ``[V | z]`` and the right one
+``[g V^H ; 1^T]``, whose last row gives the column sums of ``x`` from which
+the correction's coefficients ``(1^T x - (1^T V)(g V^H x)) / 1^T z`` follow.
+The corrected apply keeps every column face-sum of ``R(x - I)`` at 0, so
+those of ``c`` are 1.  The objective is evaluated once, on the returned
+coefficients, after the loop.
 
 Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
 spatial Frobenius norm and ``N = n^2 d`` the number of coefficients:
 ``r = ||c - a||`` and ``s = rho ||a - a_prev||`` must fall below
 ``eps_pri = sqrt(N) tol_abs + tol_rel max(||c||, ||a||)`` and
-``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.
+``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.  ``||a||`` comes from the
+shrunk tube norms that ``kernels.scale_tubes`` returns, not from another pass
+over ``a``.
 
 The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011,
 section 3.4.1; Wohlberg 2017).  Once per iteration the relative residuals
@@ -52,6 +63,7 @@ Only the ``d // 2 + 1`` non-redundant DFT faces of real tensors are stored;
 norms below equal their spatial-domain counterparts.
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +84,12 @@ __all__ = [
 _RHO_MU = 10.0
 _RHO_TAU = 2.0
 _RHO_SPAN = 1e4
+
+# Peak memory of a solve in complex (d // 2 + 1, n, n) arrays: a, u, the x and
+# c buffers, and either the float64 squares of the tube-norm pass or the new
+# shrunk stack, plus the arrays of size h n d.  tracemalloc measured 5.88 at
+# 28x160x28 and 5.52 at 28x320x28.
+_PEAK_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -115,10 +133,10 @@ class SolverReport:
     ``timings`` holds the seconds spent in each stage of the solve, from
     ``time.perf_counter``: ``fft`` (input checks and the depth rFFT),
     ``factor`` (the per-face SVD), ``iterate`` (the ADMM loop) and
-    ``finalize`` (the inverse rFFT).  ``rho_history`` holds the penalty in
-    force at each iteration, and ``primal_history`` and ``dual_history`` the
-    residuals ``r`` and ``s`` of each iteration, all parallel to
-    ``objective_history``.
+    ``finalize`` (the feasible projection, the objective and the inverse
+    rFFT).  ``rho_history`` holds the penalty in force at each iteration, and
+    ``primal_history`` and ``dual_history`` the residuals ``r`` and ``s`` of
+    each iteration; each has one entry per iteration.
     """
 
     iterations: int
@@ -126,7 +144,6 @@ class SolverReport:
     dual_residual: float
     objective: float
     converged: bool
-    objective_history: list = field(default_factory=list)
     rho_history: list = field(default_factory=list)
     primal_history: list = field(default_factory=list)
     dual_history: list = field(default_factory=list)
@@ -148,71 +165,88 @@ def _snorm2(x, w, inv_d):
     return kernels.weighted_sq_norms(x, w, total=True) * inv_d
 
 
+def _check_memory(n, d):
+    """Refuse a solve whose estimated peak exceeds the machine's physical memory."""
+    need = _PEAK_ARRAYS * (d // 2 + 1) * n * n * 16
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"n={n} samples at depth d={d} need about {need / 1e9:,.1f} GB for the "
+            f"solve, more than the {have / 1e9:,.1f} GB of physical memory"
+        )
+
+
 class _RidgeInverse:
     """Applies ``rho (2 lambda_g Y_f^H Y_f + rho I)^-1`` on every Fourier face.
 
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
     ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, zero singular values
-    allowed) this is ``I - V diag(g) V^H``, where
-    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``.  ``fit`` is
-    ``V diag(g) V^H = (2 lambda_g Y^H Y + rho I)^-1 2 lambda_g Y^H Y``.
-    ``set_rho`` re-weights both for a new ``rho`` from the stored SVD.
+    allowed) this is ``x - V (g V^H x)``, where
+    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``.  With ``affine`` the
+    apply also keeps every column face-sum at 0: it subtracts ``z q``, where
+    ``z`` is the plain apply to the all-ones vector and
+    ``q = (1^T x - (1^T V)(g V^H x)) / 1^T z`` (the KKT correction).  Either
+    way it is one pair of matmuls, by ``[V | z]`` on the left and
+    ``[g V^H ; 1^T]`` on the right, with ``z`` and the ones row present only
+    under ``affine``.  ``set_rho`` re-weights ``g`` and ``z`` for a new
+    ``rho`` from the stored SVD.
     """
 
-    def __init__(self, yf, lambda_g, rho):
+    def __init__(self, yf, lambda_g, rho, affine=False):
+        faces, _, n = yf.shape
         _, s, self.vh = np.linalg.svd(yf, full_matrices=False)
+        self.rank = s.shape[1]
+        inner = self.rank + 1 if affine else self.rank
+        self.affine = affine
         self.s2 = 2.0 * lambda_g * s * s
-        self.v = np.ascontiguousarray(np.conj(np.swapaxes(self.vh, 1, 2)))
-        self.gvh = np.empty_like(self.vh)
-        self.fit = np.empty((yf.shape[0], yf.shape[2], yf.shape[2]), dtype=self.vh.dtype)
+        self.left = np.empty((faces, n, inner), dtype=self.vh.dtype)  # [V | z]
+        self.right = np.empty((faces, inner, n), dtype=self.vh.dtype)  # [g V^H ; 1^T]
+        v = self.left[:, :, : self.rank]
+        v[...] = np.conj(np.swapaxes(self.vh, 1, 2))
+        self.right[:, self.rank :] = 1.0
+        self.v_sum = v.sum(axis=1, keepdims=True)  # 1^T V
+        self.z_sum = None
         self.set_rho(rho)
 
     def set_rho(self, rho):
+        r = self.rank
         g = self.s2 / (self.s2 + rho)
-        np.multiply(g[:, :, None], self.vh, out=self.gvh)
-        np.matmul(self.v, self.gvh, out=self.fit)
+        gvh = self.right[:, :r]
+        np.multiply(g[:, :, None], self.vh, out=gvh)
+        if self.affine:
+            z = 1.0 - self.left[:, :, :r] @ gvh.sum(axis=2, keepdims=True)
+            self.left[:, :, r:] = z
+            self.z_sum = z.sum(axis=1, keepdims=True)
 
-    def __call__(self, x):
-        out = self.v @ (self.gvh @ x)
-        np.subtract(x, out, out=out)
-        return out
-
-
-def _affine_vector(ridge, dh, n):
-    """The ridge solve against the all-ones vector, and its sum, per face."""
-    z = ridge(np.ones((dh, n, 1), dtype=np.complex128))[:, :, 0]
-    return z, z.sum(axis=1)
+    def __call__(self, x, out=None):
+        r = self.rank
+        p = self.right @ x
+        if self.affine:
+            q = p[:, r:]  # the column sums of x, turned into the coefficients of z
+            q -= self.v_sum @ p[:, :r]
+            q /= self.z_sum
+        out = np.matmul(self.left, p, out=out)
+        return np.subtract(x, out, out=out)
 
 
 def _feasible(c, diag, affine, n):
-    """Zero the diagonal and, if affine, rebalance each column's face sums to 1."""
-    cf = c.copy()
-    cf[:, diag, diag] = 0.0
+    """Zero the diagonal and, if affine, rebalance each column's face sums to 1, in place."""
+    c[:, diag, diag] = 0.0
     if affine:
-        deficit = 1.0 - cf.sum(axis=1)
-        cf += deficit[:, None, :] / (n - 1)
-        cf[:, diag, diag] = 0.0
-    return cf
+        deficit = 1.0 - c.sum(axis=1)
+        c += deficit[:, None, :] / (n - 1)
+        c[:, diag, diag] = 0.0
 
 
-class _Objective:
-    """Evaluates the primal objective of a half-spectrum coefficient stack."""
-
-    def __init__(self, yf, w, inv_d, lambda_g, lambda_h):
-        self.yf = yf
-        self.w = w
-        self.inv_d = inv_d
-        self.lambda_g = lambda_g
-        self.lambda_h = lambda_h
-
-    def __call__(self, c):
-        grp = kernels.weighted_sq_norms(c, self.w) * self.inv_d
-        f1 = float(np.sqrt(grp).sum())
-        ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
-        resid = self.yf @ c
-        np.subtract(self.yf, resid, out=resid)
-        fid = _snorm2(resid, self.w, self.inv_d)
-        return f1 + self.lambda_h * ff1 + self.lambda_g * fid
+def _objective(c, yf, w, inv_d, lambda_g, lambda_h):
+    """The primal objective of a half-spectrum coefficient stack."""
+    grp = kernels.weighted_sq_norms(c, w) * inv_d
+    f1 = float(np.sqrt(grp).sum())
+    ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
+    resid = yf @ c
+    np.subtract(yf, resid, out=resid)
+    fid = _snorm2(resid, w, inv_d)
+    return f1 + lambda_h * ff1 + lambda_g * fid
 
 
 def solve_self_representation(y, cfg):
@@ -233,6 +267,7 @@ def solve_self_representation(y, cfg):
         raise ValueError("need at least two samples")
     if not y.any():
         raise ValueError("input tensor is identically zero")
+    _check_memory(n, d)
     if cfg.normalize_columns:
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
@@ -246,20 +281,18 @@ def solve_self_representation(y, cfg):
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
-    ridge = _RidgeInverse(yf, lam_g, rho)
-    if cfg.affine:
-        z, z_sum = _affine_vector(ridge, dh, n)
+    ridge = _RidgeInverse(yf, lam_g, rho, cfg.affine)
     timings["factor"] = time.perf_counter() - start
 
     start = time.perf_counter()
     shape = (dh, n, n)
     a = np.zeros(shape, dtype=np.complex128)
     u = np.zeros(shape, dtype=np.complex128)
+    x = np.empty(shape, dtype=np.complex128)
+    c = np.empty(shape, dtype=np.complex128)
     diag = np.arange(n)
-    objective = _Objective(yf, w_freq, inv_d, lam_g, lam_h)
     abs_floor = np.sqrt(n * n * d) * cfg.tol_abs
 
-    history = []
     rho_history = []
     primal_history = []
     dual_history = []
@@ -267,34 +300,28 @@ def solve_self_representation(y, cfg):
     converged = False
     r_norm = s_norm = float("nan")
     iterations = 0
-    c_feas = np.zeros(shape, dtype=np.complex128)
     for iterations in range(1, cfg.max_iters + 1):
         rho_history.append(rho)
-        # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u) + fit
-        c = ridge(a - u)
-        c += ridge.fit
-        if cfg.affine:
-            coef = (1.0 - c.sum(axis=1)) / z_sum[:, None]
-            c += z[:, :, None] * coef[:, None, :]
+        # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - I) + I
+        np.subtract(a, u, out=x)
+        x[:, diag, diag] -= 1.0
+        ridge(x, out=c)
+        c[:, diag, diag] += 1.0
 
-        v = c + u
+        v = np.add(c, u, out=x)  # x is spent
         v[:, diag, diag] = 0.0
-        a_new = kernels.scale_tubes(v, w_freq, inv_d, 1.0 / rho, lam_h / rho)
+        a_new, a_tubes = kernels.scale_tubes(v, w_freq, inv_d, 1.0 / rho, lam_h / rho)
         gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
         u += gap
         r_norm = float(np.sqrt(_snorm2(gap, w_freq, inv_d)))
-        step = np.subtract(a_new, a, out=a)
-        s_norm = float(rho * np.sqrt(_snorm2(step, w_freq, inv_d)))
+        np.subtract(a_new, a, out=a)  # the old a is spent
+        s_norm = float(rho * np.sqrt(_snorm2(a, w_freq, inv_d)))
         a = a_new
         primal_history.append(r_norm)
         dual_history.append(s_norm)
 
-        c_feas = _feasible(c, diag, cfg.affine, n)
-        history.append(objective(c_feas))
-
-        eps_pri = abs_floor + cfg.tol_rel * np.sqrt(
-            max(_snorm2(c, w_freq, inv_d), _snorm2(a, w_freq, inv_d))
-        )
+        a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes))
+        eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(_snorm2(c, w_freq, inv_d), a_norm2))
         eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(_snorm2(u, w_freq, inv_d))
         if not rho_changed and r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
@@ -311,21 +338,21 @@ def solve_self_representation(y, cfg):
             u *= rho / new_rho
             rho = new_rho
             ridge.set_rho(rho)
-            if cfg.affine:
-                z, z_sum = _affine_vector(ridge, dh, n)
     timings["iterate"] = time.perf_counter() - start
+    del a, a_new, u, x, v, gap  # the inverse rFFT below needs two arrays of its own
 
     start = time.perf_counter()
-    w = np.fft.irfft(np.transpose(c_feas, (1, 2, 0)), n=d, axis=2)
+    _feasible(c, diag, cfg.affine, n)  # c is not used again
+    objective = _objective(c, yf, w_freq, inv_d, lam_g, lam_h)
+    w = np.fft.irfft(np.transpose(c, (1, 2, 0)), n=d, axis=2)
     w = np.ascontiguousarray(w)
     timings["finalize"] = time.perf_counter() - start
     report = SolverReport(
         iterations=iterations,
         primal_residual=r_norm,
         dual_residual=s_norm,
-        objective=history[-1],
+        objective=objective,
         converged=converged,
-        objective_history=history,
         rho_history=rho_history,
         primal_history=primal_history,
         dual_history=dual_history,

@@ -10,6 +10,7 @@ minimum-F1-norm representations of a target against a dictionary.
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -211,7 +212,10 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     prechecked per Fourier face by least squares; a residual above ``tol``
     raises ``ValueError('not in generated submodule')``.  The minimization
     runs ADMM alternating exact projection onto the per-face constraint sets
-    with tube group shrinkage.
+    with tube group shrinkage, until both residuals fall below ``1e-12``
+    times the larger of 1 and the norm of the least-squares start.  Stopping
+    at ``max_iters`` before that is not an error: the last iterate is
+    returned and a ``RuntimeWarning`` says so.
     """
     dictionary = _as_tensor3(dictionary, "dictionary")
     x = _as_tensor3(x, "target")
@@ -240,13 +244,19 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     scale = max(1.0, float(np.sqrt((np.abs(a0) ** 2).sum() * inv_d)))
     for _ in range(max_iters):
         a = np.einsum("fml,fl->fm", proj, z - u) + a0
-        z_new = kernels.scale_tubes((a + u)[:, :, None], w_all, inv_d, 1.0 / rho)[:, :, 0]
+        z_new = kernels.scale_tubes((a + u)[:, :, None], w_all, inv_d, 1.0 / rho)[0][:, :, 0]
         u += a - z_new
         r = np.sqrt((np.abs(a - z_new) ** 2).sum() * inv_d)
         s = rho * np.sqrt((np.abs(z_new - z) ** 2).sum() * inv_d)
         z = z_new
         if r <= 1e-12 * scale and s <= 1e-12 * scale:
             break
+    else:
+        warnings.warn(
+            f"min_f1_representation stopped at max_iters={max_iters} without converging",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     out = np.fft.ifft(a, axis=0).T  # (m, depth)
     if float(np.abs(out.imag).max(initial=0.0)) > 1e-8 * max(1.0, float(np.abs(out.real).max(initial=0.0))):
         raise ValueError("non-real inverse")

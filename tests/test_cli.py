@@ -192,6 +192,16 @@ def test_sweep_records_per_row_failures(two_cluster_files, capsys):
     assert rows[1]["iterations"] >= 1
 
 
+def test_cluster_refuses_input_beyond_physical_memory(tmp_path, capsys):
+    # the solve's n x n state for n = 200000 would need terabytes
+    path = tmp_path / "wide.tsr1"
+    write_tsr1(path, np.ones((1, 200000, 2)))
+    assert run_cli(["cluster", "--input", str(path), "--k", "2"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "ssmc cluster: data error: n=200000 samples at depth d=2 need about" in err
+    assert "GB of physical memory" in err
+
+
 def test_unconverged_solve_is_reported(two_cluster_files, tmp_path, capsys):
     tensor_path, _ = two_cluster_files
     out = tmp_path / "sweep.json"

@@ -2,12 +2,13 @@
 depth-1 reduction, pinned iterate path, adaptive penalty and report histories, depth-shift
 and sample-permutation invariance."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from ssmc import kernels
+from ssmc import kernels, solver
 from ssmc import t_algebra as ta
 from ssmc.spectral import spectral_cluster
 from ssmc.data import SynthSpec, clustering_error, generate_synthetic
@@ -71,6 +72,17 @@ def test_rejects_single_sample():
         solve_self_representation(np.ones((3, 1, 2)), SolverConfig(lambda_g=1.0))
 
 
+def test_memory_guard_refuses_before_the_factorization(monkeypatch):
+    # n = 200000 at d = 2 would need terabytes; the guard must fire before the
+    # SVD and before any (d // 2 + 1, n, n) array is allocated
+    def factor(*args):
+        raise AssertionError("the solve went past the memory guard")
+
+    monkeypatch.setattr(solver, "_RidgeInverse", factor)
+    with pytest.raises(ValueError, match=r"n=200000 samples at depth d=2 need about .* GB"):
+        solve_self_representation(np.ones((1, 200000, 2)), SolverConfig(lambda_g=1.0))
+
+
 def test_rejects_non_finite_and_zero_input():
     y = np.ones((2, 3, 2))
     y[0, 0, 0] = np.nan
@@ -90,7 +102,9 @@ def test_rejects_non_finite_and_zero_input():
     ids=["wide", "tall", "rank-deficient"],
 )
 def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
-    # the apply is rho (2 lam_g Y^H Y + rho I)^-1; a repeated sample column gives
+    # the apply is rho (2 lam_g Y^H Y + rho I)^-1; the solver's c update
+    # ridge(x - I) + I is rho (2 lam_g Y^H Y + rho I)^-1 x plus the constant
+    # (2 lam_g Y^H Y + rho I)^-1 2 lam_g Y^H Y; a repeated sample column gives
     # a zero singular value inside the thin SVD; after set_rho the same SVD must
     # serve the new penalty like a fresh build
     rng = np.random.default_rng(7)
@@ -100,6 +114,8 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
         yf[:, :, -1] = yf[:, :, 0]
     gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
     rhs = rng.standard_normal((f, n, 3)) + 1j * rng.standard_normal((f, n, 3))
+    x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
+    eye = np.eye(n)[None]
     ridge = _RidgeInverse(yf, lam_g, 1.4)
     # up and down in factor-2 steps, as the solver moves.  Below rho = 0.7 at
     # lam_g = 1e2 the apply shrinks its input about 1e3-fold and the cancellation
@@ -110,10 +126,38 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
         mats = 2.0 * lam_g * gram + rho * np.eye(n)[None]
         for got, again, want in [
             (ridge(rhs), fresh(rhs), rho * np.linalg.solve(mats, rhs)),
-            (ridge.fit, fresh.fit, np.linalg.solve(mats, 2.0 * lam_g * gram)),
+            (
+                ridge(x - eye) + eye,
+                fresh(x - eye) + eye,
+                rho * np.linalg.solve(mats, x) + np.linalg.solve(mats, 2.0 * lam_g * gram),
+            ),
         ]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.abs(got - again).max() <= 1e-12 * np.abs(again).max()
+
+
+@pytest.mark.parametrize("lam_g", [1e-2, 1e2])
+def test_affine_ridge_update_is_the_constrained_solve(lam_g):
+    # with affine, the z column of the folded [V | z] matmul makes every
+    # column face-sum of ridge(x - I) + I equal 1, and the result is the
+    # KKT solution of the equality-constrained ridge system, per face and column
+    rng = np.random.default_rng(8)
+    f, h, n = 4, 3, 7
+    yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
+    gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
+    x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
+    eye = np.eye(n)[None]
+    ridge = _RidgeInverse(yf, lam_g, 1.4, affine=True)
+    for rho in [1.4, 11.2, 0.7]:
+        ridge.set_rho(rho)
+        c = ridge(x - eye) + eye
+        assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-12
+        kkt = np.zeros((f, n + 1, n + 1), dtype=complex)
+        kkt[:, :n, :n] = 2.0 * lam_g * gram + rho * eye
+        kkt[:, :n, n] = kkt[:, n, :n] = 1.0
+        rhs = np.concatenate([rho * x + 2.0 * lam_g * gram, np.ones((f, 1, n))], axis=1)
+        want = np.linalg.solve(kkt, rhs)[:, :n]
+        assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- group shrinkage ---------------------------------------------------------
@@ -125,7 +169,7 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
 def _shrink_spatial(kernel, x, tau):
     d = x.shape[2]
     xf = np.transpose(np.fft.rfft(x, axis=2), (2, 0, 1))
-    out = kernel(xf, _face_weights(d), 1.0 / d, tau)
+    out = kernel(xf, _face_weights(d), 1.0 / d, tau)[0]
     return np.fft.irfft(np.transpose(out, (1, 2, 0)), n=d, axis=2)
 
 
@@ -269,7 +313,6 @@ def test_objective_matches_spatial_recomputation():
     w, report = solve_self_representation(y, cfg)
     ref = _objective_spatial(y, w, cfg)
     assert abs(report.objective - ref) < 1e-8 * max(1.0, abs(ref))
-    assert report.objective == report.objective_history[-1]
 
 
 def test_zero_column_gets_zero_representation():
@@ -359,6 +402,21 @@ def test_iterate_path_is_pinned(affine, lambda_h, iterations, objective):
     assert abs(report.objective - objective) <= 1e-10 * objective
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 10.0])
+def test_scaling_y_and_lambda_g_leaves_the_solve_unchanged(alpha):
+    """``Y -> alpha Y`` with ``lambda_g -> lambda_g / alpha^2`` leaves the
+    program unchanged, and the solver follows: the ridge weights see only
+    ``2 lambda_g s^2``, and ``C`` is dimensionless, so the stopping rule is
+    scale-free."""
+    spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
+    y = generate_synthetic(spec).tensor
+    cfg = SolverConfig(lambda_g=1.0, lambda_h=0.5, affine=True)
+    w, report = solve_self_representation(y, cfg)
+    w_s, report_s = solve_self_representation(alpha * y, replace(cfg, lambda_g=1.0 / alpha**2))
+    assert report_s.iterations == report.iterations
+    assert np.abs(w_s - w).max() <= 1e-12 * np.abs(w).max()
+
+
 def _paper_scale(seed):
     spec = SynthSpec(
         h=28, d_per_cluster=[2] * 4, samples_per_cluster=[10] * 4, depth=28, seed=seed
@@ -368,7 +426,7 @@ def _paper_scale(seed):
 
 def _assert_histories(report):
     # one entry per iteration, and no stop on the first iteration of a new rho
-    assert len(report.rho_history) == len(report.objective_history) == report.iterations
+    assert len(report.rho_history) == report.iterations
     assert len(report.primal_history) == len(report.dual_history) == report.iterations
     assert report.primal_history[-1] == report.primal_residual
     assert report.dual_history[-1] == report.dual_residual

@@ -246,6 +246,16 @@ def test_repeated_slice_dictionary_gives_feasible_representation():
     assert ta.norm_f1(a) <= ta.norm_f1(known) + 1e-6
 
 
+def test_min_f1_warns_when_it_stops_unconverged():
+    rng = np.random.default_rng(15)
+    dictionary = rng.standard_normal((4, 6, 5))
+    x = ta.tprod(dictionary, rng.standard_normal((6, 1, 5)))
+    with pytest.warns(RuntimeWarning, match="stopped at max_iters=1 without converging"):
+        a = min_f1_representation(dictionary, x, tol=1e-8, max_iters=1)
+    assert a.shape == (6, 1, 5)
+    assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8 * ta.norm_fro(x)
+
+
 @pytest.mark.parametrize("seed", [100, 101])
 def test_min_f1_matches_douglas_rachford_reference(seed):
     rng = np.random.default_rng(seed)
