@@ -177,13 +177,22 @@ def _load_input(args):
         raise ParameterError("--decimate/--crop apply only to --format pgmdir")
     try:
         if args.format == "tsr1":
-            return read_tsr1(args.input)
-        if args.format == "idx":
-            return load_idx_images(args.input)
-        tensor, _ = load_pgm_dir(args.input, decimate=args.decimate, crop=crop)
-        return tensor
+            tensor = read_tsr1(args.input)
+        elif args.format == "idx":
+            tensor = load_idx_images(args.input)
+        else:
+            tensor, _ = load_pgm_dir(args.input, decimate=args.decimate, crop=crop)
     except (OSError, FormatError) as exc:
         raise DataError(str(exc)) from exc
+    except ValueError as exc:  # load_pgm_dir: a --decimate or --crop the images cannot take
+        raise ParameterError(str(exc)) from exc
+    n = tensor.shape[1]
+    if not 1 <= args.k <= n:
+        raise ParameterError(f"k must be in 1..{n}, got {args.k}")
+    truth = _load_truth(args.truth) if args.truth else None
+    if truth is not None and truth.shape[0] != n:
+        raise DataError(f"truth has {truth.shape[0]} labels for {n} samples")
+    return tensor, truth
 
 
 def _load_truth(path):
@@ -234,14 +243,7 @@ def _warnings(report, labels, cfg):
 
 def cmd_cluster(args):
     cfg = _solver_config(args)
-    tensor = _load_input(args)
-    n = tensor.shape[1]
-    if not 1 <= args.k <= n:
-        raise ParameterError(f"k must be in 1..{n}, got {args.k}")
-    truth = _load_truth(args.truth) if args.truth else None
-    if truth is not None and truth.shape[0] != n:
-        raise DataError(f"truth has {truth.shape[0]} labels for {n} samples")
-
+    tensor, truth = _load_input(args)
     _, report, affinity, labels = _run_pipeline(tensor, cfg, args.k, args.seed)
     payload = {
         "schema": SCHEMA,
@@ -268,14 +270,7 @@ def cmd_sweep(args):
     if not grid:
         raise ParameterError("--grid must be nonempty")
     base = _solver_config(args)
-    tensor = _load_input(args)
-    n = tensor.shape[1]
-    if not 1 <= args.k <= n:
-        raise ParameterError(f"k must be in 1..{n}, got {args.k}")
-    truth = _load_truth(args.truth) if args.truth else None
-    if truth is not None and truth.shape[0] != n:
-        raise DataError(f"truth has {truth.shape[0]} labels for {n} samples")
-
+    tensor, truth = _load_input(args)
     rows = []
     for lam in grid:
         row = {"lambda_g": lam}

@@ -7,8 +7,7 @@ first, so per-face work hits contiguous memory.
 import numpy as np
 
 
-# Group norms use the spatial scaling sqrt(inv_d * sum_f w_f |.|^2), where w
-# carries the conjugate-symmetry multiplicities of a half-spectrum stack.
+# Group norms are spatial, sqrt(sum_f w_f |.|^2) with w = t_algebra._face_weights(d).
 
 
 def weighted_sq_norms(x, w, total=False):
@@ -35,7 +34,7 @@ def _shrink_factor(nrm, tau):
     return factor
 
 
-def scale_tubes(V, w, inv_d, tau, row_tau=0.0):
+def scale_tubes(V, w, tau, row_tau=0.0):
     """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack.
 
     Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
@@ -52,7 +51,7 @@ def scale_tubes(V, w, inv_d, tau, row_tau=0.0):
     ``sum out_norms**2`` is the squared spatial Frobenius norm of ``out``
     without another pass over the stack.
     """
-    nrm = np.sqrt(weighted_sq_norms(V, w) * inv_d)
+    nrm = np.sqrt(weighted_sq_norms(V, w))
     factor = _shrink_factor(nrm, tau)
     if row_tau > 0:
         shrunk = factor * nrm

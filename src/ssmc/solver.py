@@ -58,9 +58,8 @@ penalties, and stopping there let a run end early with a dual residual of 0.
 With both tolerances zero the relative residuals are undefined and ``rho``
 stays fixed.
 
-Only the ``d // 2 + 1`` non-redundant DFT faces of real tensors are stored;
-``_face_weights`` carries the conjugate-symmetry multiplicities so that all
-norms below equal their spatial-domain counterparts.
+``y`` enters and ``W`` leaves by ``t_algebra``'s half-spectrum face format, whose
+``_face_weights`` make every norm below equal its spatial-domain counterpart.
 """
 
 import os
@@ -70,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .t_algebra import _as_tensor3
+from .t_algebra import _as_tensor3, _face_weights, _faces, _from_faces
 
 __all__ = [
     "SolverConfig",
@@ -114,6 +113,9 @@ class SolverConfig:
     normalize_columns: bool = False
 
     def __post_init__(self):
+        for name in ("lambda_g", "lambda_h", "rho", "tol_abs", "tol_rel"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_g > 0:
             raise ValueError(f"lambda_g must be positive, got {self.lambda_g}")
         if self.lambda_h < 0:
@@ -148,21 +150,6 @@ class SolverReport:
     primal_history: list = field(default_factory=list)
     dual_history: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
-
-
-def _face_weights(d):
-    dh = d // 2 + 1
-    w = np.ones(dh, dtype=np.float64)
-    if d > 1:
-        w[1:] = 2.0
-        if d % 2 == 0:
-            w[-1] = 1.0
-    return w
-
-
-def _snorm2(x, w, inv_d):
-    """Squared spatial Frobenius norm of a half-spectrum face stack."""
-    return kernels.weighted_sq_norms(x, w, total=True) * inv_d
 
 
 def _check_memory(n, d):
@@ -238,14 +225,14 @@ def _feasible(c, diag, affine, n):
         c[:, diag, diag] = 0.0
 
 
-def _objective(c, yf, w, inv_d, lambda_g, lambda_h):
+def _objective(c, yf, w, lambda_g, lambda_h):
     """The primal objective of a half-spectrum coefficient stack."""
-    grp = kernels.weighted_sq_norms(c, w) * inv_d
+    grp = kernels.weighted_sq_norms(c, w)
     f1 = float(np.sqrt(grp).sum())
     ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
     resid = yf @ c
     np.subtract(yf, resid, out=resid)
-    fid = _snorm2(resid, w, inv_d)
+    fid = kernels.weighted_sq_norms(resid, w, total=True)
     return f1 + lambda_h * ff1 + lambda_g * fid
 
 
@@ -274,10 +261,8 @@ def solve_self_representation(y, cfg):
 
     lam_g, lam_h, rho = cfg.lambda_g, cfg.lambda_h, float(cfg.rho)
     rho_lo, rho_hi = rho / _RHO_SPAN, rho * _RHO_SPAN
-    inv_d = 1.0 / d
     w_freq = _face_weights(d)
-    dh = w_freq.shape[0]
-    yf = np.ascontiguousarray(np.transpose(np.fft.rfft(y, axis=2), (2, 0, 1)))
+    yf = _faces(y)
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
@@ -285,7 +270,7 @@ def solve_self_representation(y, cfg):
     timings["factor"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    shape = (dh, n, n)
+    shape = (w_freq.shape[0], n, n)
     a = np.zeros(shape, dtype=np.complex128)
     u = np.zeros(shape, dtype=np.complex128)
     x = np.empty(shape, dtype=np.complex128)
@@ -310,19 +295,21 @@ def solve_self_representation(y, cfg):
 
         v = np.add(c, u, out=x)  # x is spent
         v[:, diag, diag] = 0.0
-        a_new, a_tubes = kernels.scale_tubes(v, w_freq, inv_d, 1.0 / rho, lam_h / rho)
+        a_new, a_tubes = kernels.scale_tubes(v, w_freq, 1.0 / rho, lam_h / rho)
         gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
         u += gap
-        r_norm = float(np.sqrt(_snorm2(gap, w_freq, inv_d)))
+        r_norm = float(np.sqrt(kernels.weighted_sq_norms(gap, w_freq, total=True)))
         np.subtract(a_new, a, out=a)  # the old a is spent
-        s_norm = float(rho * np.sqrt(_snorm2(a, w_freq, inv_d)))
+        s_norm = float(rho * np.sqrt(kernels.weighted_sq_norms(a, w_freq, total=True)))
         a = a_new
         primal_history.append(r_norm)
         dual_history.append(s_norm)
 
         a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes))
-        eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(_snorm2(c, w_freq, inv_d), a_norm2))
-        eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(_snorm2(u, w_freq, inv_d))
+        c_norm2 = kernels.weighted_sq_norms(c, w_freq, total=True)
+        u_norm2 = kernels.weighted_sq_norms(u, w_freq, total=True)
+        eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(c_norm2, a_norm2))
+        eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(u_norm2)
         if not rho_changed and r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
@@ -343,9 +330,8 @@ def solve_self_representation(y, cfg):
 
     start = time.perf_counter()
     _feasible(c, diag, cfg.affine, n)  # c is not used again
-    objective = _objective(c, yf, w_freq, inv_d, lam_g, lam_h)
-    w = np.fft.irfft(np.transpose(c, (1, 2, 0)), n=d, axis=2)
-    w = np.ascontiguousarray(w)
+    objective = _objective(c, yf, w_freq, lam_g, lam_h)
+    w = _from_faces(c, d)
     timings["finalize"] = time.perf_counter() - start
     report = SolverReport(
         iterations=iterations,

@@ -8,7 +8,10 @@ depth-axis DFT turns into independent per-frequency (face-wise) matrix
 products.
 
 DFT convention: unnormalized forward transform, ``1/d``-scaled inverse, so
-``||a||_F = d**-0.5 * ||fft3(a)||_F``.
+``||a||_F = d**-0.5 * ||fft3(a)||_F``.  Every other transform in the package
+keeps only the ``d // 2 + 1`` faces of the rFFT (face ``d - f`` is the
+conjugate of face ``f``), through ``_faces``, ``_from_faces`` and
+``_face_weights``.
 """
 
 import struct
@@ -91,6 +94,25 @@ def tube_conv(a, b):
     return a @ b[idx]
 
 
+def _faces(a):
+    """The ``(d // 2 + 1, h, n)`` half-spectrum face stack of a real ``(h, n, d)`` tensor."""
+    return np.ascontiguousarray(np.transpose(np.fft.rfft(a, axis=2), (2, 0, 1)))
+
+
+def _from_faces(f, d):
+    """The real ``(h, n, d)`` tensor of a ``(d // 2 + 1, h, n)`` face stack."""
+    return np.ascontiguousarray(np.fft.irfft(np.transpose(f, (1, 2, 0)), n=d, axis=2))
+
+
+def _face_weights(d):
+    """Parseval weights, ``1/d`` folded in: ``sum_f w_f ||face_f||_F^2 = ||a||_F^2``."""
+    w = np.full(d // 2 + 1, 2.0 / d)
+    w[0] = 1.0 / d
+    if d % 2 == 0:
+        w[-1] = 1.0 / d
+    return w
+
+
 def _check_tprod_shapes(a, b):
     if a.shape[2] != b.shape[2] or a.shape[1] != b.shape[0]:
         raise ValueError(f"tprod shape mismatch: {a.shape} vs {b.shape}")
@@ -105,10 +127,7 @@ def tprod(a, b):
     a = _as_tensor3(a, "left operand")
     b = _as_tensor3(b, "right operand")
     _check_tprod_shapes(a, b)
-    fa = np.fft.fft(a, axis=2)
-    fb = np.fft.fft(b, axis=2)
-    fc = np.einsum("ilf,lkf->ikf", fa, fb)
-    return ifft3(fc)
+    return _from_faces(_faces(a) @ _faces(b), a.shape[2])
 
 
 def unfold(a):
@@ -211,11 +230,12 @@ def bcirc_singular_values(a):
 
     The depth-axis DFT block-diagonalizes the block-circulant matrix, so the
     values are the union over depth frequencies of the singular values of
-    each Fourier face.  No size guard: nothing is materialized.
+    each Fourier face, a conjugate face repeating its twin's.  No size guard:
+    nothing is materialized.
     """
     a = _as_tensor3(a)
-    faces = np.transpose(np.fft.fft(a, axis=2), (2, 0, 1))
-    out = np.linalg.svd(faces, compute_uv=False).ravel()
+    s = np.linalg.svd(_faces(a), compute_uv=False)
+    out = np.concatenate([s.ravel(), s[1 : (a.shape[2] + 1) // 2].ravel()])
     out[::-1].sort()
     return out
 
@@ -245,9 +265,11 @@ def write_tsr1(path, t):
 
     Layout: magic ``54 53 52 31``, three little-endian u32 ``(h, n, d)``,
     then ``h*n*d`` little-endian f64 with depth fastest, then column, then
-    row.
+    row.  Non-finite values are rejected before the file is opened.
     """
     t = _as_tensor3(t)
+    if not np.isfinite(t).all():
+        raise ValueError("TSR1 payload contains non-finite values")
     h, n, d = t.shape
     with open(path, "wb") as fh:
         fh.write(TSR1_MAGIC)

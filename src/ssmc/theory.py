@@ -19,6 +19,9 @@ import numpy as np
 from . import kernels
 from .t_algebra import (
     _as_tensor3,
+    _face_weights,
+    _faces,
+    _from_faces,
     bcirc_singular_values,
     norm_fro,
     tubal_angle_cos,
@@ -85,14 +88,13 @@ def is_generating_set(y):
 
     Holds exactly when no Fourier face of ``y`` has a zero singular value;
     numerically, every face must satisfy
-    ``sigma_min > 1e-10 * max(sigma_max, 1)``.
+    ``sigma_min > 1e-10 * max(sigma_max, 1)`` (conjugate faces are twins).
     """
     y = _as_tensor3(y, "generators")
     h, d, _ = y.shape
     if d > h:
         raise ValueError(f"more generators ({d}) than rows ({h})")
-    faces = np.transpose(np.fft.fft(y, axis=2), (2, 0, 1))
-    s = np.linalg.svd(faces, compute_uv=False)
+    s = np.linalg.svd(_faces(y), compute_uv=False)
     return bool((s[:, -1] > RANK_TOL * np.maximum(s[:, 0], 1.0)).all())
 
 
@@ -223,31 +225,28 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     if x.shape != (h, 1, depth):
         raise ValueError(f"target shape {x.shape} does not match ({h}, 1, {depth})")
 
-    yf = np.transpose(np.fft.fft(dictionary, axis=2), (2, 0, 1))  # (depth, h, m)
-    xf = np.fft.fft(x[:, 0, :], axis=1).T  # (depth, h)
+    yf = _faces(dictionary)  # (F, h, m)
+    xf = _faces(x)  # (F, h, 1)
     pinv = np.linalg.pinv(yf, rcond=1e-12)
-    a0 = np.einsum("fmh,fh->fm", pinv, xf)
-    for f in range(depth):
-        resid = float(np.linalg.norm(xf[f] - yf[f] @ a0[f]))
-        if resid > tol:
-            raise ValueError("not in generated submodule")
+    a0 = pinv @ xf  # (F, m, 1)
+    if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
+        raise ValueError("not in generated submodule")
 
     # projector onto the solution set of each face's constraint
-    proj = np.eye(m)[None, :, :] - np.einsum("fmh,fhl->fml", pinv, yf)
+    proj = np.eye(m) - pinv @ yf
 
-    w_all = np.ones(depth)
-    inv_d = 1.0 / depth
+    w = _face_weights(depth)
     rho = 1.0
     a = a0.copy()
     z = np.zeros_like(a)
     u = np.zeros_like(a)
-    scale = max(1.0, float(np.sqrt((np.abs(a0) ** 2).sum() * inv_d)))
+    scale = max(1.0, float(np.sqrt(kernels.weighted_sq_norms(a0, w, total=True))))
     for _ in range(max_iters):
-        a = np.einsum("fml,fl->fm", proj, z - u) + a0
-        z_new = kernels.scale_tubes((a + u)[:, :, None], w_all, inv_d, 1.0 / rho)[0][:, :, 0]
+        a = proj @ (z - u) + a0
+        z_new = kernels.scale_tubes(a + u, w, 1.0 / rho)[0]
         u += a - z_new
-        r = np.sqrt((np.abs(a - z_new) ** 2).sum() * inv_d)
-        s = rho * np.sqrt((np.abs(z_new - z) ** 2).sum() * inv_d)
+        r = np.sqrt(kernels.weighted_sq_norms(a - z_new, w, total=True))
+        s = rho * np.sqrt(kernels.weighted_sq_norms(z_new - z, w, total=True))
         z = z_new
         if r <= 1e-12 * scale and s <= 1e-12 * scale:
             break
@@ -257,7 +256,4 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
             RuntimeWarning,
             stacklevel=2,
         )
-    out = np.fft.ifft(a, axis=0).T  # (m, depth)
-    if float(np.abs(out.imag).max(initial=0.0)) > 1e-8 * max(1.0, float(np.abs(out.real).max(initial=0.0))):
-        raise ValueError("non-real inverse")
-    return np.ascontiguousarray(out.real)[:, None, :]
+    return _from_faces(a, depth)

@@ -115,11 +115,22 @@ def test_cluster_parameter_errors(two_cluster_files):
     assert run_cli(["cluster", "--k", "2"]) == 3  # --input is required
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--lambda-g", "inf"), ("--lambda-h", "nan"), ("--rho", "inf")]
+)
+def test_non_finite_solver_values_are_parameter_errors(two_cluster_files, capsys, flag, value):
+    tensor_path, _ = two_cluster_files
+    assert run_cli(["cluster", "--input", tensor_path, "--k", "2", flag, value]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_crop_errors_surface_as_parameter_errors(tmp_path):
-    (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    (tmp_path / "a.pgm").write_bytes(b"P5\n4 2\n255\n" + bytes(8))  # 4 pixels wide
     base = ["cluster", "--input", str(tmp_path), "--format", "pgmdir", "--k", "1"]
     assert run_cli(base + ["--crop", "notarange"]) == 3
     assert run_cli(base + ["--crop", "4:1"]) == 3
+    assert run_cli(base + ["--crop", "2:9"]) == 3  # past the last column
+    assert run_cli(base + ["--decimate", "0"]) == 3
 
 
 # -- sweep -------------------------------------------------------------------

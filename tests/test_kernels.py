@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssmc import kernels
+from ssmc.t_algebra import _face_weights
 
 
 # -- weighted squared norms --------------------------------------------------
@@ -28,18 +29,9 @@ def test_weighted_sq_norms_match_direct_formula(transposed):
 # -- group shrinkage ---------------------------------------------------------
 
 
-def _half_weights(d):
-    w = np.ones(d // 2 + 1)
-    if d > 1:
-        w[1:] = 2.0
-        if d % 2 == 0:
-            w[-1] = 1.0
-    return w
-
-
-def _spatial_tube_norms(v, w, inv_d):
+def _spatial_tube_norms(v, w):
     sq = v.real**2 + v.imag**2
-    return np.sqrt(np.tensordot(w, sq, axes=(0, 0)) * inv_d)
+    return np.sqrt(np.tensordot(w, sq, axes=(0, 0)))
 
 
 @pytest.mark.parametrize("even_depth", [False, True])
@@ -47,22 +39,22 @@ def test_scale_tubes_applies_group_shrink(even_depth):
     # an even depth adds the Nyquist face, which carries weight 1, not 2
     rng = np.random.default_rng(9)
     d = 6 if even_depth else 5
-    w = _half_weights(d)
+    w = _face_weights(d)
     v = rng.standard_normal((w.size, 4, 5)) + 1j * rng.standard_normal((w.size, 4, 5))
     tau = 0.7
-    out = kernels.scale_tubes(v, w, 1.0 / d, tau)[0]
-    nrm = _spatial_tube_norms(v, w, 1.0 / d)
+    out = kernels.scale_tubes(v, w, tau)[0]
+    nrm = _spatial_tube_norms(v, w)
     factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
     assert np.abs(out - v * factor).max() < 1e-14
 
 
 def test_scale_tubes_edge_cases():
     rng = np.random.default_rng(10)
-    w = _half_weights(4)
+    w = _face_weights(4)
     v = rng.standard_normal((w.size, 3, 3)) + 1j * rng.standard_normal((w.size, 3, 3))
-    assert np.array_equal(kernels.scale_tubes(v, w, 0.25, 0.0)[0], v)
-    big = 1.0 + _spatial_tube_norms(v, w, 0.25).max()
-    assert (kernels.scale_tubes(v, w, 0.25, big)[0] == 0).all()
+    assert np.array_equal(kernels.scale_tubes(v, w, 0.0)[0], v)
+    big = 1.0 + _spatial_tube_norms(v, w).max()
+    assert (kernels.scale_tubes(v, w, big)[0] == 0).all()
 
 
 @pytest.mark.parametrize("row_tau", [0.0, 1.1])
@@ -71,16 +63,16 @@ def test_scale_tubes_returns_shrunk_tube_norms(row_tau):
     # ||a|| from it; the tubes of rows 0 and 1 fall below tau and are zeroed
     rng = np.random.default_rng(12)
     d = 6
-    w = _half_weights(d)
+    w = _face_weights(d)
     v = rng.standard_normal((w.size, 4, 5)) + 1j * rng.standard_normal((w.size, 4, 5))
     v[:, 0] = 0.0
     v[:, 1] *= 1e-3
-    out, norms = kernels.scale_tubes(v, w, 1.0 / d, 0.7, row_tau)
-    ref = _spatial_tube_norms(out, w, 1.0 / d)
+    out, norms = kernels.scale_tubes(v, w, 0.7, row_tau)
+    ref = _spatial_tube_norms(out, w)
     assert norms.shape == (4, 5)
     assert (norms[:2] == 0).all()
     assert np.abs(norms - ref).max() < 1e-14 * max(1.0, ref.max())
-    total = kernels.weighted_sq_norms(out, w, total=True) / d
+    total = kernels.weighted_sq_norms(out, w, total=True)
     assert abs((norms**2).sum() - total) < 1e-13 * total
 
 
@@ -88,12 +80,12 @@ def test_scale_tubes_returns_shrunk_tube_norms(row_tau):
 def test_scale_rows_applies_group_shrink(even_depth):
     rng = np.random.default_rng(11)
     d = 6 if even_depth else 5
-    w = _half_weights(d)
+    w = _face_weights(d)
     v = rng.standard_normal((w.size, 4, 6)) + 1j * rng.standard_normal((w.size, 4, 6))
     tau = 1.1
-    out = kernels.scale_tubes(v, w, 1.0 / d, 0.0, tau)[0]  # the row stage alone
+    out = kernels.scale_tubes(v, w, 0.0, tau)[0]  # the row stage alone
     sq = v.real**2 + v.imag**2
-    nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1) / d)
+    nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1))
     factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
     assert np.abs(out - v * factor[None, :, None]).max() < 1e-14
 

@@ -14,7 +14,6 @@ from ssmc.spectral import spectral_cluster
 from ssmc.data import SynthSpec, clustering_error, generate_synthetic
 from ssmc.solver import (
     SolverConfig,
-    _face_weights,
     _RidgeInverse,
     affinity_from_tensor,
     solve_self_representation,
@@ -57,6 +56,12 @@ def _ista_depth_one(y, lam_g, iters):
         (dict(lambda_g=1.0, rho=0.0), "rho"),
         (dict(lambda_g=1.0, max_iters=0), "max_iters"),
         (dict(lambda_g=1.0, tol_abs=-1e-9), "tolerances"),
+        (dict(lambda_g=float("inf")), "lambda_g"),
+        (dict(lambda_g=1.0, lambda_h=float("nan")), "lambda_h"),
+        (dict(lambda_g=1.0, lambda_h=float("inf")), "lambda_h"),
+        (dict(lambda_g=1.0, rho=float("inf")), "rho"),
+        (dict(lambda_g=1.0, tol_abs=float("inf")), "tol_abs"),
+        (dict(lambda_g=1.0, tol_rel=float("nan")), "tol_rel"),
     ],
 )
 def test_config_validation(kwargs, match):
@@ -168,14 +173,13 @@ def test_affine_ridge_update_is_the_constrained_solve(lam_g):
 
 def _shrink_spatial(kernel, x, tau):
     d = x.shape[2]
-    xf = np.transpose(np.fft.rfft(x, axis=2), (2, 0, 1))
-    out = kernel(xf, _face_weights(d), 1.0 / d, tau)[0]
-    return np.fft.irfft(np.transpose(out, (1, 2, 0)), n=d, axis=2)
+    out = kernel(ta._faces(x), ta._face_weights(d), tau)[0]
+    return ta._from_faces(out, d)
 
 
-def _scale_rows(v, w, inv_d, tau):
+def _scale_rows(v, w, tau):
     # the row stage alone: with tube tau 0 the tube stage keeps every tube
-    return kernels.scale_tubes(v, w, inv_d, 0.0, tau)
+    return kernels.scale_tubes(v, w, 0.0, tau)
 
 
 def test_group_shrink_tube_formula():

@@ -50,6 +50,19 @@ def test_parseval_scaling():
     assert abs(ta.norm_fro(t) - np.linalg.norm(ta.fft3(t)) / np.sqrt(7)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 6])
+def test_half_spectrum_faces_roundtrip_and_weigh_to_spatial_norms(d):
+    # the half stack is the first d // 2 + 1 faces of the full DFT, face first
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((3, 4, d))
+    f = ta._faces(t)
+    assert f.shape == (d // 2 + 1, 3, 4) and f.flags.c_contiguous
+    assert np.abs(f - np.moveaxis(ta.fft3(t), 2, 0)[: d // 2 + 1]).max() < 1e-12
+    assert np.abs(ta._from_faces(f, d) - t).max() < 1e-12
+    sq = np.tensordot(ta._face_weights(d), np.abs(f) ** 2, axes=(0, 0))
+    assert np.abs(sq - (t * t).sum(axis=2)).max() < 1e-12
+
+
 # -- tube_conv ---------------------------------------------------------------
 
 
@@ -318,3 +331,13 @@ def test_tsr1_error_paths(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ta.FormatError, match="non-finite"):
         ta.read_tsr1(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tsr1_write_refuses_non_finite_before_creating_the_file(tmp_path, bad):
+    path = tmp_path / "t.tsr1"
+    t = np.ones((2, 2, 2))
+    t[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ta.write_tsr1(path, t)
+    assert not path.exists()
