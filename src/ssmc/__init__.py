@@ -23,6 +23,7 @@ from .solver import (
     SolverConfig,
     SolverReport,
     affinity_from_tensor,
+    solve_path,
     solve_self_representation,
 )
 from .spectral import ClusterLabels, kmeans, spectral_cluster
@@ -76,6 +77,7 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "affinity_from_tensor",
+    "solve_path",
     "solve_self_representation",
     "ClusterLabels",
     "kmeans",

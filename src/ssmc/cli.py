@@ -26,7 +26,7 @@ from .data import (
     load_idx_labels,
     load_pgm_dir,
 )
-from .solver import SolverConfig, affinity_from_tensor, solve_self_representation
+from .solver import SolverConfig, affinity_from_tensor, solve_path, solve_self_representation
 from .spectral import spectral_cluster
 from .t_algebra import FormatError, read_tsr1, tprod, write_tsr1
 from .theory import SubmoduleSample, theorem3_check
@@ -199,9 +199,14 @@ def _load_truth(path):
     try:
         if path.endswith(".json"):
             with open(path) as fh:
-                return np.asarray(json.load(fh), dtype=np.int64)
+                labels = json.load(fh)
+            # one integer per sample: a nested list or a float would be
+            # reshaped or truncated into labels the file does not hold
+            if not isinstance(labels, list) or not all(type(v) is int for v in labels):
+                raise DataError("truth labels must be a flat JSON list of integers")
+            return np.asarray(labels, dtype=np.int64)
         return load_idx_labels(path)
-    except (OSError, FormatError, ValueError) as exc:
+    except (OSError, FormatError, ValueError, OverflowError) as exc:
         raise DataError(f"cannot read truth labels: {exc}") from exc
 
 
@@ -272,20 +277,35 @@ def cmd_sweep(args):
     base = _solver_config(args)
     tensor, truth = _load_input(args)
     rows = []
+    configs = []
     for lam in grid:
         row = {"lambda_g": lam}
         try:
-            cfg = replace(base, lambda_g=lam)
-            _, report, _, labels = _run_pipeline(tensor, cfg, args.k, args.seed)
-            row["iterations"] = report.iterations
-            row["objective"] = report.objective
-            row["converged"] = report.converged
-            row["clustering_error"] = (
-                clustering_error(labels, truth) if truth is not None else None
-            )
-        except (ValueError, DataError, RuntimeError) as exc:
+            configs.append(replace(base, lambda_g=lam))
+        except ValueError as exc:
             row["error_message"] = str(exc)
         rows.append(row)
+    solved = [row for row in rows if "error_message" not in row]
+    path = ()
+    if configs:
+        try:
+            path = solve_path(tensor, configs)
+        except ValueError as exc:  # the input, refused once for every row
+            for row in solved:
+                row["error_message"] = str(exc)
+    for row, (w, report) in zip(solved, path):
+        affinity = affinity_from_tensor(w)
+        del w  # the next solve's memory estimate leaves no room for this one
+        try:
+            labels = spectral_cluster(affinity, args.k, args.seed)
+            error = clustering_error(labels, truth) if truth is not None else None
+        except (ValueError, RuntimeError) as exc:
+            row["error_message"] = str(exc)
+            continue
+        row["iterations"] = report.iterations
+        row["objective"] = report.objective
+        row["converged"] = report.converged
+        row["clustering_error"] = error
 
     payload = {"schema": SCHEMA, "command": "sweep", "k": args.k, "rows": rows}
     _emit(payload, args.out)

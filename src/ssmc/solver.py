@@ -20,7 +20,7 @@ coding*).  Zeroing a diagonal tube is the prox of its indicator, a leaf of the
 same tree.  ``kernels.scale_tubes`` applies both shrinks in one multiply.
 
 The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
-``Y = U diag(s) V^H`` per face, taken once per solve, gives ``rho`` times its
+``Y = U diag(s) V^H`` per face, taken once per path, gives ``rho`` times its
 inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
 ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``, so every iteration costs two
 thin matmuls per face.  The ``c`` update is that apply ``R`` of ``a - u`` plus
@@ -58,13 +58,25 @@ penalties, and stopping there let a run end early with a dual residual of 0.
 With both tolerances zero the relative residuals are undefined and ``rho``
 stays fixed.
 
+A grid of ``lambda_g`` values is solved as one path (``solve_path``; Friedman,
+Hastie & Tibshirani 2010, *Regularization paths for GLMs via coordinate
+descent*).  The ridge inverse depends on ``lambda_g`` only through
+``2 lambda_g s^2``, so the input checks, the rFFT and the SVD run once per
+path, and a new ``lambda_g`` re-weights ``g`` and ``z`` as a new ``rho``
+does.  Each point after the first starts from the previous point's ``a``,
+``u`` and ``rho``; ``u`` is kept as it is, since ``rho`` is carried.  The first
+iteration after a change of ``lambda_g`` is not tested for convergence either,
+for the same reason as after a change of ``rho``: without that rule a warm
+start at ``lambda_g = 1e2`` stopped after 1 iteration.  A single solve is the
+one-point path.
+
 ``y`` enters and ``W`` leaves by ``t_algebra``'s half-spectrum face format, whose
 ``_face_weights`` make every norm below equal its spatial-domain counterpart.
 """
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,6 +87,7 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "solve_self_representation",
+    "solve_path",
     "affinity_from_tensor",
 ]
 
@@ -87,7 +100,8 @@ _RHO_SPAN = 1e4
 # Peak memory of a solve in complex (d // 2 + 1, n, n) arrays: a, u, the x and
 # c buffers, and either the float64 squares of the tube-norm pass or the new
 # shrunk stack, plus the arrays of size h n d.  tracemalloc measured 5.88 at
-# 28x160x28 and 5.52 at 28x320x28.
+# 28x160x28 and 5.52 at 28x320x28 for one solve, and 5.88 (5.92 affine) for
+# a three-point path at 28x160x28 whose caller drops each W before the next.
 _PEAK_ARRAYS = 6
 
 
@@ -136,9 +150,13 @@ class SolverReport:
     ``time.perf_counter``: ``fft`` (input checks and the depth rFFT),
     ``factor`` (the per-face SVD), ``iterate`` (the ADMM loop) and
     ``finalize`` (the feasible projection, the objective and the inverse
-    rFFT).  ``rho_history`` holds the penalty in force at each iteration, and
-    ``primal_history`` and ``dual_history`` the residuals ``r`` and ``s`` of
-    each iteration; each has one entry per iteration.
+    rFFT).  On the points of a path after the first, which reuse the first
+    point's rFFT and SVD, ``fft`` is 0 and ``factor`` is the re-weighting of
+    the stored SVD for the new ``lambda_g``.  ``rho_history`` holds the
+    penalty in force at each iteration (on those points it starts at the
+    ``rho`` carried from the point before), and ``primal_history`` and
+    ``dual_history`` the residuals ``r`` and ``s`` of each iteration; each has
+    one entry per iteration.
     """
 
     iterations: int
@@ -176,7 +194,7 @@ class _RidgeInverse:
     way it is one pair of matmuls, by ``[V | z]`` on the left and
     ``[g V^H ; 1^T]`` on the right, with ``z`` and the ones row present only
     under ``affine``.  ``set_rho`` re-weights ``g`` and ``z`` for a new
-    ``rho`` from the stored SVD.
+    ``rho`` from the stored SVD, and ``set_lambda_g`` for a new ``lambda_g``.
     """
 
     def __init__(self, yf, lambda_g, rho, affine=False):
@@ -185,7 +203,7 @@ class _RidgeInverse:
         self.rank = s.shape[1]
         inner = self.rank + 1 if affine else self.rank
         self.affine = affine
-        self.s2 = 2.0 * lambda_g * s * s
+        self.s = s
         self.left = np.empty((faces, n, inner), dtype=self.vh.dtype)  # [V | z]
         self.right = np.empty((faces, inner, n), dtype=self.vh.dtype)  # [g V^H ; 1^T]
         v = self.left[:, :, : self.rank]
@@ -193,6 +211,10 @@ class _RidgeInverse:
         self.right[:, self.rank :] = 1.0
         self.v_sum = v.sum(axis=1, keepdims=True)  # 1^T V
         self.z_sum = None
+        self.set_lambda_g(lambda_g, rho)
+
+    def set_lambda_g(self, lambda_g, rho):
+        self.s2 = 2.0 * lambda_g * self.s * self.s
         self.set_rho(rho)
 
     def set_rho(self, rho):
@@ -243,8 +265,28 @@ def solve_self_representation(y, cfg):
     with exactly zero diagonal tubes (and, under ``cfg.affine``, column
     tube-sums equal to the unit tube), ``report`` the ADMM run record.
     Hitting ``max_iters`` is not an error; it is reported as
-    ``converged=False``.
+    ``converged=False``.  This is the one-point case of ``solve_path``.
     """
+    return next(solve_path(y, [cfg]))
+
+
+def solve_path(y, configs):
+    """Solve the program for ``y`` at each of ``configs`` in turn, as one path.
+
+    ``configs`` is a nonempty sequence of ``SolverConfig`` that differ only
+    in ``lambda_g``.  The input checks, the memory guard, the rFFT and the SVD
+    run once, in this call, and raise ``ValueError`` here.  The returned
+    generator yields ``(w, report)`` per config, in the given order, as
+    ``solve_self_representation`` returns them; each solve after the first
+    starts from the previous one's ``a``, ``u`` and ``rho``.  Drop each ``w``
+    before asking for the next: the next solve's peak memory does not count it.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one solver config")
+    cfg = configs[0]
+    if any(replace(other, lambda_g=cfg.lambda_g) != cfg for other in configs):
+        raise ValueError("the configs of a path may differ only in lambda_g")
     start = time.perf_counter()
     y = _as_tensor3(y, "input tensor")
     if not np.isfinite(y).all():
@@ -258,93 +300,105 @@ def solve_self_representation(y, cfg):
     if cfg.normalize_columns:
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
-
-    lam_g, lam_h, rho = cfg.lambda_g, cfg.lambda_h, float(cfg.rho)
-    rho_lo, rho_hi = rho / _RHO_SPAN, rho * _RHO_SPAN
-    w_freq = _face_weights(d)
     yf = _faces(y)
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
-    ridge = _RidgeInverse(yf, lam_g, rho, cfg.affine)
+    ridge = _RidgeInverse(yf, cfg.lambda_g, cfg.rho, cfg.affine)
     timings["factor"] = time.perf_counter() - start
+    return _path(yf, d, ridge, configs, timings)
 
-    start = time.perf_counter()
+
+def _path(yf, d, ridge, configs, timings):
+    """The ADMM loop of ``solve_path``, run once per config on carried state."""
+    n = yf.shape[2]
+    w_freq = _face_weights(d)
     shape = (w_freq.shape[0], n, n)
     a = np.zeros(shape, dtype=np.complex128)
     u = np.zeros(shape, dtype=np.complex128)
-    x = np.empty(shape, dtype=np.complex128)
-    c = np.empty(shape, dtype=np.complex128)
     diag = np.arange(n)
-    abs_floor = np.sqrt(n * n * d) * cfg.tol_abs
+    rho = float(configs[0].rho)
+    rho_lo, rho_hi = rho / _RHO_SPAN, rho * _RHO_SPAN
+    abs_floor = np.sqrt(n * n * d) * configs[0].tol_abs
 
-    rho_history = []
-    primal_history = []
-    dual_history = []
-    rho_changed = False
-    converged = False
-    r_norm = s_norm = float("nan")
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        rho_history.append(rho)
-        # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - I) + I
-        np.subtract(a, u, out=x)
-        x[:, diag, diag] -= 1.0
-        ridge(x, out=c)
-        c[:, diag, diag] += 1.0
+    for point, cfg in enumerate(configs):
+        lam_g, lam_h = cfg.lambda_g, cfg.lambda_h
+        if point:
+            start = time.perf_counter()
+            ridge.set_lambda_g(lam_g, rho)
+            timings = {"fft": 0.0, "factor": time.perf_counter() - start}
 
-        v = np.add(c, u, out=x)  # x is spent
-        v[:, diag, diag] = 0.0
-        a_new, a_tubes = kernels.scale_tubes(v, w_freq, 1.0 / rho, lam_h / rho)
-        gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
-        u += gap
-        r_norm = float(np.sqrt(kernels.weighted_sq_norms(gap, w_freq, total=True)))
-        np.subtract(a_new, a, out=a)  # the old a is spent
-        s_norm = float(rho * np.sqrt(kernels.weighted_sq_norms(a, w_freq, total=True)))
-        a = a_new
-        primal_history.append(r_norm)
-        dual_history.append(s_norm)
+        start = time.perf_counter()
+        x = np.empty(shape, dtype=np.complex128)
+        c = np.empty(shape, dtype=np.complex128)
+        rho_history = []
+        primal_history = []
+        dual_history = []
+        # the first step after a change of lambda_g or rho is not tested: its
+        # dual residual measures a step taken under two programs
+        changed = point > 0
+        converged = False
+        for iterations in range(1, cfg.max_iters + 1):
+            rho_history.append(rho)
+            # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - I) + I
+            np.subtract(a, u, out=x)
+            x[:, diag, diag] -= 1.0
+            ridge(x, out=c)
+            c[:, diag, diag] += 1.0
 
-        a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes))
-        c_norm2 = kernels.weighted_sq_norms(c, w_freq, total=True)
-        u_norm2 = kernels.weighted_sq_norms(u, w_freq, total=True)
-        eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(c_norm2, a_norm2))
-        eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(u_norm2)
-        if not rho_changed and r_norm <= eps_pri and s_norm <= eps_dual:
-            converged = True
-            break
+            v = np.add(c, u, out=x)  # x is spent
+            v[:, diag, diag] = 0.0
+            a_new, a_tubes = kernels.scale_tubes(v, w_freq, 1.0 / rho, lam_h / rho)
+            gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
+            u += gap
+            r_norm = float(np.sqrt(kernels.weighted_sq_norms(gap, w_freq, total=True)))
+            np.subtract(a_new, a, out=a)  # the old a is spent
+            s_norm = float(rho * np.sqrt(kernels.weighted_sq_norms(a, w_freq, total=True)))
+            a = a_new
+            primal_history.append(r_norm)
+            dual_history.append(s_norm)
 
-        # residual balancing, compared without dividing by a zero tolerance
-        new_rho = rho
-        if r_norm * eps_dual > _RHO_MU * s_norm * eps_pri:
-            new_rho = min(rho * _RHO_TAU, rho_hi)
-        elif s_norm * eps_pri > _RHO_MU * r_norm * eps_dual:
-            new_rho = max(rho / _RHO_TAU, rho_lo)
-        rho_changed = new_rho != rho
-        if rho_changed:
-            u *= rho / new_rho
-            rho = new_rho
-            ridge.set_rho(rho)
-    timings["iterate"] = time.perf_counter() - start
-    del a, a_new, u, x, v, gap  # the inverse rFFT below needs two arrays of its own
+            a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes))
+            c_norm2 = kernels.weighted_sq_norms(c, w_freq, total=True)
+            u_norm2 = kernels.weighted_sq_norms(u, w_freq, total=True)
+            eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(c_norm2, a_norm2))
+            eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(u_norm2)
+            if not changed and r_norm <= eps_pri and s_norm <= eps_dual:
+                converged = True
+                break
 
-    start = time.perf_counter()
-    _feasible(c, diag, cfg.affine, n)  # c is not used again
-    objective = _objective(c, yf, w_freq, lam_g, lam_h)
-    w = _from_faces(c, d)
-    timings["finalize"] = time.perf_counter() - start
-    report = SolverReport(
-        iterations=iterations,
-        primal_residual=r_norm,
-        dual_residual=s_norm,
-        objective=objective,
-        converged=converged,
-        rho_history=rho_history,
-        primal_history=primal_history,
-        dual_history=dual_history,
-        timings=timings,
-    )
-    return w, report
+            # residual balancing, compared without dividing by a zero tolerance
+            new_rho = rho
+            if r_norm * eps_dual > _RHO_MU * s_norm * eps_pri:
+                new_rho = min(rho * _RHO_TAU, rho_hi)
+            elif s_norm * eps_pri > _RHO_MU * r_norm * eps_dual:
+                new_rho = max(rho / _RHO_TAU, rho_lo)
+            changed = new_rho != rho
+            if changed:
+                u *= rho / new_rho
+                rho = new_rho
+                ridge.set_rho(rho)
+        timings["iterate"] = time.perf_counter() - start
+        del a_new, x, v, gap  # the inverse rFFT below needs two arrays of its own
+
+        start = time.perf_counter()
+        _feasible(c, diag, cfg.affine, n)  # c is not used again
+        objective = _objective(c, yf, w_freq, lam_g, lam_h)
+        w = _from_faces(c, d)
+        del c
+        timings["finalize"] = time.perf_counter() - start
+        yield w, SolverReport(
+            iterations=iterations,
+            primal_residual=r_norm,
+            dual_residual=s_norm,
+            objective=objective,
+            converged=converged,
+            rho_history=rho_history,
+            primal_history=primal_history,
+            dual_history=dual_history,
+            timings=timings,
+        )
+        del w  # hold no W while the next point is solved
 
 
 def affinity_from_tensor(w):

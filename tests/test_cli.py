@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ssmc import cli
+from ssmc import cli, solver
 from ssmc.data import SynthSpec, generate_synthetic
 from ssmc.t_algebra import read_tsr1, write_tsr1
 
@@ -201,6 +201,63 @@ def test_sweep_records_per_row_failures(two_cluster_files, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert "error_message" in rows[0] and "lambda_g" in rows[0]
     assert rows[1]["iterations"] >= 1
+
+
+def test_sweep_takes_one_rfft_and_one_svd(two_cluster_files, monkeypatch, capsys):
+    tensor_path, _ = two_cluster_files
+    calls = {"faces": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "_faces", counted("faces", solver._faces))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    code = run_cli(["sweep", "--input", tensor_path, "--k", "2", "--grid", "1e-2,1,1e2"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(row["converged"] for row in rows)
+    assert calls == {"faces": 1, "svd": 1}
+
+
+def test_sweep_warm_starts_past_an_error_row(two_cluster_files, capsys):
+    # the 10 row starts from the 1 row's solve, not from zero
+    tensor_path, _ = two_cluster_files
+    assert run_cli(["sweep", "--input", tensor_path, "--k", "2", "--grid", "1,-1,10"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["lambda_g"] for row in rows] == [1.0, -1.0, 10.0]
+    assert "lambda_g must be positive" in rows[1]["error_message"]
+    assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--lambda-g", "10"]) == 0
+    cold = json.loads(capsys.readouterr().out)["solver_report"]
+    assert rows[2]["converged"]
+    assert 2 <= rows[2]["iterations"] < cold["iterations"]
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+@pytest.mark.parametrize(
+    "labels", [[[0]] * 6 + [[1]] * 6, [0.5] * 6 + [1.5] * 6], ids=["nested", "non-integer"]
+)
+def test_truth_labels_must_be_flat_integers(
+    two_cluster_files, tmp_path, monkeypatch, capsys, command, labels
+):
+    # refused as a data error before any solve; a nested list used to fail after
+    # the solve, and 0.5 and 1.5 used to be truncated to labels 0 and 1
+    def no_solve(*args):
+        raise AssertionError("solved before the truth labels were checked")
+
+    monkeypatch.setattr(cli, "solve_path", no_solve)
+    monkeypatch.setattr(cli, "solve_self_representation", no_solve)
+    tensor_path, _ = two_cluster_files
+    truth = tmp_path / "bad_truth.json"
+    truth.write_text(json.dumps(labels))
+    argv = [command, "--input", tensor_path, "--k", "2", "--truth", str(truth)]
+    if command == "sweep":
+        argv += ["--grid", "1,10"]
+    assert run_cli(argv) == cli.EXIT_DATA
+    assert "truth labels must be a flat JSON list of integers" in capsys.readouterr().err
 
 
 def test_cluster_refuses_input_beyond_physical_memory(tmp_path, capsys):

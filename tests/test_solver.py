@@ -16,6 +16,7 @@ from ssmc.solver import (
     SolverConfig,
     _RidgeInverse,
     affinity_from_tensor,
+    solve_path,
     solve_self_representation,
 )
 
@@ -110,8 +111,8 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
     # the apply is rho (2 lam_g Y^H Y + rho I)^-1; the solver's c update
     # ridge(x - I) + I is rho (2 lam_g Y^H Y + rho I)^-1 x plus the constant
     # (2 lam_g Y^H Y + rho I)^-1 2 lam_g Y^H Y; a repeated sample column gives
-    # a zero singular value inside the thin SVD; after set_rho the same SVD must
-    # serve the new penalty like a fresh build
+    # a zero singular value inside the thin SVD; after set_lambda_g and set_rho
+    # the same SVD must serve the new weights like a fresh build
     rng = np.random.default_rng(7)
     f = 4
     yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
@@ -121,7 +122,8 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
     rhs = rng.standard_normal((f, n, 3)) + 1j * rng.standard_normal((f, n, 3))
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, lam_g, 1.4)
+    ridge = _RidgeInverse(yf, 1.0 / lam_g, 1.4)  # built at the other end of the grid
+    ridge.set_lambda_g(lam_g, 1.4)
     # up and down in factor-2 steps, as the solver moves.  Below rho = 0.7 at
     # lam_g = 1e2 the apply shrinks its input about 1e3-fold and the cancellation
     # in I - V diag(g) V^H costs digits: 1.7e-12 relative at rho = 0.35
@@ -152,7 +154,8 @@ def test_affine_ridge_update_is_the_constrained_solve(lam_g):
     gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, lam_g, 1.4, affine=True)
+    ridge = _RidgeInverse(yf, 1.0 / lam_g, 1.4, affine=True)
+    ridge.set_lambda_g(lam_g, 1.4)  # z is re-weighted with g
     for rho in [1.4, 11.2, 0.7]:
         ridge.set_rho(rho)
         c = ridge(x - eye) + eye
@@ -487,6 +490,35 @@ def test_report_timings_cover_each_stage():
     _, report = solve_self_representation(y, SolverConfig(lambda_g=10.0))
     assert set(report.timings) == {"fft", "factor", "iterate", "finalize"}
     assert all(v >= 0.0 for v in report.timings.values())
+
+
+def test_path_warm_starts_every_point_after_the_first():
+    """One path over the paper's grid: the first point is the cold solve, and
+    each later one starts from the previous (a, u, rho).  The first iteration
+    of a warm point is not tested for convergence (without that guard the
+    lambda_g = 1e2 point stopped after 1 iteration), so every warm point takes
+    at least 2 iterations, and fewer than a cold solve."""
+    y = _paper_scale(1).tensor
+    grid = [1e-2, 1.0, 1e2]
+    cold = [solve_self_representation(y, SolverConfig(lambda_g=lam))[1] for lam in grid]
+    path = [report for _, report in solve_path(y, [SolverConfig(lambda_g=lam) for lam in grid])]
+    assert path[0].iterations == cold[0].iterations
+    assert path[0].objective == cold[0].objective
+    for prev, report, ref in zip(path, path[1:], cold[1:]):
+        assert report.converged
+        assert 2 <= report.iterations < ref.iterations
+        assert report.rho_history[0] == prev.rho_history[-1]
+        assert abs(report.objective - ref.objective) <= 1e-3 * ref.objective
+        assert report.timings["fft"] == 0.0  # the rFFT and the SVD are the first point's
+        _assert_histories(report)
+
+
+def test_path_configs_may_differ_only_in_lambda_g():
+    y = np.random.default_rng(15).standard_normal((3, 4, 2))
+    with pytest.raises(ValueError, match="at least one"):
+        solve_path(y, [])
+    with pytest.raises(ValueError, match="differ only in lambda_g"):
+        solve_path(y, [SolverConfig(lambda_g=1.0), SolverConfig(lambda_g=2.0, lambda_h=0.1)])
 
 
 @pytest.mark.parametrize("affine", [False, True])
