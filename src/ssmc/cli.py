@@ -12,6 +12,7 @@ reports its wall time on stdout only.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -110,7 +111,9 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", required=True, help="comma list of lambda_g values")
-    p.add_argument("--out", default=None, help="JSON output path (CSV written alongside)")
+    p.add_argument(
+        "--out", default=None, help="JSON output path; the CSV replaces its extension with .csv"
+    )
 
     p = sub.add_parser("synth", help="generate synthetic data, cluster, report error")
     _add_synth_args(p)
@@ -274,6 +277,11 @@ def cmd_sweep(args):
         raise ParameterError(f"--grid must be a comma list of numbers, got {args.grid!r}") from None
     if not grid:
         raise ParameterError("--grid must be nonempty")
+    csv_path = None
+    if args.out:
+        csv_path = os.path.splitext(args.out)[0] + ".csv"
+        if csv_path == args.out:
+            raise ParameterError(f"--out {args.out!r} would be overwritten by the sweep's CSV")
     base = _solver_config(args)
     tensor, truth = _load_input(args)
     rows = []
@@ -309,8 +317,7 @@ def cmd_sweep(args):
 
     payload = {"schema": SCHEMA, "command": "sweep", "k": args.k, "rows": rows}
     _emit(payload, args.out)
-    if args.out:
-        csv_path = args.out.rsplit(".", 1)[0] + ".csv"
+    if csv_path:
         fields = [
             "lambda_g", "clustering_error", "iterations", "objective", "converged", "error_message",
         ]

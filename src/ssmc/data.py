@@ -272,7 +272,8 @@ def clustering_error(pred, truth):
     """Fraction misclustered under the best label matching, in [0, 1].
 
     One minus the largest achievable matched fraction over injective
-    mappings of predicted to true labels (optimal assignment).
+    mappings of predicted to true labels (optimal assignment).  Labels may be
+    any integers, negative or sparse: only the distinct values matter.
     """
     p = _label_array(pred)
     t = _label_array(truth)
@@ -280,8 +281,9 @@ def clustering_error(pred, truth):
         raise ValueError(f"label length mismatch: {p.shape[0]} vs {t.shape[0]}")
     if p.size == 0:
         raise ValueError("empty labelings")
-    k = int(max(p.max(), t.max())) + 1
-    confusion = np.zeros((k, k), dtype=np.int64)
+    p_vals, p = np.unique(p, return_inverse=True)
+    t_vals, t = np.unique(t, return_inverse=True)
+    confusion = np.zeros((p_vals.size, t_vals.size), dtype=np.int64)
     np.add.at(confusion, (p, t), 1)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     matched = confusion[rows, cols].sum()

@@ -27,14 +27,17 @@ thin matmuls per face.  The ``c`` update is that apply ``R`` of ``a - u`` plus
 the constant ``(2 lambda_g Y^H Y + rho I)^-1 2 lambda_g Y^H Y = I - R(I)``,
 which is never formed: ``R(x) + I - R(I) = R(x - I) + I``, so the update is
 ``c = R(a - u - I) + I`` and the shift touches only the diagonal.  The affine
-constraint is an exact KKT correction of each ridge solution along ``z``, the
-ridge solve against the all-ones vector, folded into the same two matmuls as
-one more inner column: the left factor is ``[V | z]`` and the right one
-``[g V^H ; 1^T]``, whose last row gives the column sums of ``x`` from which
-the correction's coefficients ``(1^T x - (1^T V)(g V^H x)) / 1^T z`` follow.
-The corrected apply keeps every column face-sum of ``R(x - I)`` at 0, so
-those of ``c`` are 1.  The objective is evaluated once, on the returned
-coefficients, after the loop.
+constraint costs one fixed inner column.  Under ``1^T C = 1^T`` the fit
+``Y (I - C)`` equals ``Yc (I - C)``, where ``Yc = Y - ybar 1^T`` is the data
+less its mean sample, and the rows of ``Yc`` are orthogonal to ``1``.  So
+``2 lambda_g Yc^H Yc + rho I`` has ``1`` as an eigenvector, and the
+constrained ridge solve is the plain one on ``Yc`` with ``1`` projected out.
+The SVD is taken of the centred faces, and the apply gains one fixed inner
+column: the left factor is ``[V | 1/sqrt(n)]`` and the right one
+``[g V^H ; 1^T/sqrt(n)]``.  That apply keeps every column face-sum of
+``R(x - I)`` at 0, so those of ``c`` are 1.  The uncentred faces still define
+the objective, which is evaluated once, on the returned coefficients, after
+the loop.
 
 Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
 spatial Frobenius norm and ``N = n^2 d`` the number of coefficients:
@@ -62,9 +65,9 @@ A grid of ``lambda_g`` values is solved as one path (``solve_path``; Friedman,
 Hastie & Tibshirani 2010, *Regularization paths for GLMs via coordinate
 descent*).  The ridge inverse depends on ``lambda_g`` only through
 ``2 lambda_g s^2``, so the input checks, the rFFT and the SVD run once per
-path, and a new ``lambda_g`` re-weights ``g`` and ``z`` as a new ``rho``
-does.  Each point after the first starts from the previous point's ``a``,
-``u`` and ``rho``; ``u`` is kept as it is, since ``rho`` is carried.  The first
+path, and a new ``lambda_g`` re-weights ``g`` as a new ``rho`` does.  Each
+point after the first starts from the previous point's ``a``, ``u`` and
+``rho``; ``u`` is kept as it is, since ``rho`` is carried.  The first
 iteration after a change of ``lambda_g`` is not tested for convergence either,
 for the same reason as after a change of ``rho``: without that rule a warm
 start at ``lambda_g = 1e2`` stopped after 1 iteration.  A single solve is the
@@ -187,30 +190,28 @@ class _RidgeInverse:
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
     ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, zero singular values
     allowed) this is ``x - V (g V^H x)``, where
-    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``.  With ``affine`` the
-    apply also keeps every column face-sum at 0: it subtracts ``z q``, where
-    ``z`` is the plain apply to the all-ones vector and
-    ``q = (1^T x - (1^T V)(g V^H x)) / 1^T z`` (the KKT correction).  Either
-    way it is one pair of matmuls, by ``[V | z]`` on the left and
-    ``[g V^H ; 1^T]`` on the right, with ``z`` and the ones row present only
-    under ``affine``.  ``set_rho`` re-weights ``g`` and ``z`` for a new
-    ``rho`` from the stored SVD, and ``set_lambda_g`` for a new ``lambda_g``.
+    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``.  With ``affine`` the SVD
+    is that of the centred faces ``Y_f - mean(Y_f) 1^T``, whose rows are
+    orthogonal to ``1``, and the apply also projects out ``1``: it is one
+    pair of matmuls, by ``[V | 1/sqrt(n)]`` on the left and
+    ``[g V^H ; 1^T/sqrt(n)]`` on the right, whose fixed last column and row
+    carry weight 1.  So every column face-sum of the apply is 0.  ``set_rho``
+    re-weights ``g`` for a new ``rho`` from the stored SVD, and
+    ``set_lambda_g`` for a new ``lambda_g``.
     """
 
     def __init__(self, yf, lambda_g, rho, affine=False):
         faces, _, n = yf.shape
+        if affine:
+            yf = yf - yf.mean(axis=2, keepdims=True)
         _, s, self.vh = np.linalg.svd(yf, full_matrices=False)
-        self.rank = s.shape[1]
-        inner = self.rank + 1 if affine else self.rank
-        self.affine = affine
+        self.rank = r = s.shape[1]
+        inner = r + 1 if affine else r
         self.s = s
-        self.left = np.empty((faces, n, inner), dtype=self.vh.dtype)  # [V | z]
-        self.right = np.empty((faces, inner, n), dtype=self.vh.dtype)  # [g V^H ; 1^T]
-        v = self.left[:, :, : self.rank]
-        v[...] = np.conj(np.swapaxes(self.vh, 1, 2))
-        self.right[:, self.rank :] = 1.0
-        self.v_sum = v.sum(axis=1, keepdims=True)  # 1^T V
-        self.z_sum = None
+        self.left = np.empty((faces, n, inner), dtype=self.vh.dtype)  # [V | 1/sqrt(n)]
+        self.right = np.empty((faces, inner, n), dtype=self.vh.dtype)  # [g V^H ; 1^T/sqrt(n)]
+        self.left[:, :, :r] = np.conj(np.swapaxes(self.vh, 1, 2))
+        self.left[:, :, r:] = self.right[:, r:] = 1.0 / np.sqrt(n)
         self.set_lambda_g(lambda_g, rho)
 
     def set_lambda_g(self, lambda_g, rho):
@@ -218,23 +219,11 @@ class _RidgeInverse:
         self.set_rho(rho)
 
     def set_rho(self, rho):
-        r = self.rank
         g = self.s2 / (self.s2 + rho)
-        gvh = self.right[:, :r]
-        np.multiply(g[:, :, None], self.vh, out=gvh)
-        if self.affine:
-            z = 1.0 - self.left[:, :, :r] @ gvh.sum(axis=2, keepdims=True)
-            self.left[:, :, r:] = z
-            self.z_sum = z.sum(axis=1, keepdims=True)
+        np.multiply(g[:, :, None], self.vh, out=self.right[:, : self.rank])
 
     def __call__(self, x, out=None):
-        r = self.rank
-        p = self.right @ x
-        if self.affine:
-            q = p[:, r:]  # the column sums of x, turned into the coefficients of z
-            q -= self.v_sum @ p[:, :r]
-            q /= self.z_sum
-        out = np.matmul(self.left, p, out=out)
+        out = np.matmul(self.left, self.right @ x, out=out)
         return np.subtract(x, out, out=out)
 
 

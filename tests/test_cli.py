@@ -62,6 +62,19 @@ def test_cluster_end_to_end(two_cluster_files, tmp_path, capsys):
     assert (np.diag(m) == 0).all()
 
 
+def test_cluster_scores_negative_truth_labels(two_cluster_files, tmp_path, capsys):
+    # the same clustering scored against truth labels {-1, 1} in place of {0, 1}
+    tensor_path, truth_path = two_cluster_files
+    shifted = tmp_path / "shifted.json"
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    shifted.write_text(json.dumps([2 * v - 1 for v in truth]))
+    argv = ["cluster", "--input", tensor_path, "--k", "2", "--lambda-g", "100"]
+    assert run_cli(argv + ["--truth", truth_path]) == 0
+    assert json.loads(capsys.readouterr().out)["clustering_error"] == 0.0
+    assert run_cli(argv + ["--truth", str(shifted)]) == 0
+    assert json.loads(capsys.readouterr().out)["clustering_error"] == 0.0
+
+
 def test_cluster_accepts_idx_input(tmp_path, capsys):
     path = tmp_path / "imgs.idx"
     rng = np.random.default_rng(0)
@@ -184,6 +197,34 @@ def test_sweep_error_column_varies_across_grid(tmp_path, capsys):
         "lambda_g,clustering_error,iterations,objective,converged,error_message"
     )
     assert len(csv_text) == 4
+
+
+def test_sweep_csv_replaces_only_the_extension(two_cluster_files, tmp_path, capsys):
+    # a dot in a directory name is not the extension's
+    tensor_path, _ = two_cluster_files
+    (tmp_path / "runs.d").mkdir()
+    out = tmp_path / "runs.d" / "sweep"
+    argv = ["sweep", "--input", tensor_path, "--k", "2", "--grid", "1", "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == payload
+    assert (tmp_path / "runs.d" / "sweep.csv").read_text().startswith("lambda_g,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tsr1", "runs.d", "truth.json"]
+
+
+def test_sweep_refuses_an_out_its_csv_would_overwrite(
+    two_cluster_files, tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_path", no_solve)
+    tensor_path, _ = two_cluster_files
+    out = tmp_path / "res.csv"
+    argv = ["sweep", "--input", tensor_path, "--k", "2", "--grid", "1", "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_PARAM
+    assert "would be overwritten by the sweep's CSV" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_grid_validation(two_cluster_files):

@@ -294,6 +294,17 @@ def test_clustering_error_symmetry_and_relabel_invariance():
     )
 
 
+def test_clustering_error_takes_negative_and_sparse_labels():
+    # only the distinct values matter: a label is never a matrix index, so -1
+    # cannot wrap and 10**9 does not size the matrix
+    pred = np.array([0, 0, 1, 1])
+    assert clustering_error(pred, np.array([-1, -1, 1, 1])) == 0.0
+    assert clustering_error(np.array([5, 5, 7, 7]), np.array([-1, -1, 1, 1])) == 0.0
+    assert clustering_error(pred, np.array([10**9, 10**9, 3, 3])) == 0.0
+    assert clustering_error(np.array([-1, 5, 7, 7]), np.array([5, 5, 7, 7])) == 0.25
+    assert clustering_error(np.array([0, 1, 2, 2]), np.array([-1, -1, 1, 1])) == 0.25
+
+
 def test_clustering_error_validates_lengths():
     with pytest.raises(ValueError, match="mismatch"):
         clustering_error(np.array([0, 1]), np.array([0]))

@@ -101,12 +101,15 @@ def test_rejects_non_finite_and_zero_input():
 # -- ridge inverse -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("lam_g", [1e-2, 1e2])
-@pytest.mark.parametrize(
+_RIDGE_SHAPES = pytest.mark.parametrize(
     "h,n,repeated",
     [(3, 7, False), (9, 5, False), (9, 5, True)],
     ids=["wide", "tall", "rank-deficient"],
 )
+
+
+@pytest.mark.parametrize("lam_g", [1e-2, 1e2])
+@_RIDGE_SHAPES
 def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
     # the apply is rho (2 lam_g Y^H Y + rho I)^-1; the solver's c update
     # ridge(x - I) + I is rho (2 lam_g Y^H Y + rho I)^-1 x plus the constant
@@ -144,18 +147,24 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
 
 
 @pytest.mark.parametrize("lam_g", [1e-2, 1e2])
-def test_affine_ridge_update_is_the_constrained_solve(lam_g):
-    # with affine, the z column of the folded [V | z] matmul makes every
-    # column face-sum of ridge(x - I) + I equal 1, and the result is the
-    # KKT solution of the equality-constrained ridge system, per face and column
+@_RIDGE_SHAPES
+def test_affine_ridge_update_is_the_constrained_solve(h, n, repeated, lam_g):
+    # with affine, the SVD is of the centred faces and the fixed 1/sqrt(n)
+    # direction of [V | 1/sqrt(n)] projects out the ones vector, so every column
+    # face-sum of ridge(x - I) + I is 1, and the result is the KKT solution of
+    # the equality-constrained ridge system on the uncentred faces, per face and
+    # column; in the tall case the centred SVD holds a zero-singular vector
+    # close to 1/sqrt(n), which the fixed direction repeats
     rng = np.random.default_rng(8)
-    f, h, n = 4, 3, 7
+    f = 4
     yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
+    if repeated:
+        yf[:, :, -1] = yf[:, :, 0]
     gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
     ridge = _RidgeInverse(yf, 1.0 / lam_g, 1.4, affine=True)
-    ridge.set_lambda_g(lam_g, 1.4)  # z is re-weighted with g
+    ridge.set_lambda_g(lam_g, 1.4)
     for rho in [1.4, 11.2, 0.7]:
         ridge.set_rho(rho)
         c = ridge(x - eye) + eye
@@ -424,6 +433,23 @@ def test_scaling_y_and_lambda_g_leaves_the_solve_unchanged(alpha):
     assert np.abs(w_s - w).max() <= 1e-12 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("lambda_h", [0.0, 0.5])
+def test_affine_solve_ignores_a_common_offset(lambda_h):
+    """Adding one ``(h, 1, d)`` offset to every sample leaves an affine solve
+    unchanged: under column tube-sums equal to the unit tube the offset drops
+    out of ``Y - Y * C``, and the solver sees the data only through its centred
+    faces.  Its points lie in affine submodules, which the offset only moves."""
+    spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
+    y = generate_synthetic(spec).tensor
+    offset = np.random.default_rng(9).standard_normal((8, 1, 8)) * np.abs(y).max()
+    cfg = SolverConfig(lambda_g=1.0, lambda_h=lambda_h, affine=True)
+    w, report = solve_self_representation(y, cfg)
+    w_o, report_o = solve_self_representation(y + offset, cfg)
+    assert report_o.iterations == report.iterations
+    assert np.abs(w_o - w).max() <= 1e-12 * np.abs(w).max()
+    assert abs(report_o.objective - report.objective) <= 1e-10 * report.objective
+
+
 def _paper_scale(seed):
     spec = SynthSpec(
         h=28, d_per_cluster=[2] * 4, samples_per_cluster=[10] * 4, depth=28, seed=seed
@@ -525,7 +551,7 @@ def test_path_configs_may_differ_only_in_lambda_g():
 def test_permuting_samples_permutes_the_representation(affine):
     """Relabelling the samples relabels the solution: ``W -> W[p][:, p]``.
 
-    Every ADMM step (ridge solve, affine correction, shrinkages, stopping
+    Every ADMM step (affine centring, ridge solve, shrinkages, stopping
     rule) is equivariant under a simultaneous permutation of rows and columns,
     so even an unconverged run with a fixed iteration count follows it.
     """
