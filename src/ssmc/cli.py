@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -159,17 +159,9 @@ def _parse_int_list(text, flag):
 
 
 def _solver_config(args):
+    # every solver flag's argparse dest is the name of its SolverConfig field
     try:
-        return SolverConfig(
-            lambda_g=args.lambda_g,
-            lambda_h=args.lambda_h,
-            affine=args.affine,
-            rho=args.rho,
-            max_iters=args.max_iters,
-            tol_abs=args.tol_abs,
-            tol_rel=args.tol_rel,
-            normalize_columns=args.normalize_columns,
-        )
+        return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
 
@@ -242,10 +234,10 @@ def _report_dict(report):
     return d
 
 
-def _warnings(report, labels, cfg):
+def _warnings(report, labels):
     found = list(labels.warnings)
-    if not report.converged:
-        found.append(f"solver stopped at max_iters={cfg.max_iters} without converging")
+    if not report.converged:  # an unconverged solve ran all max_iters iterations
+        found.append(f"solver stopped at max_iters={report.iterations} without converging")
     return found
 
 
@@ -259,7 +251,7 @@ def cmd_cluster(args):
         "k": args.k,
         "labels": [int(v) for v in labels.labels],
         "solver_report": _report_dict(report),
-        "warnings": _warnings(report, labels, cfg),
+        "warnings": _warnings(report, labels),
     }
     if truth is not None:
         payload["clustering_error"] = clustering_error(labels, truth)
@@ -367,7 +359,7 @@ def cmd_synth(args):
         "clustering_error": err,
         "labels": [int(v) for v in labels.labels],
         "solver_report": _report_dict(report),
-        "warnings": _warnings(report, labels, cfg),
+        "warnings": _warnings(report, labels),
     }
     _emit(payload, args.out, stdout_extra={"runtime_seconds": runtime})
     return 0
@@ -393,15 +385,6 @@ def _orthogonal_samples(spec, rng):
 
 def cmd_check(args):
     spec = _synth_spec(args)
-    if args.coherence_trials < 1:
-        raise ParameterError(f"--coherence-trials must be at least 1, got {args.coherence_trials}")
-    if args.budget < 1:
-        raise ParameterError(f"--budget must be at least 1, got {args.budget}")
-    if not 0 <= args.cluster_index < len(spec.d_per_cluster):
-        raise ParameterError(
-            f"--cluster-index must be in 0..{len(spec.d_per_cluster) - 1}, "
-            f"got {args.cluster_index}"
-        )
     if args.fixture == "orthogonal":
         samples = _orthogonal_samples(spec, np.random.default_rng(spec.seed))
     else:

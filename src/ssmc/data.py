@@ -6,12 +6,12 @@ exactly a tube-shift of its slice.  Pixel values are scaled to [0, 1]
 uniformly across loaders.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .spectral import ClusterLabels
 from .t_algebra import FormatError, _as_tensor3, e_tube, tprod
@@ -137,46 +137,40 @@ def generate_synthetic(spec):
     return generate_submodules(spec)[1]
 
 
-def _read_exact(raw, path):
+def _read_idx(path, magic, ndim, kind):
+    """The u8 payload of an IDX file, shaped by its ``ndim`` header sizes.
+
+    The header is the ``magic`` number, then ``ndim`` sizes, each a
+    big-endian u32; ``kind`` names the file in the bad-magic error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 4:
         raise FormatError(f"{path}: truncated header at offset 0")
-    return int.from_bytes(raw[0:4], "big")
+    found = int.from_bytes(raw[0:4], "big")
+    if found != magic:
+        raise FormatError(f"{path}: bad {kind} magic 0x{found:08x} at offset 0")
+    offset = 4 + 4 * ndim
+    if len(raw) < offset:
+        raise FormatError(f"{path}: truncated dimension header at offset 4")
+    shape = [int.from_bytes(raw[p : p + 4], "big") for p in range(4, offset, 4)]
+    expected = math.prod(shape)
+    if len(raw) - offset != expected:
+        raise FormatError(
+            f"{path}: payload at offset {offset} has {len(raw) - offset} bytes, expected {expected}"
+        )
+    return np.frombuffer(raw, dtype=np.uint8, offset=offset).reshape(shape)
 
 
 def load_idx_images(path):
     """Load an IDX u8 image file as an ``(rows, count, cols)`` tensor in [0, 1]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = _read_exact(raw, path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad image magic 0x{magic:08x} at offset 0")
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated dimension header at offset 4")
-    n = int.from_bytes(raw[4:8], "big")
-    rows = int.from_bytes(raw[8:12], "big")
-    cols = int.from_bytes(raw[12:16], "big")
-    expected = 16 + n * rows * cols
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload at offset 16 has {len(raw) - 16} bytes, expected {n * rows * cols}"
-        )
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rows, cols)
+    data = _read_idx(path, IDX_IMAGE_MAGIC, 3, "image")
     return np.ascontiguousarray(data.astype(np.float64).transpose(1, 0, 2) / 255.0)
 
 
 def load_idx_labels(path):
     """Load an IDX u8 label file as an int64 array."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = _read_exact(raw, path)
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"{path}: bad label magic 0x{magic:08x} at offset 0")
-    if len(raw) < 8:
-        raise FormatError(f"{path}: truncated dimension header at offset 4")
-    n = int.from_bytes(raw[4:8], "big")
-    if len(raw) != 8 + n:
-        raise FormatError(f"{path}: payload at offset 8 has {len(raw) - 8} bytes, expected {n}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
+    return _read_idx(path, IDX_LABEL_MAGIC, 1, "label").astype(np.int64)
 
 
 def _read_pgm(path):
@@ -275,6 +269,10 @@ def clustering_error(pred, truth):
     mappings of predicted to true labels (optimal assignment).  Labels may be
     any integers, negative or sparse: only the distinct values matter.
     """
+    # scipy.optimize takes most of ``import ssmc``'s time and memory, and
+    # nothing else uses it
+    from scipy.optimize import linear_sum_assignment
+
     p = _label_array(pred)
     t = _label_array(truth)
     if p.shape != t.shape:

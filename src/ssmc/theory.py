@@ -157,12 +157,19 @@ def theorem3_check(
     when there are at most ``subtensor_budget`` candidates and by seeded
     sampling otherwise.  ``holds`` means ``lhs < rhs``.  When no full-rank
     subtensor exists the report carries ``rhs = 0``, ``holds = False`` and
-    ``rank_deficient = True``.
+    ``rank_deficient = True``.  ``ValueError`` is raised for empty ``data``,
+    an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials``
+    below 1, and a cluster ``i`` with no points or fewer points than its
+    submodular dimension.
     """
     if not data:
         raise ValueError("need at least one submodule sample")
     if not 0 <= i < len(data):
         raise ValueError(f"cluster index {i} outside 0..{len(data) - 1}")
+    if subtensor_budget < 1:
+        raise ValueError(f"subtensor_budget must be at least 1, got {subtensor_budget}")
+    if coherence_trials < 1:
+        raise ValueError(f"coherence_trials must be at least 1, got {coherence_trials}")
     si = data[i]
     d_i = si.dim
     m_i = si.points.shape[1]

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -311,6 +312,32 @@ def test_cluster_refuses_input_beyond_physical_memory(tmp_path, capsys):
     assert "GB of physical memory" in err
 
 
+_SOLVER_FLAGS = [
+    "--lambda-g", "2.5", "--lambda-h", "0.25", "--affine", "--normalize-columns",
+    "--rho", "3.0", "--max-iters", "7", "--tol-abs", "1e-5", "--tol-rel", "1e-3",
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["cluster", "--input", "x", "--k", "2"], ["sweep", "--input", "x", "--k", "2", "--grid", "1"],
+     ["synth"]],
+    ids=["cluster", "sweep", "synth"],
+)
+def test_solver_flags_map_to_their_config_fields(command):
+    parser = cli.build_parser()
+    defaults = cli._solver_config(parser.parse_args(command))
+    cfg = cli._solver_config(parser.parse_args(command + _SOLVER_FLAGS))
+    expected = solver.SolverConfig(
+        lambda_g=2.5, lambda_h=0.25, affine=True, rho=3.0, max_iters=7, tol_abs=1e-5,
+        tol_rel=1e-3, normalize_columns=True,
+    )
+    assert cfg == expected
+    assert all(
+        getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(solver.SolverConfig)
+    )
+
+
 def test_unconverged_solve_is_reported(two_cluster_files, tmp_path, capsys):
     tensor_path, _ = two_cluster_files
     out = tmp_path / "sweep.json"
@@ -390,11 +417,14 @@ def test_check_gaussian_fixture_runs(capsys):
     assert report["subtensors_searched"] > 0
 
 
-def test_check_parameter_validation():
+def test_check_parameter_validation(capsys):
     base = ["check", "--h", "6", "--depth", "3", "--dims", "2,2", "--samples", "4,4"]
     assert run_cli(base + ["--cluster-index", "5"]) == 3
+    assert "cluster index 5 outside 0..1" in capsys.readouterr().err
     assert run_cli(base + ["--budget", "0"]) == 3
+    assert "subtensor_budget must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli(base + ["--coherence-trials", "0"]) == 3
+    assert "coherence_trials must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli(["check", "--fixture", "orthogonal", "--h", "3", "--depth", "2",
                     "--dims", "2,2", "--samples", "4,4"]) == 3  # needs h >= sum dims
 

@@ -194,6 +194,11 @@ def test_theorem3_validates_arguments():
     )
     with pytest.raises(ValueError, match="exceeds point count"):
         theorem3_check([thin], 0)
+    # one cluster: no coherence is estimated, so only the checker can refuse
+    with pytest.raises(ValueError, match="subtensor_budget must be at least 1, got 0"):
+        theorem3_check([a], 0, subtensor_budget=0)
+    with pytest.raises(ValueError, match="coherence_trials must be at least 1, got 0"):
+        theorem3_check([a], 0, coherence_trials=0)
 
 
 # -- min_f1_representation ---------------------------------------------------
