@@ -1,32 +1,37 @@
 """Group-sparse self-representation solver and affinity construction.
 
-Solves, over coefficient tensors ``c`` with zero diagonal tubes,
+Solves, over coefficient tensors ``c`` that fit targets ``x`` ``(h, k, d)``
+over a dictionary ``y`` ``(h, n, d)``, with some tubes of ``c`` excluded (zero),
 
-    min  ||c||_F1 + lambda_h ||c||_FF1 + lambda_g ||y - y * c||_F^2
+    min  ||c||_F1 + lambda_h ||c||_FF1 + lambda_g ||x - y * c||_F^2
 
 (optionally subject to the affine constraint that every column's tube-sum is
 the unit tube) by ADMM carried out in the Fourier domain, where the tensor
-product splits into independent per-frequency matrix products.
+product splits into independent per-frequency matrix products.  The
+self-representation is ``x = y`` with the diagonal excluded;
+``theory.min_f1_representation`` is one target, none excluded, ``lambda_g = inf``.
 
 Splitting: one block, ``c = a``.  The ``c`` update is a per-face ridge solve
 that takes the fidelity; the ``a`` update is the prox of everything else,
-``||a||_F1 + lambda_h ||a||_FF1`` plus the zero-diagonal constraint; the dual
+``||a||_F1 + lambda_h ||a||_FF1`` plus the excluded-tube constraint; the dual
 ``u`` is scaled.  That prox is exact in closed form as the composition
-row-shrink after tube-shrink after zeroing the diagonal tubes: every tube
+row-shrink after tube-shrink after zeroing the excluded tubes: every tube
 group ``(i, j)`` lies inside row group ``i``, and for tree-structured groups
 the prox of the sum of group norms is the composition of the group proxes,
 leaves first (Jenatton et al. 2011, *Proximal methods for hierarchical sparse
-coding*).  Zeroing a diagonal tube is the prox of its indicator, a leaf of the
-same tree.  ``kernels.scale_tubes`` applies both shrinks in one multiply.
+coding*).  Zeroing a tube is the prox of its indicator, a leaf of the same
+tree.  ``kernels.scale_tubes`` applies both shrinks in one multiply.
 
 The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
 ``Y = U diag(s) V^H`` per face, taken once per path, gives ``rho`` times its
 inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
-``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``, so every iteration costs two
-thin matmuls per face.  The ``c`` update is that apply ``R`` of ``a - u`` plus
-the constant ``(2 lambda_g Y^H Y + rho I)^-1 2 lambda_g Y^H Y = I - R(I)``,
-which is never formed: ``R(x) + I - R(I) = R(x - I) + I``, so the update is
-``c = R(a - u - I) + I`` and the shift touches only the diagonal.  The affine
+``g = 1 - rho / (2 lambda_g s^2 + rho)``, so every iteration costs two thin
+matmuls per face.  Singular values at or below ``pinv``'s cut ``1e-12 s_max``
+count as 0, so at ``lambda_g = inf`` ``g`` is 0 or 1 and the apply projects
+onto each face's null space.  The ``c`` update is that apply ``R`` of
+``a - u`` plus ``B0 - R(B0)``, where ``Y B0`` is ``X`` projected on the range
+of ``Y`` (``B0 = pinv(Y) X``, or ``I`` when ``X = Y``): it is
+``c = R(a - u - B0) + B0``, and ``B0 = I`` touches only the diagonal.  The affine
 constraint costs one fixed inner column.  Under ``1^T C = 1^T`` the fit
 ``Y (I - C)`` equals ``Yc (I - C)``, where ``Yc = Y - ybar 1^T`` is the data
 less its mean sample, and the rows of ``Yc`` are orthogonal to ``1``.  So
@@ -40,7 +45,7 @@ the objective, which is evaluated once, on the returned coefficients, after
 the loop.
 
 Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
-spatial Frobenius norm and ``N = n^2 d`` the number of coefficients:
+spatial Frobenius norm and ``N = n k d`` the number of coefficients:
 ``r = ||c - a||`` and ``s = rho ||a - a_prev||`` must fall below
 ``eps_pri = sqrt(N) tol_abs + tol_rel max(||c||, ||a||)`` and
 ``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.  ``||a||`` comes from the
@@ -188,9 +193,10 @@ class _RidgeInverse:
     """Applies ``rho (2 lambda_g Y_f^H Y_f + rho I)^-1`` on every Fourier face.
 
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
-    ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, zero singular values
-    allowed) this is ``x - V (g V^H x)``, where
-    ``g = 2 lambda_g s^2 / (2 lambda_g s^2 + rho)``.  With ``affine`` the SVD
+    ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, ``s <= 1e-12 s_max``
+    taken as 0) this is ``x - V (g V^H x)``, where
+    ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1 at ``lambda_g = inf``
+    (which ``SolverConfig`` refuses).  With ``affine`` the SVD
     is that of the centred faces ``Y_f - mean(Y_f) 1^T``, whose rows are
     orthogonal to ``1``, and the apply also projects out ``1``: it is one
     pair of matmuls, by ``[V | 1/sqrt(n)]`` on the left and
@@ -208,6 +214,7 @@ class _RidgeInverse:
         self.rank = r = s.shape[1]
         inner = r + 1 if affine else r
         self.s = s
+        self.kept = s > 1e-12 * s[:, :1]  # the cut of pinv(rcond=1e-12)
         self.left = np.empty((faces, n, inner), dtype=self.vh.dtype)  # [V | 1/sqrt(n)]
         self.right = np.empty((faces, inner, n), dtype=self.vh.dtype)  # [g V^H ; 1^T/sqrt(n)]
         self.left[:, :, :r] = np.conj(np.swapaxes(self.vh, 1, 2))
@@ -215,11 +222,12 @@ class _RidgeInverse:
         self.set_lambda_g(lambda_g, rho)
 
     def set_lambda_g(self, lambda_g, rho):
-        self.s2 = 2.0 * lambda_g * self.s * self.s
+        self.s2 = np.zeros_like(self.s)
+        self.s2[self.kept] = 2.0 * lambda_g * self.s[self.kept] ** 2
         self.set_rho(rho)
 
     def set_rho(self, rho):
-        g = self.s2 / (self.s2 + rho)
+        g = 1.0 - rho / (self.s2 + rho)  # 1 at s2 = inf, where s2 / (s2 + rho) is nan
         np.multiply(g[:, :, None], self.vh, out=self.right[:, : self.rank])
 
     def __call__(self, x, out=None):
@@ -227,22 +235,22 @@ class _RidgeInverse:
         return np.subtract(x, out, out=out)
 
 
-def _feasible(c, diag, affine, n):
-    """Zero the diagonal and, if affine, rebalance each column's face sums to 1, in place."""
-    c[:, diag, diag] = 0.0
+def _feasible(c, excluded, affine, n):
+    """Zero the excluded tubes and, if affine, rebalance column face sums to 1, in place."""
+    c[excluded] = 0.0
     if affine:
         deficit = 1.0 - c.sum(axis=1)
         c += deficit[:, None, :] / (n - 1)
-        c[:, diag, diag] = 0.0
+        c[excluded] = 0.0
 
 
-def _objective(c, yf, w, lambda_g, lambda_h):
+def _objective(c, yf, xf, w, lambda_g, lambda_h):
     """The primal objective of a half-spectrum coefficient stack."""
     grp = kernels.weighted_sq_norms(c, w)
     f1 = float(np.sqrt(grp).sum())
     ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
     resid = yf @ c
-    np.subtract(yf, resid, out=resid)
+    np.subtract(xf, resid, out=resid)
     fid = kernels.weighted_sq_norms(resid, w, total=True)
     return f1 + lambda_h * ff1 + lambda_g * fid
 
@@ -277,9 +285,7 @@ def solve_path(y, configs):
     if any(replace(other, lambda_g=cfg.lambda_g) != cfg for other in configs):
         raise ValueError("the configs of a path may differ only in lambda_g")
     start = time.perf_counter()
-    y = _as_tensor3(y, "input tensor")
-    if not np.isfinite(y).all():
-        raise ValueError("input tensor contains non-finite values")
+    y = _as_tensor3(y, "input tensor", finite=True)
     h, n, d = y.shape
     if n < 2:
         raise ValueError("need at least two samples")
@@ -295,20 +301,22 @@ def solve_path(y, configs):
     start = time.perf_counter()
     ridge = _RidgeInverse(yf, cfg.lambda_g, cfg.rho, cfg.affine)
     timings["factor"] = time.perf_counter() - start
-    return _path(yf, d, ridge, configs, timings)
+    diag = np.s_[:, np.arange(n), np.arange(n)]
+    return _path(yf, yf, d, ridge, configs, timings, diag, 1.0, diag)
 
 
-def _path(yf, d, ridge, configs, timings):
-    """The ADMM loop of ``solve_path``, run once per config on carried state."""
-    n = yf.shape[2]
+def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
+    """The ADMM loop for the targets ``xf`` over ``yf``, run once per config on
+    carried state.  ``B0`` is ``b0`` at ``b0_at`` and 0 elsewhere; the tubes at
+    ``excluded`` are held at 0."""
+    n, k = yf.shape[2], xf.shape[2]
     w_freq = _face_weights(d)
-    shape = (w_freq.shape[0], n, n)
+    shape = (w_freq.shape[0], n, k)
     a = np.zeros(shape, dtype=np.complex128)
     u = np.zeros(shape, dtype=np.complex128)
-    diag = np.arange(n)
     rho = float(configs[0].rho)
     rho_lo, rho_hi = rho / _RHO_SPAN, rho * _RHO_SPAN
-    abs_floor = np.sqrt(n * n * d) * configs[0].tol_abs
+    abs_floor = np.sqrt(n * k * d) * configs[0].tol_abs
 
     for point, cfg in enumerate(configs):
         lam_g, lam_h = cfg.lambda_g, cfg.lambda_h
@@ -329,14 +337,14 @@ def _path(yf, d, ridge, configs, timings):
         converged = False
         for iterations in range(1, cfg.max_iters + 1):
             rho_history.append(rho)
-            # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - I) + I
+            # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - B0) + B0
             np.subtract(a, u, out=x)
-            x[:, diag, diag] -= 1.0
+            x[b0_at] -= b0
             ridge(x, out=c)
-            c[:, diag, diag] += 1.0
+            c[b0_at] += b0
 
             v = np.add(c, u, out=x)  # x is spent
-            v[:, diag, diag] = 0.0
+            v[excluded] = 0.0
             a_new, a_tubes = kernels.scale_tubes(v, w_freq, 1.0 / rho, lam_h / rho)
             gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
             u += gap
@@ -371,8 +379,8 @@ def _path(yf, d, ridge, configs, timings):
         del a_new, x, v, gap  # the inverse rFFT below needs two arrays of its own
 
         start = time.perf_counter()
-        _feasible(c, diag, cfg.affine, n)  # c is not used again
-        objective = _objective(c, yf, w_freq, lam_g, lam_h)
+        _feasible(c, excluded, cfg.affine, n)  # c is not used again
+        objective = _objective(c, yf, xf, w_freq, lam_g, lam_h)
         w = _from_faces(c, d)
         del c
         timings["finalize"] = time.perf_counter() - start

@@ -49,10 +49,12 @@ class FormatError(ValueError):
     """Raised when a serialized tensor or image file is malformed."""
 
 
-def _as_tensor3(a, name="tensor"):
+def _as_tensor3(a, name="tensor", finite=False):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3:
         raise ValueError(f"{name} must be 3-dimensional, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite values")
     return a
 
 
@@ -267,9 +269,7 @@ def write_tsr1(path, t):
     then ``h*n*d`` little-endian f64 with depth fastest, then column, then
     row.  Non-finite values are rejected before the file is opened.
     """
-    t = _as_tensor3(t)
-    if not np.isfinite(t).all():
-        raise ValueError("TSR1 payload contains non-finite values")
+    t = _as_tensor3(t, "TSR1 payload", finite=True)
     h, n, d = t.shape
     with open(path, "wb") as fh:
         fh.write(TSR1_MAGIC)

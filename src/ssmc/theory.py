@@ -4,12 +4,13 @@ The guarantees concern unions of free submodules: sets of oriented matrices
 closed under tube-coefficient combinations.  This module tests whether a
 slice collection generates a submodule, estimates the angular coherence
 between two sampled submodules, evaluates the sufficient recovery condition
-that compares coherence against block-circulant singular values, and finds
-minimum-F1-norm representations of a target against a dictionary.
+that compares coherence against block-circulant singular values, and, on the
+solver's ADMM loop, finds minimum-F1-norm representations over a dictionary.
 """
 
 import itertools
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -17,13 +18,12 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
+from .solver import SolverConfig, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _face_weights,
     _faces,
-    _from_faces,
     bcirc_singular_values,
-    norm_fro,
     tubal_angle_cos,
 )
 
@@ -80,6 +80,7 @@ class TheoremReport:
     sigma_max_rest: float
     sigma_min_best: float
     subtensors_searched: int
+    exhaustive: bool  # whether every d_i-column subtensor was searched
     rank_deficient: bool = False
 
 
@@ -132,9 +133,8 @@ def coherence(si, sj, trials, seed):
     return best
 
 
-def _subtensor_indices(m, d, budget, rng):
-    count = math.comb(m, d)
-    if count <= budget:
+def _subtensor_indices(m, d, exhaustive, budget, rng):
+    if exhaustive:
         yield from itertools.combinations(range(m), d)
     else:
         for _ in range(budget):
@@ -192,10 +192,11 @@ def theorem3_check(
     lhs = math.sqrt(d_i) * coherence_max * sigma_max_rest
 
     rng = np.random.default_rng([seed, len(data)])
+    exhaustive = math.comb(m_i, d_i) <= subtensor_budget
     rhs = 0.0
     searched = 0
     found_full_rank = False
-    for idx in _subtensor_indices(m_i, d_i, subtensor_budget, rng):
+    for idx in _subtensor_indices(m_i, d_i, exhaustive, subtensor_budget, rng):
         searched += 1
         vals = bcirc_singular_values(si.points[:, list(idx), :])
         if vals[-1] > RANK_TOL * max(vals[0], 1.0):
@@ -209,6 +210,7 @@ def theorem3_check(
         sigma_max_rest=sigma_max_rest,
         sigma_min_best=rhs,
         subtensors_searched=searched,
+        exhaustive=exhaustive,
         rank_deficient=not found_full_rank,
     )
 
@@ -217,50 +219,40 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     """Minimize ``||a||_F1`` subject to ``dictionary * a = x``.
 
     ``dictionary`` is ``(h, m, depth)``, ``x`` an ``(h, 1, depth)`` oriented
-    matrix; returns the ``(m, 1, depth)`` coefficient tensor.  Feasibility is
-    prechecked per Fourier face by least squares; a residual above ``tol``
-    raises ``ValueError('not in generated submodule')``.  The minimization
-    runs ADMM alternating exact projection onto the per-face constraint sets
-    with tube group shrinkage, until both residuals fall below ``1e-12``
-    times the larger of 1 and the norm of the least-squares start.  Stopping
-    at ``max_iters`` before that is not an error: the last iterate is
-    returned and a ``RuntimeWarning`` says so.
+    matrix; returns ``(a, report)``, the ``(m, 1, depth)`` coefficient tensor
+    and its ``SolverReport``.  Non-finite input raises ``ValueError``, and so
+    does a least-squares residual above ``tol`` on any Fourier face ('not in
+    generated submodule').  The solver's loop runs at ``lambda_g = inf`` from
+    ``B0 = pinv(dictionary) x`` until both residuals fall below
+    ``1e-12 max(1, ||B0||)``; ``report.objective`` is ``||a||_F1`` plus the
+    squared constraint residual.  Stopping at ``max_iters`` first is not an
+    error: the last iterate is returned and a ``RuntimeWarning`` says so.
     """
-    dictionary = _as_tensor3(dictionary, "dictionary")
-    x = _as_tensor3(x, "target")
+    dictionary = _as_tensor3(dictionary, "dictionary", finite=True)
+    x = _as_tensor3(x, "target", finite=True)
     h, m, depth = dictionary.shape
     if x.shape != (h, 1, depth):
         raise ValueError(f"target shape {x.shape} does not match ({h}, 1, {depth})")
 
-    yf = _faces(dictionary)  # (F, h, m)
-    xf = _faces(x)  # (F, h, 1)
-    pinv = np.linalg.pinv(yf, rcond=1e-12)
-    a0 = pinv @ xf  # (F, m, 1)
+    start = time.perf_counter()
+    yf, xf = _faces(dictionary), _faces(x)  # (F, h, m), (F, h, 1)
+    timings = {"fft": time.perf_counter() - start}
+    start = time.perf_counter()
+    a0 = np.linalg.pinv(yf, rcond=1e-12) @ xf  # (F, m, 1)
     if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
         raise ValueError("not in generated submodule")
+    ridge = _RidgeInverse(yf, np.inf, 1.0)
+    timings["factor"] = time.perf_counter() - start
 
-    # projector onto the solution set of each face's constraint
-    proj = np.eye(m) - pinv @ yf
-
-    w = _face_weights(depth)
-    rho = 1.0
-    a = a0.copy()
-    z = np.zeros_like(a)
-    u = np.zeros_like(a)
-    scale = max(1.0, float(np.sqrt(kernels.weighted_sq_norms(a0, w, total=True))))
-    for _ in range(max_iters):
-        a = proj @ (z - u) + a0
-        z_new = kernels.scale_tubes(a + u, w, 1.0 / rho)[0]
-        u += a - z_new
-        r = np.sqrt(kernels.weighted_sq_norms(a - z_new, w, total=True))
-        s = rho * np.sqrt(kernels.weighted_sq_norms(z_new - z, w, total=True))
-        z = z_new
-        if r <= 1e-12 * scale and s <= 1e-12 * scale:
-            break
-    else:
+    # lambda_g = 1 only weighs the constraint residual in report.objective
+    scale = max(1.0, math.sqrt(kernels.weighted_sq_norms(a0, _face_weights(depth), True)))
+    tol_abs = 1e-12 * scale / math.sqrt(m * depth)  # sqrt(m depth) tol_abs = 1e-12 scale
+    cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
+    a, report = next(_path(yf, xf, depth, ridge, [cfg], timings, ..., a0, np.s_[:, [], []]))
+    if not report.converged:
         warnings.warn(
             f"min_f1_representation stopped at max_iters={max_iters} without converging",
             RuntimeWarning,
             stacklevel=2,
         )
-    return _from_faces(a, depth)
+    return a, report

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssmc import t_algebra as ta
+from ssmc.solver import _RidgeInverse
 from ssmc.theory import (
     SubmoduleSample,
     coherence,
@@ -177,8 +178,11 @@ def test_subtensor_search_is_exhaustive_below_budget():
     a = _sample(rng.standard_normal((5, 2, 3)), 6, rng)  # C(6,2) = 15 candidates
     report = theorem3_check([a], 0, subtensor_budget=200, seed=0)
     assert report.subtensors_searched == 15
+    assert report.exhaustive
     capped = theorem3_check([a], 0, subtensor_budget=5, seed=0)
     assert capped.subtensors_searched == 5
+    assert not capped.exhaustive
+    assert theorem3_check([a], 0, subtensor_budget=15, seed=0).exhaustive
     assert capped.rhs <= report.rhs + 1e-12
 
 
@@ -208,7 +212,7 @@ def test_dictionary_member_has_cheap_representation():
     rng = np.random.default_rng(11)
     dictionary = rng.standard_normal((4, 3, 5))
     x = dictionary[:, :1, :].copy()
-    a = min_f1_representation(dictionary, x, tol=1e-8)
+    a, _ = min_f1_representation(dictionary, x, tol=1e-8)
     assert a.shape == (3, 1, 5)
     assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8
     assert ta.norm_f1(a) <= 1.0 + 1e-6  # the unit tube at position 1 is feasible
@@ -217,7 +221,7 @@ def test_dictionary_member_has_cheap_representation():
 def test_zero_target_gives_zero_coefficients():
     rng = np.random.default_rng(12)
     dictionary = rng.standard_normal((4, 3, 5))
-    a = min_f1_representation(dictionary, np.zeros((4, 1, 5)), tol=1e-10)
+    a, _ = min_f1_representation(dictionary, np.zeros((4, 1, 5)), tol=1e-10)
     assert np.abs(a).max() < 1e-12
 
 
@@ -244,11 +248,40 @@ def test_repeated_slice_dictionary_gives_feasible_representation():
     dictionary = np.concatenate([base, base[:, :1, :]], axis=1)
     coeffs = rng.standard_normal((3, 1, 4))
     x = ta.tprod(base, coeffs)
-    a = min_f1_representation(dictionary, x, tol=1e-8)
+    a, _ = min_f1_representation(dictionary, x, tol=1e-8)
     assert a.shape == (4, 1, 4)
     assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8 * ta.norm_fro(x)
     known = np.concatenate([coeffs, np.zeros((1, 1, 4))], axis=0)
     assert ta.norm_f1(a) <= ta.norm_f1(known) + 1e-6
+
+
+def test_min_f1_rejects_non_finite_input():
+    rng = np.random.default_rng(16)
+    dictionary = rng.standard_normal((4, 3, 5))
+    x = ta.tprod(dictionary, rng.standard_normal((3, 1, 5)))
+    x[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="target contains non-finite values"):
+        min_f1_representation(dictionary, x, tol=1e-8, max_iters=10)
+    dictionary[0, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="dictionary contains non-finite values"):
+        min_f1_representation(dictionary, np.zeros((4, 1, 5)), tol=1e-8, max_iters=10)
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_exact_fit_ridge_apply_is_the_null_space_projector(rank_deficient):
+    # at lambda_g = inf the ridge apply of each face is I - pinv(Y_f) Y_f
+    rng = np.random.default_rng(14)
+    if rank_deficient:  # as in test_repeated_slice_dictionary_gives_feasible_representation
+        base = rng.standard_normal((5, 3, 4))
+        dictionary = np.concatenate([base, base[:, :1, :]], axis=1)
+    else:
+        dictionary = rng.standard_normal((4, 6, 5))
+    yf = ta._faces(dictionary)
+    m = yf.shape[2]
+    eye = np.broadcast_to(np.eye(m, dtype=np.complex128), (yf.shape[0], m, m))
+    for rho in (1.0, 8.0):
+        applied = _RidgeInverse(yf, np.inf, rho)(eye.copy())
+        assert np.abs(applied - (eye - np.linalg.pinv(yf, rcond=1e-12) @ yf)).max() <= 1e-12
 
 
 def test_min_f1_warns_when_it_stops_unconverged():
@@ -256,7 +289,7 @@ def test_min_f1_warns_when_it_stops_unconverged():
     dictionary = rng.standard_normal((4, 6, 5))
     x = ta.tprod(dictionary, rng.standard_normal((6, 1, 5)))
     with pytest.warns(RuntimeWarning, match="stopped at max_iters=1 without converging"):
-        a = min_f1_representation(dictionary, x, tol=1e-8, max_iters=1)
+        a, _ = min_f1_representation(dictionary, x, tol=1e-8, max_iters=1)
     assert a.shape == (6, 1, 5)
     assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8 * ta.norm_fro(x)
 
@@ -271,7 +304,8 @@ def test_min_f1_matches_douglas_rachford_reference(seed):
         [ta.tprod(g, tubes[i][None, None, :]) for i in range(m)], axis=1
     )
     x = ta.tprod(g, rng.standard_normal((1, 1, depth)))
-    a = min_f1_representation(dictionary, x, tol=1e-8)
+    a, report = min_f1_representation(dictionary, x, tol=1e-8)
+    assert report.converged
     f1 = ta.norm_f1(a)
 
     # independent reference: Douglas-Rachford on the materialized circulant
