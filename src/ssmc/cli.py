@@ -64,12 +64,6 @@ def _add_solver_args(p):
         action="store_true",
         help="scale each lateral slice to unit Frobenius norm before solving",
     )
-    p.add_argument(
-        "--rho",
-        type=float,
-        default=1.0,
-        help="initial ADMM penalty; the solver adapts it by residual balancing",
-    )
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol-abs", type=float, default=1e-6)
     p.add_argument("--tol-rel", type=float, default=1e-4)

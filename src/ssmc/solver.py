@@ -56,9 +56,9 @@ The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011,
 section 3.4.1; Wohlberg 2017).  Once per iteration the relative residuals
 ``r_norm / eps_pri`` and ``s_norm / eps_dual`` are compared: when one exceeds
 the other more than ``_RHO_MU = 10`` times, ``rho`` is multiplied (primal
-larger) or divided (dual larger) by ``_RHO_TAU = 2``, clamped to
-``[cfg.rho / 1e4, cfg.rho * 1e4]``.  ``cfg.rho`` is only the starting
-penalty.  A change of ``rho`` rescales the scaled dual by
+larger) or divided (dual larger) by ``_RHO_TAU = 2``.  Every path starts at
+``rho = 1``, and ``rho`` stays within ``[1e-4, 1e4]``; it is not an option,
+since the balancing finds it.  A change of ``rho`` rescales the scaled dual by
 ``rho_old / rho_new`` and re-weights the ridge inverse from the stored SVD,
 with no new factorization.  The first iteration run with a new ``rho`` is not
 tested for convergence: its dual residual measures a step taken under two
@@ -100,10 +100,11 @@ __all__ = [
 ]
 
 # Residual balancing: the imbalance that triggers a change of rho, the factor
-# of each change, and how far rho may move from cfg.rho either way.
+# of each change, the penalty every path starts at, and its bounds.
 _RHO_MU = 10.0
 _RHO_TAU = 2.0
-_RHO_SPAN = 1e4
+_RHO_START = 1.0
+_RHO_MIN, _RHO_MAX = 1e-4, 1e4
 
 # Peak memory of a solve in complex (d // 2 + 1, n, n) arrays: a, u, the x and
 # c buffers, and either the float64 squares of the tube-norm pass or the new
@@ -120,32 +121,29 @@ class SolverConfig:
     ``lambda_g`` weighs fidelity, ``lambda_h`` the row group norm,
     ``affine`` switches the affine-submodule constraint on,
     ``normalize_columns`` divides each lateral slice by its Frobenius norm
-    before solving (zero slices are left alone).  ``rho`` is the initial ADMM
-    penalty; the solver adapts it by residual balancing within
-    ``[rho / 1e4, rho * 1e4]``.
+    before solving (zero slices are left alone).  The ADMM penalty is not an
+    option: it starts at 1 and adapts by residual balancing within
+    ``[1e-4, 1e4]``.
     """
 
     lambda_g: float
     lambda_h: float = 0.0
     affine: bool = False
-    rho: float = 1.0
     max_iters: int = 1000
     tol_abs: float = 1e-6
     tol_rel: float = 1e-4
     normalize_columns: bool = False
 
     def __post_init__(self):
-        for name in ("lambda_g", "lambda_h", "rho", "tol_abs", "tol_rel"):
+        for name in ("lambda_g", "lambda_h", "tol_abs", "tol_rel"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_g > 0:
             raise ValueError(f"lambda_g must be positive, got {self.lambda_g}")
         if self.lambda_h < 0:
             raise ValueError(f"lambda_h must be nonnegative, got {self.lambda_h}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if self.tol_abs < 0 or self.tol_rel < 0:
             raise ValueError("tolerances must be nonnegative")
 
@@ -161,15 +159,13 @@ class SolverReport:
     rFFT).  On the points of a path after the first, which reuse the first
     point's rFFT and SVD, ``fft`` is 0 and ``factor`` is the re-weighting of
     the stored SVD for the new ``lambda_g``.  ``rho_history`` holds the
-    penalty in force at each iteration (on those points it starts at the
-    ``rho`` carried from the point before), and ``primal_history`` and
-    ``dual_history`` the residuals ``r`` and ``s`` of each iteration; each has
-    one entry per iteration.
+    penalty in force at each iteration (1 on a path's first iteration, then
+    carried from point to point), and ``primal_history`` and ``dual_history``
+    the residuals ``r`` and ``s`` of each iteration; each has one entry per
+    iteration, so the final residuals are their last entries.
     """
 
     iterations: int
-    primal_residual: float
-    dual_residual: float
     objective: float
     converged: bool
     rho_history: list = field(default_factory=list)
@@ -299,7 +295,7 @@ def solve_path(y, configs):
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
-    ridge = _RidgeInverse(yf, cfg.lambda_g, cfg.rho, cfg.affine)
+    ridge = _RidgeInverse(yf, cfg.lambda_g, _RHO_START, cfg.affine)
     timings["factor"] = time.perf_counter() - start
     diag = np.s_[:, np.arange(n), np.arange(n)]
     return _path(yf, yf, d, ridge, configs, timings, diag, 1.0, diag)
@@ -308,14 +304,14 @@ def solve_path(y, configs):
 def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
     """The ADMM loop for the targets ``xf`` over ``yf``, run once per config on
     carried state.  ``B0`` is ``b0`` at ``b0_at`` and 0 elsewhere; the tubes at
-    ``excluded`` are held at 0."""
+    ``excluded`` are held at 0.  ``ridge`` is weighted for the first config's
+    ``lambda_g`` at ``_RHO_START``, where every path starts."""
     n, k = yf.shape[2], xf.shape[2]
     w_freq = _face_weights(d)
     shape = (w_freq.shape[0], n, k)
     a = np.zeros(shape, dtype=np.complex128)
     u = np.zeros(shape, dtype=np.complex128)
-    rho = float(configs[0].rho)
-    rho_lo, rho_hi = rho / _RHO_SPAN, rho * _RHO_SPAN
+    rho = _RHO_START
     abs_floor = np.sqrt(n * k * d) * configs[0].tol_abs
 
     for point, cfg in enumerate(configs):
@@ -367,9 +363,9 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             # residual balancing, compared without dividing by a zero tolerance
             new_rho = rho
             if r_norm * eps_dual > _RHO_MU * s_norm * eps_pri:
-                new_rho = min(rho * _RHO_TAU, rho_hi)
+                new_rho = min(rho * _RHO_TAU, _RHO_MAX)
             elif s_norm * eps_pri > _RHO_MU * r_norm * eps_dual:
-                new_rho = max(rho / _RHO_TAU, rho_lo)
+                new_rho = max(rho / _RHO_TAU, _RHO_MIN)
             changed = new_rho != rho
             if changed:
                 u *= rho / new_rho
@@ -386,8 +382,6 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
         timings["finalize"] = time.perf_counter() - start
         yield w, SolverReport(
             iterations=iterations,
-            primal_residual=r_norm,
-            dual_residual=s_norm,
             objective=objective,
             converged=converged,
             rho_history=rho_history,

@@ -65,6 +65,8 @@ def kmeans(points, k, seed):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-d array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points contains non-finite values")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
@@ -84,6 +86,8 @@ def _validate_affinity(m):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"affinity must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("affinity contains non-finite values")
     scale = 1.0 + float(np.abs(m).max(initial=0.0))
     if float(np.abs(m - m.T).max(initial=0.0)) > 1e-10 * scale:
         raise ValueError("affinity must be symmetric")

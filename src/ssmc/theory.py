@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .solver import SolverConfig, _path, _RidgeInverse
+from .solver import _RHO_START, SolverConfig, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _face_weights,
@@ -136,9 +136,13 @@ def coherence(si, sj, trials, seed):
 def _subtensor_indices(m, d, exhaustive, budget, rng):
     if exhaustive:
         yield from itertools.combinations(range(m), d)
-    else:
-        for _ in range(budget):
-            yield tuple(np.sort(rng.choice(m, size=d, replace=False)))
+        return
+    seen = set()
+    while len(seen) < budget:  # ends: there are more than budget subsets
+        idx = tuple(np.sort(rng.choice(m, size=d, replace=False)))
+        if idx not in seen:
+            seen.add(idx)
+            yield idx
 
 
 def theorem3_check(
@@ -154,9 +158,10 @@ def theorem3_check(
     singular value of the block-circulant of all other clusters' points;
     rhs = the largest minimum-singular-value over full-rank ``(h, d_i,
     depth)`` subtensors of cluster ``i``'s points, searched exhaustively
-    when there are at most ``subtensor_budget`` candidates and by seeded
-    sampling otherwise.  ``holds`` means ``lhs < rhs``.  When no full-rank
-    subtensor exists the report carries ``rhs = 0``, ``holds = False`` and
+    when there are at most ``subtensor_budget`` candidates and otherwise
+    over ``subtensor_budget`` distinct ones drawn by seeded sampling.
+    ``holds`` means ``lhs < rhs``.  When no full-rank subtensor exists the
+    report carries ``rhs = 0``, ``holds = False`` and
     ``rank_deficient = True``.  ``ValueError`` is raised for empty ``data``,
     an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials``
     below 1, and a cluster ``i`` with no points or fewer points than its
@@ -241,7 +246,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     a0 = np.linalg.pinv(yf, rcond=1e-12) @ xf  # (F, m, 1)
     if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
         raise ValueError("not in generated submodule")
-    ridge = _RidgeInverse(yf, np.inf, 1.0)
+    ridge = _RidgeInverse(yf, np.inf, _RHO_START)
     timings["factor"] = time.perf_counter() - start
 
     # lambda_g = 1 only weighs the constraint residual in report.objective

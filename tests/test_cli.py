@@ -1,5 +1,6 @@
 """Command-line driver tests: exit codes, payload shape, determinism."""
 
+import argparse
 import json
 import struct
 from dataclasses import fields
@@ -130,7 +131,7 @@ def test_cluster_parameter_errors(two_cluster_files):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--lambda-g", "inf"), ("--lambda-h", "nan"), ("--rho", "inf")]
+    "flag,value", [("--lambda-g", "inf"), ("--lambda-h", "nan"), ("--tol-rel", "inf")]
 )
 def test_non_finite_solver_values_are_parameter_errors(two_cluster_files, capsys, flag, value):
     tensor_path, _ = two_cluster_files
@@ -314,7 +315,7 @@ def test_cluster_refuses_input_beyond_physical_memory(tmp_path, capsys):
 
 _SOLVER_FLAGS = [
     "--lambda-g", "2.5", "--lambda-h", "0.25", "--affine", "--normalize-columns",
-    "--rho", "3.0", "--max-iters", "7", "--tol-abs", "1e-5", "--tol-rel", "1e-3",
+    "--max-iters", "7", "--tol-abs", "1e-5", "--tol-rel", "1e-3",
 ]
 
 
@@ -329,13 +330,23 @@ def test_solver_flags_map_to_their_config_fields(command):
     defaults = cli._solver_config(parser.parse_args(command))
     cfg = cli._solver_config(parser.parse_args(command + _SOLVER_FLAGS))
     expected = solver.SolverConfig(
-        lambda_g=2.5, lambda_h=0.25, affine=True, rho=3.0, max_iters=7, tol_abs=1e-5,
-        tol_rel=1e-3, normalize_columns=True,
+        lambda_g=2.5, lambda_h=0.25, affine=True, max_iters=7, tol_abs=1e-5, tol_rel=1e-3,
+        normalize_columns=True,
     )
     assert cfg == expected
     assert all(
         getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(solver.SolverConfig)
     )
+
+
+def test_solver_flags_are_exactly_the_config_fields(capsys):
+    parser = argparse.ArgumentParser()
+    cli._add_solver_args(parser)
+    dests = {action.dest for action in parser._actions} - {"help"}
+    assert dests == {f.name for f in fields(solver.SolverConfig)}
+    # the ADMM penalty starts at 1 and adapts by residual balancing; no flag sets it
+    assert run_cli(["synth", "--rho", "1"]) == 3
+    assert "unrecognized arguments: --rho 1" in capsys.readouterr().err
 
 
 def test_unconverged_solve_is_reported(two_cluster_files, tmp_path, capsys):

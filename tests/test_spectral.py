@@ -91,6 +91,8 @@ def test_isolated_vertex_warns_and_still_clusters():
         (lambda m: m + np.triu(np.ones_like(m), 1), "symmetric"),
         (lambda m: m - 2 * m.max(), "nonnegative"),
         (lambda m: m + np.eye(m.shape[0]), "zero diagonal"),
+        (lambda m: np.where(np.eye(m.shape[0])[::-1] > 0, np.inf, m), "non-finite"),
+        (lambda m: np.where(np.eye(m.shape[0])[::-1] > 0, np.nan, m), "non-finite"),
     ],
 )
 def test_affinity_validation(mutate, match):
@@ -130,6 +132,8 @@ def test_kmeans_validates_inputs():
         kmeans(pts, 4, seed=0)
     with pytest.raises(ValueError, match="2-d"):
         kmeans(np.zeros(3), 1, seed=0)
+    with pytest.raises(ValueError, match="points contains non-finite values"):
+        kmeans(np.array([[0.0], [np.nan], [1.0]]), 2, seed=0)
 
 
 def test_kmeans_inertia_monotone_over_lloyd_iterations():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssmc import t_algebra as ta
+from ssmc import theory
 from ssmc.solver import _RidgeInverse
 from ssmc.theory import (
     SubmoduleSample,
@@ -184,6 +185,23 @@ def test_subtensor_search_is_exhaustive_below_budget():
     assert not capped.exhaustive
     assert theorem3_check([a], 0, subtensor_budget=15, seed=0).exhaustive
     assert capped.rhs <= report.rhs + 1e-12
+
+
+def test_sampled_subtensors_are_distinct(monkeypatch):
+    # 44 seeded draws of the C(10,2) = 45 candidates held only 28 distinct ones
+    seen = []
+
+    def record(points):
+        seen.append(points.tobytes())
+        return ta.bcirc_singular_values(points)
+
+    monkeypatch.setattr(theory, "bcirc_singular_values", record)
+    rng = np.random.default_rng(11)
+    a = _sample(rng.standard_normal((5, 2, 3)), 10, rng)
+    report = theorem3_check([a], 0, subtensor_budget=44, seed=0)
+    assert not report.exhaustive
+    assert report.subtensors_searched == 44
+    assert len(seen) == len(set(seen)) == 44
 
 
 def test_theorem3_validates_arguments():
