@@ -7,6 +7,8 @@ affinity matrix that spectral clustering partitions.  The ``theory`` module
 provides computable checkers for the recovery guarantees of this model.
 """
 
+import logging
+
 from . import data, solver, spectral, t_algebra, theory
 from .data import *
 from .solver import *
@@ -15,6 +17,10 @@ from .t_algebra import *
 from .theory import *
 
 __version__ = "0.1.0"
+
+# The modules log to the "ssmc" logger tree, at DEBUG only; nothing is printed
+# unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 # Always False: there is no JIT build.  perfbench/run.py records it in its env line.
 NUMBA_ENABLED = False

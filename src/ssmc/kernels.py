@@ -9,21 +9,31 @@ import numpy as np
 
 # Group norms are spatial, sqrt(sum_f w_f |.|^2) with w = t_algebra._face_weights(d).
 
+# Real entries squared per block in the per-entry mode of weighted_sq_norms, so
+# its temporary is a cache-sized (F, _BLOCK) array rather than a whole stack.
+_BLOCK = 8192
+
 
 def weighted_sq_norms(x, w, total=False):
     """Weighted squared moduli ``sum_f w_f |x[f, ...]|^2`` of a face stack.
 
     Returns one value per entry, shape ``x.shape[1:]``, or with ``total`` their
     sum ``sum_f w_f ||x[f]||_F^2`` as a float.  Both reduce over the faces with
-    BLAS on a float64 view, without real/imaginary temporaries; only a
-    non-contiguous stack (a transposed view, say) is copied first.
+    BLAS on a real view in the input's precision (float32 for complex64,
+    float64 otherwise), without real/imaginary temporaries; ``total`` sums the
+    per-face squared norms in float64.  Only a non-contiguous stack (a
+    transposed view, say) is copied first.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    xr = x.view(np.float64).reshape(x.shape[0], -1)  # re, im alternate
+    x = np.asarray(x)
+    x = np.ascontiguousarray(x, dtype=np.result_type(x.dtype, np.complex64))
+    real = x.real.dtype
+    xr = x.view(real).reshape(x.shape[0], -1)  # re, im alternate
     if total:
         rows = xr[:, None, :]
-        return float(w @ (rows @ rows.transpose(0, 2, 1)).ravel())
-    t = w @ np.square(xr)
+        return float(w @ (rows @ rows.transpose(0, 2, 1)).ravel().astype(np.float64))
+    w = w.astype(real)
+    blocks = range(0, xr.shape[1], _BLOCK)
+    t = np.concatenate([w @ np.square(xr[:, i : i + _BLOCK]) for i in blocks])
     return (t[0::2] + t[1::2]).reshape(x.shape[1:])
 
 

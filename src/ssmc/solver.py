@@ -80,8 +80,22 @@ one-point path.
 
 ``y`` enters and ``W`` leaves by ``t_algebra``'s half-spectrum face format, whose
 ``_face_weights`` make every norm below equal its spatial-domain counterpart.
+
+Precision: the ADMM state (``a``, ``u``, the ``x`` and ``c`` buffers and the
+ridge factors) runs in complex64 when ``tol_rel >= 1e-5`` and in complex128
+otherwise; the loop is bound by memory traffic and by the ridge matmuls, and
+both halve in single precision.  The SVD is taken in complex128 and cast once
+into the factors, and the finish (zeroing the excluded tubes, the affine
+rebalance, the objective and the inverse rFFT) runs on a complex128 copy of
+``c``, so ``W`` has an exactly zero diagonal and, under the affine constraint,
+column tube-sums within round-off of the unit tube at either precision.
+
+The ``ssmc.solver`` logger, silent unless configured, logs each path point's
+precision, iteration count and ``converged`` at DEBUG, and the residuals and
+``rho`` every ``_LOG_EVERY`` iterations.
 """
 
+import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -106,12 +120,26 @@ _RHO_TAU = 2.0
 _RHO_START = 1.0
 _RHO_MIN, _RHO_MAX = 1e-4, 1e4
 
-# Peak memory of a solve in complex (d // 2 + 1, n, n) arrays: a, u, the x and
-# c buffers, and either the float64 squares of the tube-norm pass or the new
-# shrunk stack, plus the arrays of size h n d.  tracemalloc measured 5.88 at
-# 28x160x28 and 5.52 at 28x320x28 for one solve, and 5.88 (5.92 affine) for
-# a three-point path at 28x160x28 whose caller drops each W before the next.
-_PEAK_ARRAYS = 6
+# The smallest tol_rel that runs the ADMM state in complex64.  float32 round-off
+# (eps 1.2e-7, and about sqrt(n) eps on the BLAS sums of n terms) then stays
+# two orders below the tolerance, so the stopping test and the residual
+# balancing see rounding far finer than what they resolve.  Tighter solves run
+# in complex128.
+_SINGLE_TOL_REL = 1e-5
+
+_LOG_EVERY = 50  # iterations between DEBUG lines of residuals and rho
+_log = logging.getLogger(__name__)
+
+# Peak memory of a solve in complex128 (d // 2 + 1, n, n) arrays, by the dtype
+# of the ADMM state, for a path whose caller drops each W before the next.
+# complex128: the loop's a, u, x, c and new shrunk stack, plus the ridge
+# factors; tracemalloc measured 5.88 at 28x160x28 (affine, one solve and a
+# three-point path) and 5.48 at 28x320x28.  complex64: the loop holds half of
+# that, and the peak is the complex128 finish: its copy of c and the inverse
+# rFFT's 1.87 arrays, plus a and u at every point but the last.  Measured 3.42
+# (one solve) and 4.42 (three points) at 28x160x28 affine, and 3.15 and 4.15
+# at 28x320x28.
+_PEAK_ARRAYS = {np.dtype(np.complex64): 4.5, np.dtype(np.complex128): 6.0}
 
 
 @dataclass(frozen=True)
@@ -174,9 +202,14 @@ class SolverReport:
     timings: dict = field(default_factory=dict)
 
 
-def _check_memory(n, d):
+def _state_dtype(tol_rel):
+    """The dtype of the ADMM state for a relative tolerance ``tol_rel``."""
+    return np.complex64 if tol_rel >= _SINGLE_TOL_REL else np.complex128
+
+
+def _check_memory(n, d, dtype):
     """Refuse a solve whose estimated peak exceeds the machine's physical memory."""
-    need = _PEAK_ARRAYS * (d // 2 + 1) * n * n * 16
+    need = _PEAK_ARRAYS[np.dtype(dtype)] * (d // 2 + 1) * n * n * 16
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(
@@ -200,9 +233,14 @@ class _RidgeInverse:
     carry weight 1.  So every column face-sum of the apply is 0.  ``set_rho``
     re-weights ``g`` for a new ``rho`` from the stored SVD, and
     ``set_lambda_g`` for a new ``lambda_g``.
+
+    The SVD, ``s`` and ``g`` stay in complex128 and float64; the two factors
+    are held in ``dtype``, the precision of the ADMM state that the apply
+    serves (``_state_dtype``), and ``g V^H`` is cast into ``right`` on every
+    re-weighting.
     """
 
-    def __init__(self, yf, lambda_g, rho, affine=False):
+    def __init__(self, yf, lambda_g, rho, affine=False, dtype=np.complex128):
         faces, _, n = yf.shape
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
@@ -211,8 +249,9 @@ class _RidgeInverse:
         inner = r + 1 if affine else r
         self.s = s
         self.kept = s > 1e-12 * s[:, :1]  # the cut of pinv(rcond=1e-12)
-        self.left = np.empty((faces, n, inner), dtype=self.vh.dtype)  # [V | 1/sqrt(n)]
-        self.right = np.empty((faces, inner, n), dtype=self.vh.dtype)  # [g V^H ; 1^T/sqrt(n)]
+        self.dtype = np.dtype(dtype)
+        self.left = np.empty((faces, n, inner), dtype=dtype)  # [V | 1/sqrt(n)]
+        self.right = np.empty((faces, inner, n), dtype=dtype)  # [g V^H ; 1^T/sqrt(n)]
         self.left[:, :, :r] = np.conj(np.swapaxes(self.vh, 1, 2))
         self.left[:, :, r:] = self.right[:, r:] = 1.0 / np.sqrt(n)
         self.set_lambda_g(lambda_g, rho)
@@ -287,7 +326,8 @@ def solve_path(y, configs):
         raise ValueError("need at least two samples")
     if not y.any():
         raise ValueError("input tensor is identically zero")
-    _check_memory(n, d)
+    dtype = _state_dtype(cfg.tol_rel)
+    _check_memory(n, d, dtype)
     if cfg.normalize_columns:
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
@@ -295,7 +335,7 @@ def solve_path(y, configs):
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
-    ridge = _RidgeInverse(yf, cfg.lambda_g, _RHO_START, cfg.affine)
+    ridge = _RidgeInverse(yf, cfg.lambda_g, _RHO_START, cfg.affine, dtype)
     timings["factor"] = time.perf_counter() - start
     diag = np.s_[:, np.arange(n), np.arange(n)]
     return _path(yf, yf, d, ridge, configs, timings, diag, 1.0, diag)
@@ -305,12 +345,14 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
     """The ADMM loop for the targets ``xf`` over ``yf``, run once per config on
     carried state.  ``B0`` is ``b0`` at ``b0_at`` and 0 elsewhere; the tubes at
     ``excluded`` are held at 0.  ``ridge`` is weighted for the first config's
-    ``lambda_g`` at ``_RHO_START``, where every path starts."""
+    ``lambda_g`` at ``_RHO_START``, where every path starts, and its dtype is
+    that of the state; the finish runs in complex128."""
     n, k = yf.shape[2], xf.shape[2]
     w_freq = _face_weights(d)
     shape = (w_freq.shape[0], n, k)
-    a = np.zeros(shape, dtype=np.complex128)
-    u = np.zeros(shape, dtype=np.complex128)
+    dtype = ridge.dtype
+    a = np.zeros(shape, dtype=dtype)
+    u = np.zeros(shape, dtype=dtype)
     rho = _RHO_START
     abs_floor = np.sqrt(n * k * d) * configs[0].tol_abs
 
@@ -322,8 +364,8 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             timings = {"fft": 0.0, "factor": time.perf_counter() - start}
 
         start = time.perf_counter()
-        x = np.empty(shape, dtype=np.complex128)
-        c = np.empty(shape, dtype=np.complex128)
+        x = np.empty(shape, dtype=dtype)
+        c = np.empty(shape, dtype=dtype)
         rho_history = []
         primal_history = []
         dual_history = []
@@ -351,11 +393,13 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             primal_history.append(r_norm)
             dual_history.append(s_norm)
 
-            a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes))
+            a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes, dtype=np.float64))
             c_norm2 = kernels.weighted_sq_norms(c, w_freq, total=True)
             u_norm2 = kernels.weighted_sq_norms(u, w_freq, total=True)
             eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(c_norm2, a_norm2))
             eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(u_norm2)
+            if iterations % _LOG_EVERY == 0:
+                _log.debug("iteration %d: r %.3e, s %.3e, rho %g", iterations, r_norm, s_norm, rho)
             if not changed and r_norm <= eps_pri and s_norm <= eps_dual:
                 converged = True
                 break
@@ -372,9 +416,16 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
                 rho = new_rho
                 ridge.set_rho(rho)
         timings["iterate"] = time.perf_counter() - start
+        _log.debug(
+            "point %d, lambda_g %g: %s, %d iterations, converged %s",
+            point, lam_g, dtype.name, iterations, converged,
+        )  # fmt: skip
         del a_new, x, v, gap  # the inverse rFFT below needs two arrays of its own
+        if point == len(configs) - 1:
+            del a, u  # no later point starts from them
 
         start = time.perf_counter()
+        c = c.astype(np.complex128, copy=False)  # the finish runs in complex128
         _feasible(c, excluded, cfg.affine, n)  # c is not used again
         objective = _objective(c, yf, xf, w_freq, lam_g, lam_h)
         w = _from_faces(c, d)

@@ -102,8 +102,11 @@ def _faces(a):
 
 
 def _from_faces(f, d):
-    """The real ``(h, n, d)`` tensor of a ``(d // 2 + 1, h, n)`` face stack."""
-    return np.ascontiguousarray(np.fft.irfft(np.transpose(f, (1, 2, 0)), n=d, axis=2))
+    """The real ``(h, n, d)`` tensor of a ``(d // 2 + 1, h, n)`` face stack.
+
+    The irFFT runs along the faces' own axis, and only its real result is
+    transposed, in one copy."""
+    return np.ascontiguousarray(np.transpose(np.fft.irfft(f, n=d, axis=0), (1, 2, 0)))
 
 
 def _face_weights(d):

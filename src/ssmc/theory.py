@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .solver import _RHO_START, SolverConfig, _path, _RidgeInverse
+from .solver import _RHO_START, SolverConfig, _path, _RidgeInverse, _state_dtype
 from .t_algebra import (
     _as_tensor3,
     _face_weights,
@@ -246,13 +246,12 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     a0 = np.linalg.pinv(yf, rcond=1e-12) @ xf  # (F, m, 1)
     if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
         raise ValueError("not in generated submodule")
-    ridge = _RidgeInverse(yf, np.inf, _RHO_START)
-    timings["factor"] = time.perf_counter() - start
-
     # lambda_g = 1 only weighs the constraint residual in report.objective
     scale = max(1.0, math.sqrt(kernels.weighted_sq_norms(a0, _face_weights(depth), True)))
     tol_abs = 1e-12 * scale / math.sqrt(m * depth)  # sqrt(m depth) tol_abs = 1e-12 scale
     cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
+    ridge = _RidgeInverse(yf, np.inf, _RHO_START, dtype=_state_dtype(cfg.tol_rel))
+    timings["factor"] = time.perf_counter() - start
     a, report = next(_path(yf, xf, depth, ridge, [cfg], timings, ..., a0, np.s_[:, [], []]))
     if not report.converged:
         warnings.warn(

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import struct
 from dataclasses import fields
 
@@ -438,6 +439,37 @@ def test_check_parameter_validation(capsys):
     assert "coherence_trials must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli(["check", "--fixture", "orthogonal", "--h", "3", "--depth", "2",
                     "--dims", "2,2", "--samples", "4,4"]) == 3  # needs h >= sum dims
+
+
+def test_debug_log_reports_the_solve_and_leaves_out_unchanged(
+    two_cluster_files, tmp_path, caplog
+):
+    # silent by default; at DEBUG one line per path point with its precision,
+    # and residual lines every 50 iterations, none of it in the --out payload
+    tensor_path, _ = two_cluster_files
+    outs = []
+    for level in (None, logging.DEBUG):
+        caplog.clear()
+        if level is not None:
+            caplog.set_level(level, logger="ssmc")
+        out = tmp_path / f"level-{level}.json"
+        argv = ["cluster", "--input", tensor_path, "--k", "2", "--lambda-g", "1e-2",
+                "--out", str(out)]  # fmt: skip
+        assert run_cli(argv) == 0
+        outs.append(out.read_bytes())
+        records = [r for r in caplog.records if r.name.startswith("ssmc")]
+        if level is None:
+            assert records == []
+    report = json.loads(outs[1])["solver_report"]
+    messages = [r.getMessage() for r in records]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert report["iterations"] > 50
+    assert sum(m.startswith("iteration ") for m in messages) == report["iterations"] // 50
+    assert messages[-1] == (
+        f"point 0, lambda_g 0.01: complex64, {report['iterations']} iterations, "
+        f"converged {report['converged']}"
+    )
+    assert outs[0] == outs[1]
 
 
 # -- cross-command determinism -----------------------------------------------

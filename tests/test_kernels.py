@@ -26,6 +26,29 @@ def test_weighted_sq_norms_match_direct_formula(transposed):
     assert abs(kernels.weighted_sq_norms(x, w, total=True) - ref.sum()) < 1e-13 * ref.sum()
 
 
+def test_weighted_sq_norms_reduce_complex64_in_float32():
+    # wide enough that the per-entry squares run in more than one block; the
+    # float32 sums of 2F nonnegative terms are within (2F + 1) eps32 of exact
+    # (the per-face totals, sums of 2 n m terms, are compared at 1e-5)
+    rng = np.random.default_rng(10)
+    w = _face_weights(6)
+    f = w.shape[0]
+    x = rng.standard_normal((f, 70, 70)) + 1j * rng.standard_normal((f, 70, 70))
+    x = x.astype(np.complex64)
+    assert 2 * x[0].size > kernels._BLOCK
+    single = kernels.weighted_sq_norms(x, w)
+    double = kernels.weighted_sq_norms(x.astype(np.complex128), w)
+    ref = np.tensordot(w, np.abs(x.astype(np.complex128)) ** 2, axes=(0, 0))
+    assert single.dtype == np.float32
+    assert double.dtype == np.float64
+    assert np.abs(double - ref).max() < 1e-13 * ref.max()
+    eps = np.finfo(np.float32).eps
+    assert (np.abs(single - double) <= (2 * f + 1) * eps * double).all()
+    total = kernels.weighted_sq_norms(x, w, total=True)
+    assert isinstance(total, float)
+    assert abs(total - ref.sum()) <= 1e-5 * ref.sum()
+
+
 # -- group shrinkage ---------------------------------------------------------
 
 
