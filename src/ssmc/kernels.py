@@ -38,10 +38,9 @@ def weighted_sq_norms(x, w, total=False):
 
 
 def _shrink_factor(nrm, tau):
-    factor = np.zeros_like(nrm)
-    pos = nrm > tau
-    factor[pos] = 1.0 - tau / nrm[pos]
-    return factor
+    """``max(0, 1 - tau / nrm)``, with 0 at ``nrm = 0`` (where ``fmax`` drops the nan of 0/0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax(1.0 - tau / nrm, 0.0)
 
 
 def scale_tubes(V, w, tau, row_tau=0.0):

@@ -28,7 +28,13 @@ inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
 ``g = 1 - rho / (2 lambda_g s^2 + rho)``, so every iteration costs two thin
 matmuls per face.  Singular values at or below ``pinv``'s cut ``1e-12 s_max``
 count as 0, so at ``lambda_g = inf`` ``g`` is 0 or 1 and the apply projects
-onto each face's null space.  The ``c`` update is that apply ``R`` of
+onto each face's null space.  Their directions have ``g = 0`` at every
+``lambda_g`` and ``rho``, so the factors hold only the kept ones, and the
+matmuls' inner dimension is the largest numeric rank over the faces.  On data
+from a union of free submodules that is ``sum d_i``, not ``min(h, n)``: 8
+rather than 28 at 28x40x28 with four 2-dimensional submodules, and 12 (11 plus
+the affine column below) rather than 29 at 28x160x28 affine.  Full-rank faces
+keep all ``min(h, n)``.  The ``c`` update is that apply ``R`` of
 ``a - u`` plus ``B0 - R(B0)``, where ``Y B0`` is ``X`` projected on the range
 of ``Y`` (``B0 = pinv(Y) X``, or ``I`` when ``X = Y``): it is
 ``c = R(a - u - B0) + B0``, and ``B0 = I`` touches only the diagonal.  The affine
@@ -91,8 +97,9 @@ rebalance, the objective and the inverse rFFT) runs on a complex128 copy of
 column tube-sums within round-off of the unit tube at either precision.
 
 The ``ssmc.solver`` logger, silent unless configured, logs each path point's
-precision, iteration count and ``converged`` at DEBUG, and the residuals and
-``rho`` every ``_LOG_EVERY`` iterations.
+precision, the ridge apply's inner dimension, iteration count and
+``converged`` at DEBUG, and the residuals and ``rho`` every ``_LOG_EVERY``
+iterations.
 """
 
 import logging
@@ -170,7 +177,11 @@ class SolverConfig:
             raise ValueError(f"lambda_g must be positive, got {self.lambda_g}")
         if self.lambda_h < 0:
             raise ValueError(f"lambda_h must be nonnegative, got {self.lambda_h}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if (
+            isinstance(self.max_iters, bool)
+            or not isinstance(self.max_iters, (int, np.integer))
+            or self.max_iters < 1
+        ):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if self.tol_abs < 0 or self.tol_rel < 0:
             raise ValueError("tolerances must be nonnegative")
@@ -222,17 +233,24 @@ class _RidgeInverse:
     """Applies ``rho (2 lambda_g Y_f^H Y_f + rho I)^-1`` on every Fourier face.
 
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
-    ``Y_f = U diag(s) V^H`` (rank ``r = min(h, n)``, ``s <= 1e-12 s_max``
-    taken as 0) this is ``x - V (g V^H x)``, where
-    ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1 at ``lambda_g = inf``
-    (which ``SolverConfig`` refuses).  With ``affine`` the SVD
-    is that of the centred faces ``Y_f - mean(Y_f) 1^T``, whose rows are
-    orthogonal to ``1``, and the apply also projects out ``1``: it is one
-    pair of matmuls, by ``[V | 1/sqrt(n)]`` on the left and
-    ``[g V^H ; 1^T/sqrt(n)]`` on the right, whose fixed last column and row
-    carry weight 1.  So every column face-sum of the apply is 0.  ``set_rho``
-    re-weights ``g`` for a new ``rho`` from the stored SVD, and
-    ``set_lambda_g`` for a new ``lambda_g``.
+    ``Y_f = U diag(s) V^H`` (``s <= 1e-12 s_max`` taken as 0) this is
+    ``x - V (g V^H x)``, where ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1
+    at ``lambda_g = inf`` (which ``SolverConfig`` refuses).  A direction cut
+    as 0 has ``g = 0`` at every ``lambda_g`` and ``rho``, so the factors hold
+    only the kept ones: ``rank`` is the largest numeric rank over the faces,
+    and a face of lower rank carries ``g = 0`` rows up to it.  On data drawn
+    from a union of free submodules that is ``sum d_i``, far below
+    ``min(h, n)``: 8 at 28x40x28 with four 2-dimensional submodules, and 11 on
+    the centred faces at 28x160x28 affine, for an ``inner`` of 12.  On
+    full-rank faces it is ``min(h, n)``.  With ``affine`` the SVD is that of
+    the centred faces ``Y_f - mean(Y_f) 1^T``, whose rows are orthogonal to
+    ``1``, and the apply also projects out ``1``: it is one pair of matmuls,
+    by ``[V | 1/sqrt(n)]`` on the left and ``[g V^H ; 1^T/sqrt(n)]`` on the
+    right, whose fixed last column and row carry weight 1.  So every
+    column face-sum of the apply is 0.  ``inner``, the matmuls' inner
+    dimension, is ``rank``, plus 1 under ``affine``.  ``set_rho`` re-weights
+    ``g`` for a new ``rho`` from the stored SVD, and ``set_lambda_g`` for a new
+    ``lambda_g``.
 
     The SVD, ``s`` and ``g`` stay in complex128 and float64; the two factors
     are held in ``dtype``, the precision of the ADMM state that the apply
@@ -244,11 +262,12 @@ class _RidgeInverse:
         faces, _, n = yf.shape
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
-        _, s, self.vh = np.linalg.svd(yf, full_matrices=False)
-        self.rank = r = s.shape[1]
-        inner = r + 1 if affine else r
-        self.s = s
-        self.kept = s > 1e-12 * s[:, :1]  # the cut of pinv(rcond=1e-12)
+        _, s, vh = np.linalg.svd(yf, full_matrices=False)
+        kept = s > 1e-12 * s[:, :1]  # the cut of pinv(rcond=1e-12)
+        # s is sorted, so each face's kept values lead it
+        self.rank = r = int(kept.sum(axis=1).max())
+        self.inner = inner = r + 1 if affine else r
+        self.s, self.kept, self.vh = s[:, :r], kept[:, :r], vh[:, :r]
         self.dtype = np.dtype(dtype)
         self.left = np.empty((faces, n, inner), dtype=dtype)  # [V | 1/sqrt(n)]
         self.right = np.empty((faces, inner, n), dtype=dtype)  # [g V^H ; 1^T/sqrt(n)]
@@ -417,8 +436,8 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
                 ridge.set_rho(rho)
         timings["iterate"] = time.perf_counter() - start
         _log.debug(
-            "point %d, lambda_g %g: %s, %d iterations, converged %s",
-            point, lam_g, dtype.name, iterations, converged,
+            "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
+            point, lam_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
         del a_new, x, v, gap  # the inverse rFFT below needs two arrays of its own
         if point == len(configs) - 1:

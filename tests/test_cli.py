@@ -444,8 +444,10 @@ def test_check_parameter_validation(capsys):
 def test_debug_log_reports_the_solve_and_leaves_out_unchanged(
     two_cluster_files, tmp_path, caplog
 ):
-    # silent by default; at DEBUG one line per path point with its precision,
-    # and residual lines every 50 iterations, none of it in the --out payload
+    # silent by default; at DEBUG one line per path point with its precision
+    # and the ridge's inner dimension, the data's numeric rank (two free
+    # submodules of dimension 2 give 4), and residual lines every 50
+    # iterations, none of it in the --out payload
     tensor_path, _ = two_cluster_files
     outs = []
     for level in (None, logging.DEBUG):
@@ -466,8 +468,8 @@ def test_debug_log_reports_the_solve_and_leaves_out_unchanged(
     assert report["iterations"] > 50
     assert sum(m.startswith("iteration ") for m in messages) == report["iterations"] // 50
     assert messages[-1] == (
-        f"point 0, lambda_g 0.01: complex64, {report['iterations']} iterations, "
-        f"converged {report['converged']}"
+        f"point 0, lambda_g 0.01: complex64, inner dimension 4, "
+        f"{report['iterations']} iterations, converged {report['converged']}"
     )
     assert outs[0] == outs[1]
 

@@ -1,5 +1,7 @@
 """Kernel-level tests: LAPACK oracles and direct reference formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,33 @@ def test_scale_tubes_edge_cases():
     assert np.array_equal(kernels.scale_tubes(v, w, 0.0)[0], v)
     big = 1.0 + _spatial_tube_norms(v, w).max()
     assert (kernels.scale_tubes(v, w, big)[0] == 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shrink_factor_matches_the_masked_formula(dtype):
+    # bit for bit the factor written as a gather and scatter over nrm > tau,
+    # with zero norms and norms at tau among the draws
+    rng = np.random.default_rng(13)
+    nrm = rng.exponential(size=(40, 50)).astype(dtype)
+    nrm[0] = 0.0
+    nrm[1] = dtype(0.7)
+    for tau in (0.0, 0.7, 2.5):
+        want = np.zeros_like(nrm)
+        pos = nrm > tau
+        want[pos] = 1.0 - tau / nrm[pos]
+        got = kernels._shrink_factor(nrm, tau)
+        assert got.dtype == nrm.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_shrink_factor_edge_values_raise_no_warning():
+    # 0/0 at tau = 0 is 0, a norm at tau is 0, an infinite norm is kept whole,
+    # and no divide or invalid warning escapes
+    nrm = np.array([0.0, 0.5, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(kernels._shrink_factor(nrm, 0.0), [0.0, 1.0, 1.0])
+        assert np.array_equal(kernels._shrink_factor(nrm, 0.5), [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("row_tau", [0.0, 1.1])

@@ -66,6 +66,7 @@ def _ista_depth_one(y, lam_g, iters):
         (dict(lambda_g=1.0, max_iters=float("inf")), "max_iters"),
         (dict(lambda_g=1.0, tol_abs=float("inf")), "tol_abs"),
         (dict(lambda_g=1.0, tol_rel=float("nan")), "tol_rel"),
+        (dict(lambda_g=1.0, max_iters=True), "max_iters"),
     ],
 )
 def test_config_validation(kwargs, match):
@@ -102,6 +103,22 @@ def test_rejects_non_finite_and_zero_input():
 
 
 # -- ridge inverse -----------------------------------------------------------
+
+
+def _dense_ridge_update(yf, x, lam_g, rho, affine):
+    # ridge(x - I) + I by dense solves: rho (2 lam_g Y^H Y + rho I)^-1 x plus
+    # (2 lam_g Y^H Y + rho I)^-1 2 lam_g Y^H Y, or under affine the KKT solution
+    # of the same system with the column face-sums held at 1
+    f, _, n = yf.shape
+    gram = 2.0 * lam_g * (np.conj(np.swapaxes(yf, 1, 2)) @ yf)
+    mats = gram + rho * np.eye(n)[None]
+    if not affine:
+        return np.linalg.solve(mats, rho * x + gram)
+    kkt = np.zeros((f, n + 1, n + 1), dtype=complex)
+    kkt[:, :n, :n] = mats
+    kkt[:, :n, n] = kkt[:, n, :n] = 1.0
+    rhs = np.concatenate([rho * x + gram, np.ones((f, 1, n))], axis=1)
+    return np.linalg.solve(kkt, rhs)[:, :n]
 
 
 _RIDGE_SHAPES = pytest.mark.parametrize(
@@ -163,7 +180,6 @@ def test_affine_ridge_update_is_the_constrained_solve(h, n, repeated, lam_g):
     yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
     if repeated:
         yf[:, :, -1] = yf[:, :, 0]
-    gram = np.conj(np.swapaxes(yf, 1, 2)) @ yf
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
     ridge = _RidgeInverse(yf, 1.0 / lam_g, 1.4, affine=True)
@@ -172,12 +188,66 @@ def test_affine_ridge_update_is_the_constrained_solve(h, n, repeated, lam_g):
         ridge.set_rho(rho)
         c = ridge(x - eye) + eye
         assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-12
-        kkt = np.zeros((f, n + 1, n + 1), dtype=complex)
-        kkt[:, :n, :n] = 2.0 * lam_g * gram + rho * eye
-        kkt[:, :n, n] = kkt[:, n, :n] = 1.0
-        rhs = np.concatenate([rho * x + 2.0 * lam_g * gram, np.ones((f, 1, n))], axis=1)
-        want = np.linalg.solve(kkt, rhs)[:, :n]
+        want = _dense_ridge_update(yf, x, lam_g, rho, affine=True)
         assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["plain", "affine"])
+def test_ridge_inverse_holds_only_the_kept_directions(affine):
+    # faces of numeric rank 2 and 3: the factors hold the 3 leading directions
+    # (plus the fixed 1/sqrt(n) one under affine), and a rank-2 face carries a
+    # zero-weight row; the apply is still the dense solve after set_lambda_g
+    # and set_rho, and at lambda_g = inf the projector onto the null space of
+    # the (centred) face, less the ones direction under affine; the 1/4 keeps
+    # s_max near 6, where the dense solves at lam_g = 1e2 hold 12 digits
+    rng = np.random.default_rng(16)
+    h, n, ranks = 6, 9, [2, 3, 2, 3]
+    yf = 0.25 * np.stack(
+        [
+            (rng.standard_normal((h, r)) + 1j * rng.standard_normal((h, r)))
+            @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+            for r in ranks
+        ]
+    )
+    f = len(ranks)
+    x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
+    eye = np.eye(n)[None]
+    ridge = _RidgeInverse(yf, 1e2, 1.4, affine=affine)
+    assert ridge.rank == max(ranks)
+    assert ridge.inner == ridge.left.shape[2] == ridge.right.shape[1] == max(ranks) + affine
+    assert (ridge.kept.sum(axis=1) == ranks).all()
+    for lam_g in [1e2, 1e-2]:
+        ridge.set_lambda_g(lam_g, 1.4)
+        for rho in [1.4, 11.2, 0.7]:
+            ridge.set_rho(rho)
+            got = ridge(x - eye) + eye
+            want = _dense_ridge_update(yf, x, lam_g, rho, affine)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    yc = yf - yf.mean(axis=2, keepdims=True) if affine else yf
+    null = eye - np.linalg.pinv(yc, rcond=1e-12) @ yc - affine * np.ones((n, n)) / n
+    ridge.set_lambda_g(np.inf, 1.0)
+    for rho in [1.0, 8.0]:
+        ridge.set_rho(rho)
+        want = null @ x
+        assert np.abs(ridge(x) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_affine_solve_of_identical_samples_has_a_rank_zero_ridge():
+    # identical samples leave centred faces that are exactly zero (small
+    # integers at depth 4 have exact faces and means), so the ridge keeps no
+    # direction and its apply only projects out the ones vector; the solve
+    # still converges, with column tube-sums at the unit tube
+    rng = np.random.default_rng(17)
+    h, n, d = 5, 6, 4
+    sample = rng.integers(-3, 4, size=(h, 1, d)).astype(float)
+    sample[0, 0, 0] = 1.0  # not identically zero
+    y = np.repeat(sample, n, axis=1)
+    ridge = _RidgeInverse(ta._faces(y), 1.0, 1.0, affine=True)
+    assert (ridge.rank, ridge.inner) == (0, 1)
+    w, report = solve_self_representation(y, SolverConfig(lambda_g=1.0, affine=True))
+    assert report.converged
+    assert (w[np.arange(n), np.arange(n), :] == 0.0).all()
+    assert np.abs(w.sum(axis=0) - np.tile(ta.e_tube(d, 0), (n, 1))).max() <= 1e-12
 
 
 # -- group shrinkage ---------------------------------------------------------
