@@ -2,11 +2,11 @@
 benchmarks, and evaluate the recovery-condition checker.
 
 Exit codes: 0 success, 2 data error (unreadable or malformed input), 3
-parameter error (bad flag values, including unknown flags).  Every command
-prints its JSON payload to stdout and, with ``--out``, writes the same
-payload to a file; payloads contain no timestamps or timings, so reruns
-with identical flags produce byte-identical files.  ``synth`` additionally
-reports its wall time on stdout only.
+parameter error (bad or unknown flags, or an output path that cannot be
+written).  Every command prints its JSON payload to stdout and, with
+``--out``, writes the same payload to a file; payloads contain no timestamps
+or timings, so reruns with identical flags produce byte-identical files.
+``synth`` additionally reports its wall time on stdout only.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 
@@ -57,16 +57,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_args(p):
     p.add_argument("--lambda-g", type=float, default=100.0, help="fidelity weight")
-    p.add_argument("--lambda-h", type=float, default=0.0, help="row group-norm weight")
+    p.add_argument("--lambda-h", type=float, help="row group-norm weight")
     p.add_argument("--affine", action="store_true", help="affine-submodule constraint")
     p.add_argument(
         "--normalize-columns",
         action="store_true",
         help="scale each lateral slice to unit Frobenius norm before solving",
     )
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol-abs", type=float, default=1e-6)
-    p.add_argument("--tol-rel", type=float, default=1e-4)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol-abs", type=float)
+    p.add_argument("--tol-rel", type=float)
+    p.set_defaults(**{f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING})
 
 
 def _add_input_args(p):
@@ -417,7 +418,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # inputs' OSErrors are DataErrors by now
         print(f"ssmc {args.command}: parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except DataError as exc:

@@ -258,7 +258,7 @@ class _RidgeInverse:
     re-weighting.
     """
 
-    def __init__(self, yf, lambda_g, rho, affine=False, dtype=np.complex128):
+    def __init__(self, yf, lambda_g, rho=_RHO_START, affine=False, dtype=np.complex128):
         faces, _, n = yf.shape
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
@@ -354,7 +354,7 @@ def solve_path(y, configs):
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
-    ridge = _RidgeInverse(yf, cfg.lambda_g, _RHO_START, cfg.affine, dtype)
+    ridge = _RidgeInverse(yf, cfg.lambda_g, affine=cfg.affine, dtype=dtype)
     timings["factor"] = time.perf_counter() - start
     diag = np.s_[:, np.arange(n), np.arange(n)]
     return _path(yf, yf, d, ridge, configs, timings, diag, 1.0, diag)

@@ -216,7 +216,8 @@ def tubal_angle_cos(a, b):
     """Tube-valued cosine of the angle between two oriented matrices.
 
     Returns the length-``d`` tube ``(a' * b + b' * a) / (2 ||a||_F ||b||_F)``
-    where ``'`` is the tensor transpose.  Symmetric in its arguments.
+    where ``'`` is the tensor transpose: face ``f`` is ``Re(a_f^H b_f)`` over
+    ``||a||_F ||b||_F``, exactly symmetric in its arguments.
     """
     a = _as_oriented(a, "first operand")
     b = _as_oriented(b, "second operand")
@@ -226,8 +227,8 @@ def tubal_angle_cos(a, b):
     nb = norm_fro(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("tubal angle undefined for a zero-norm operand")
-    t = tprod(ttranspose(a), b) + tprod(ttranspose(b), a)
-    return t[0, 0, :] / (2.0 * na * nb)
+    s = (np.conj(_faces(a)) * _faces(b)).sum(axis=(1, 2))
+    return np.fft.irfft(s.real, n=a.shape[2]) / (na * nb)
 
 
 def bcirc_singular_values(a):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .solver import _RHO_START, SolverConfig, _path, _RidgeInverse, _state_dtype
+from .solver import SolverConfig, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _face_weights,
@@ -111,6 +111,11 @@ def _unit_combination(gens, rng):
     raise RuntimeError("failed to draw a nonzero combination after 100 attempts")
 
 
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 def coherence(si, sj, trials, seed):
     """Monte-Carlo lower bound on the angular coherence of two submodules.
 
@@ -121,8 +126,7 @@ def coherence(si, sj, trials, seed):
     combinations only, so it is a lower bound on the supremum over the full
     submodules, and is reported as such.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
@@ -131,18 +135,6 @@ def coherence(si, sj, trials, seed):
         tube = tubal_angle_cos(vi, vj)
         best = max(best, float(np.linalg.norm(tube)))
     return best
-
-
-def _subtensor_indices(m, d, exhaustive, budget, rng):
-    if exhaustive:
-        yield from itertools.combinations(range(m), d)
-        return
-    seen = set()
-    while len(seen) < budget:  # ends: there are more than budget subsets
-        idx = tuple(np.sort(rng.choice(m, size=d, replace=False)))
-        if idx not in seen:
-            seen.add(idx)
-            yield idx
 
 
 def theorem3_check(
@@ -159,22 +151,22 @@ def theorem3_check(
     rhs = the largest minimum-singular-value over full-rank ``(h, d_i,
     depth)`` subtensors of cluster ``i``'s points, searched exhaustively
     when there are at most ``subtensor_budget`` candidates and otherwise
-    over ``subtensor_budget`` distinct ones drawn by seeded sampling.
+    over ``subtensor_budget`` distinct ones drawn by seeded sampling.  The
+    points take one rFFT, and each candidate one SVD of its columns of those
+    faces, of which only the smallest and largest values are kept.
     ``holds`` means ``lhs < rhs``.  When no full-rank subtensor exists the
     report carries ``rhs = 0``, ``holds = False`` and
     ``rank_deficient = True``.  ``ValueError`` is raised for empty ``data``,
-    an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials``
-    below 1, and a cluster ``i`` with no points or fewer points than its
-    submodular dimension.
+    an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials`` that
+    is not an integer of at least 1, and a cluster ``i`` with no points or
+    fewer points than its submodular dimension.
     """
     if not data:
         raise ValueError("need at least one submodule sample")
     if not 0 <= i < len(data):
         raise ValueError(f"cluster index {i} outside 0..{len(data) - 1}")
-    if subtensor_budget < 1:
-        raise ValueError(f"subtensor_budget must be at least 1, got {subtensor_budget}")
-    if coherence_trials < 1:
-        raise ValueError(f"coherence_trials must be at least 1, got {coherence_trials}")
+    _check_count("subtensor_budget", subtensor_budget)
+    _check_count("coherence_trials", coherence_trials)
     si = data[i]
     d_i = si.dim
     m_i = si.points.shape[1]
@@ -196,17 +188,21 @@ def theorem3_check(
         sigma_max_rest = 0.0
     lhs = math.sqrt(d_i) * coherence_max * sigma_max_rest
 
-    rng = np.random.default_rng([seed, len(data)])
     exhaustive = math.comb(m_i, d_i) <= subtensor_budget
-    rhs = 0.0
-    searched = 0
-    found_full_rank = False
-    for idx in _subtensor_indices(m_i, d_i, exhaustive, subtensor_budget, rng):
-        searched += 1
-        vals = bcirc_singular_values(si.points[:, list(idx), :])
-        if vals[-1] > RANK_TOL * max(vals[0], 1.0):
-            found_full_rank = True
-            rhs = max(rhs, float(vals[-1]))
+    if exhaustive:
+        subsets = itertools.combinations(range(m_i), d_i)
+    else:
+        rng = np.random.default_rng([seed, len(data)])
+        subsets = {}  # distinct sorted draws, in the order first drawn
+        while len(subsets) < subtensor_budget:  # ends: there are more than budget subsets
+            subsets[tuple(np.sort(rng.choice(m_i, size=d_i, replace=False)))] = None
+    faces = _faces(si.points)
+    pairs = []  # (sigma_min, sigma_max) of each subtensor's block-circulant
+    for idx in subsets:
+        s = np.linalg.svd(faces[:, :, list(idx)], compute_uv=False)
+        pairs.append((float(s[:, -1].min()), float(s[:, 0].max())))
+    full_rank = [lo for lo, hi in pairs if lo > RANK_TOL * max(hi, 1.0)]
+    rhs = max(full_rank, default=0.0)
     return TheoremReport(
         lhs=lhs,
         rhs=rhs,
@@ -214,9 +210,9 @@ def theorem3_check(
         coherence_max=coherence_max,
         sigma_max_rest=sigma_max_rest,
         sigma_min_best=rhs,
-        subtensors_searched=searched,
+        subtensors_searched=len(pairs),
         exhaustive=exhaustive,
-        rank_deficient=not found_full_rank,
+        rank_deficient=not full_rank,
     )
 
 
@@ -250,7 +246,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     scale = max(1.0, math.sqrt(kernels.weighted_sq_norms(a0, _face_weights(depth), True)))
     tol_abs = 1e-12 * scale / math.sqrt(m * depth)  # sqrt(m depth) tol_abs = 1e-12 scale
     cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
-    ridge = _RidgeInverse(yf, np.inf, _RHO_START, dtype=_state_dtype(cfg.tol_rel))
+    ridge = _RidgeInverse(yf, np.inf)
     timings["factor"] = time.perf_counter() - start
     a, report = next(_path(yf, xf, depth, ridge, [cfg], timings, ..., a0, np.s_[:, [], []]))
     if not report.converged:

@@ -131,6 +131,17 @@ def test_cluster_parameter_errors(two_cluster_files):
     assert run_cli(["cluster", "--k", "2"]) == 3  # --input is required
 
 
+def test_unwritable_affinity_out_is_a_parameter_error(two_cluster_files, tmp_path, capsys):
+    tensor_path, _ = two_cluster_files
+    target = tmp_path / "missing" / "aff.tsr1"
+    argv = ["cluster", "--input", tensor_path, "--k", "2", "--affinity-out", str(target)]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ssmc cluster: parameter error: [Errno 2]")
+    assert str(target) in err[0]
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--lambda-g", "inf"), ("--lambda-h", "nan"), ("--tol-rel", "inf")]
 )
@@ -340,6 +351,12 @@ def test_solver_flags_map_to_their_config_fields(command):
     )
 
 
+def test_solver_flag_defaults_are_the_config_defaults():
+    # only --lambda-g, which SolverConfig requires, has a default of the CLI's own
+    args = cli.build_parser().parse_args(["cluster", "--input", "f", "--k", "2"])
+    assert cli._solver_config(args) == solver.SolverConfig(lambda_g=100.0)
+
+
 def test_solver_flags_are_exactly_the_config_fields(capsys):
     parser = argparse.ArgumentParser()
     cli._add_solver_args(parser)
@@ -395,6 +412,15 @@ def test_synth_output_is_byte_deterministic(tmp_path):
     assert run_cli(SYNTH_ARGS + ["--out", str(a)]) == 0
     assert run_cli(SYNTH_ARGS + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_synth_out_is_a_parameter_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "synth.json"
+    assert run_cli(SYNTH_ARGS + ["--out", str(target)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("ssmc synth: parameter error: [Errno 2]")
+    assert str(target) in err[0]
 
 
 def test_synth_parameter_validation():

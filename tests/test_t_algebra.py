@@ -237,15 +237,17 @@ def test_tubal_angle_orthogonal_first_face_is_zero():
 
 def test_tubal_angle_matches_bcirc_oracle_and_is_symmetric():
     rng = np.random.default_rng(12)
-    a = rng.standard_normal((4, 1, 3))
-    b = rng.standard_normal((4, 1, 3))
-    tube = ta.tubal_angle_cos(a, b)
-    ref = ta.tprod_bcirc_oracle(ta.ttranspose(a), b) + ta.tprod_bcirc_oracle(
-        ta.ttranspose(b), a
-    )
-    ref = ref[0, 0] / (2.0 * ta.norm_fro(a) * ta.norm_fro(b))
-    assert np.abs(tube - ref).max() < 1e-10
-    assert np.abs(tube - ta.tubal_angle_cos(b, a)).max() < 1e-14
+    for depth in (3, 1, 2, 4, 7, 28):
+        a = rng.standard_normal((4, 1, depth))
+        b = rng.standard_normal((4, 1, depth))
+        tube = ta.tubal_angle_cos(a, b)
+        ref = ta.tprod_bcirc_oracle(ta.ttranspose(a), b) + ta.tprod_bcirc_oracle(
+            ta.ttranspose(b), a
+        )
+        ref = ref[0, 0] / (2.0 * ta.norm_fro(a) * ta.norm_fro(b))
+        assert np.abs(tube - ref).max() < 1e-10
+        # swapping the operands conjugates each face product: bit-identical tubes
+        assert np.array_equal(tube, ta.tubal_angle_cos(b, a))
 
 
 def test_tubal_angle_rejects_zero_operand():

@@ -1,5 +1,8 @@
 """Theory-checker tests: generating sets, coherence, recovery condition, min-F1."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,10 @@ def test_coherence_rejects_bad_trial_count():
     s = SubmoduleSample(generators=np.ones((2, 1, 2)), points=np.ones((2, 1, 2)))
     with pytest.raises(ValueError, match="trials"):
         coherence(s, s, trials=0, seed=0)
+    # a bool would run as 0 or 1 trials, a float fails inside range()
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {bad}"):
+            coherence(s, s, trials=bad, seed=0)
 
 
 # -- theorem3_check ----------------------------------------------------------
@@ -188,20 +195,72 @@ def test_subtensor_search_is_exhaustive_below_budget():
 
 
 def test_sampled_subtensors_are_distinct(monkeypatch):
-    # 44 seeded draws of the C(10,2) = 45 candidates held only 28 distinct ones
+    # 44 seeded draws of the C(10,2) = 45 candidates held only 28 distinct ones;
+    # with one cluster every SVD the check takes is a subtensor's
     seen = []
+    svd = np.linalg.svd
 
-    def record(points):
-        seen.append(points.tobytes())
-        return ta.bcirc_singular_values(points)
+    def record(faces, *args, **kwargs):
+        seen.append(faces.tobytes())
+        return svd(faces, *args, **kwargs)
 
-    monkeypatch.setattr(theory, "bcirc_singular_values", record)
+    monkeypatch.setattr(np.linalg, "svd", record)
     rng = np.random.default_rng(11)
     a = _sample(rng.standard_normal((5, 2, 3)), 10, rng)
     report = theorem3_check([a], 0, subtensor_budget=44, seed=0)
     assert not report.exhaustive
     assert report.subtensors_searched == 44
     assert len(seen) == len(set(seen)) == 44
+
+
+def _searched_subsets(m, d, budget, seed, clusters):
+    # the documented search: every subset, or distinct sorted seeded draws
+    if math.comb(m, d) <= budget:
+        return list(itertools.combinations(range(m), d))
+    rng = np.random.default_rng([seed, clusters])
+    subsets = []
+    while len(subsets) < budget:
+        idx = tuple(np.sort(rng.choice(m, size=d, replace=False)))
+        if idx not in subsets:
+            subsets.append(idx)
+    return subsets
+
+
+@pytest.mark.parametrize("budget", [200, 20], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("fixture", ["duplicated", "rank-one"])
+def test_subtensor_search_matches_bcirc_reference(fixture, budget):
+    rng = np.random.default_rng(17)
+    h, depth, m = 6, 4, 10
+    if fixture == "duplicated":  # every pair inside columns 0..4 repeats a slice
+        points = _sample(rng.standard_normal((h, 2, depth)), m, rng).points
+        points[:, 1:5, :] = points[:, :1, :]
+    else:  # tube multiples of one slice: every subtensor has rank 1 per face
+        base = rng.standard_normal((h, 1, depth))
+        points = ta.tprod(base, rng.standard_normal((1, m, depth)))
+    # at this scale the round-off sigma_min of a rank-deficient face is far
+    # above RANK_TOL, so only the cut relative to sigma_max refuses it
+    points *= 1e9
+    a = SubmoduleSample(generators=rng.standard_normal((h, 2, depth)), points=points)
+    b = _sample(rng.standard_normal((h, 2, depth)), 6, rng)
+    report = theorem3_check([a, b], 0, subtensor_budget=budget, seed=3, coherence_trials=8)
+
+    subsets = _searched_subsets(m, 2, budget, 3, 2)
+    full_rank = []
+    for idx in subsets:
+        vals = ta.bcirc_singular_values(points[:, list(idx), :])
+        if vals[-1] > theory.RANK_TOL * max(vals[0], 1.0):
+            full_rank.append(float(vals[-1]))
+    if fixture == "duplicated":
+        assert 0 < len(full_rank) < len(subsets)  # both kinds were searched
+    else:
+        assert full_rank == []
+    rhs = max(full_rank, default=0.0)
+    assert report.exhaustive == (budget == 200)
+    assert report.subtensors_searched == len(subsets)
+    assert report.rhs == report.sigma_min_best == rhs
+    assert report.rank_deficient == (not full_rank)
+    assert report.holds == (report.lhs < rhs)
+    assert report.sigma_max_rest == float(ta.bcirc_singular_values(b.points)[0])
 
 
 def test_theorem3_validates_arguments():
@@ -221,6 +280,11 @@ def test_theorem3_validates_arguments():
         theorem3_check([a], 0, subtensor_budget=0)
     with pytest.raises(ValueError, match="coherence_trials must be at least 1, got 0"):
         theorem3_check([a], 0, coherence_trials=0)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=f"subtensor_budget must be at least 1, got {bad}"):
+            theorem3_check([a], 0, subtensor_budget=bad)
+        with pytest.raises(ValueError, match=f"coherence_trials must be at least 1, got {bad}"):
+            theorem3_check([a], 0, coherence_trials=bad)
 
 
 # -- min_f1_representation ---------------------------------------------------
