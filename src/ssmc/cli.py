@@ -55,6 +55,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARAM, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text):
+    # numpy refuses a negative seed only once the work has started
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_solver_args(p):
     p.add_argument("--lambda-g", type=float, default=100.0, help="fidelity weight")
     p.add_argument("--lambda-h", type=float, help="row group-norm weight")
@@ -96,7 +107,7 @@ def build_parser():
     _add_input_args(p)
     _add_solver_args(p)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="JSON output path")
     p.add_argument("--affinity-out", default=None, help="write affinity matrix as TSR1")
 
@@ -104,7 +115,7 @@ def build_parser():
     _add_input_args(p)
     _add_solver_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grid", required=True, help="comma list of lambda_g values")
     p.add_argument(
         "--out", default=None, help="JSON output path; the CSV replaces its extension with .csv"
@@ -114,7 +125,7 @@ def build_parser():
     _add_synth_args(p)
     _add_solver_args(p)
     p.add_argument("--k", type=int, default=None, help="clusters (default: number of dims)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="evaluate the recovery condition on generated clusters")
@@ -123,7 +134,7 @@ def build_parser():
     p.add_argument("--cluster-index", type=int, default=0)
     p.add_argument("--budget", type=int, default=200, help="subtensor search budget")
     p.add_argument("--coherence-trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     return parser
 

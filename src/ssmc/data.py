@@ -78,8 +78,13 @@ class SynthSpec:
             raise ValueError(
                 f"cluster dim {max(self.d_per_cluster)} exceeds height {self.h}"
             )
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        # nan would pass a `< 0` test, and inf fails only after generation
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

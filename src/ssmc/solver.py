@@ -149,6 +149,12 @@ _log = logging.getLogger(__name__)
 _PEAK_ARRAYS = {np.dtype(np.complex64): 4.5, np.dtype(np.complex128): 6.0}
 
 
+def _check_count(name, value):
+    """Refuse a count that is a bool, not an integer, or below 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver weights and ADMM controls.
@@ -177,12 +183,7 @@ class SolverConfig:
             raise ValueError(f"lambda_g must be positive, got {self.lambda_g}")
         if self.lambda_h < 0:
             raise ValueError(f"lambda_h must be nonnegative, got {self.lambda_h}")
-        if (
-            isinstance(self.max_iters, bool)
-            or not isinstance(self.max_iters, (int, np.integer))
-            or self.max_iters < 1
-        ):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        _check_count("max_iters", self.max_iters)
         if self.tol_abs < 0 or self.tol_rel < 0:
             raise ValueError("tolerances must be nonnegative")
 

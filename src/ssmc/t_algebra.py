@@ -7,11 +7,11 @@ tensor-tensor product multiplies tubes by circular convolution, which the
 depth-axis DFT turns into independent per-frequency (face-wise) matrix
 products.
 
-DFT convention: unnormalized forward transform, ``1/d``-scaled inverse, so
-``||a||_F = d**-0.5 * ||fft3(a)||_F``.  Every other transform in the package
-keeps only the ``d // 2 + 1`` faces of the rFFT (face ``d - f`` is the
-conjugate of face ``f``), through ``_faces``, ``_from_faces`` and
-``_face_weights``.
+DFT convention: unnormalized forward transform, ``1/d``-scaled inverse.
+Every transform in the package keeps only the ``d // 2 + 1`` faces of the
+rFFT (face ``d - f`` is the conjugate of face ``f``), through ``_faces``,
+``_from_faces`` and ``_face_weights``; by Parseval,
+``||a||_F^2 = sum_f w_f ||face_f||_F^2`` with those weights.
 """
 
 import struct
@@ -20,27 +20,16 @@ import numpy as np
 
 __all__ = [
     "FormatError",
-    "fft3",
-    "ifft3",
-    "tube_conv",
     "tprod",
-    "unfold",
-    "fold",
-    "bcirc",
-    "tprod_bcirc_oracle",
-    "ttranspose",
     "norm_fro",
     "norm_f1",
     "norm_ff1",
     "tubal_angle_cos",
     "bcirc_singular_values",
-    "identity_tensor",
     "e_tube",
     "read_tsr1",
     "write_tsr1",
 ]
-
-BCIRC_GUARD = 4096
 
 TSR1_MAGIC = b"TSR1"
 
@@ -56,44 +45,6 @@ def _as_tensor3(a, name="tensor", finite=False):
     if finite and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a
-
-
-def fft3(t):
-    """DFT along the depth axis of a real ``(h, n, d)`` tensor."""
-    return np.fft.fft(_as_tensor3(t), axis=2)
-
-
-def ifft3(f, imag_tol=1e-12):
-    """Inverse DFT along depth; requires a conjugate-symmetric input.
-
-    The imaginary residue of the inverse must stay below ``imag_tol``
-    relative to ``max(1, |result|)``, otherwise the input did not come from
-    a real tensor and a ``ValueError('non-real inverse')`` is raised.
-    """
-    f = np.asarray(f, dtype=np.complex128)
-    if f.ndim != 3:
-        raise ValueError(f"fourier tensor must be 3-dimensional, got shape {f.shape}")
-    x = np.fft.ifft(f, axis=2)
-    scale = max(1.0, float(np.abs(x.real).max(initial=0.0)))
-    if float(np.abs(x.imag).max(initial=0.0)) > imag_tol * scale:
-        raise ValueError("non-real inverse")
-    return np.ascontiguousarray(x.real)
-
-
-def tube_conv(a, b):
-    """Circular convolution of two length-``d`` tubes, computed directly.
-
-    The direct sum makes the unit tube ``e_tube(d, 0)`` an exact identity,
-    with no transform roundoff; it also serves as the O(d^2) reference for
-    the FFT path.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"tube length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a.shape[0]
-    idx = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
-    return a @ b[idx]
 
 
 def _faces(a):
@@ -118,11 +69,6 @@ def _face_weights(d):
     return w
 
 
-def _check_tprod_shapes(a, b):
-    if a.shape[2] != b.shape[2] or a.shape[1] != b.shape[0]:
-        raise ValueError(f"tprod shape mismatch: {a.shape} vs {b.shape}")
-
-
 def tprod(a, b):
     """Tensor-tensor product of ``(h, l, d)`` and ``(l, k, d)`` tensors.
 
@@ -131,61 +77,9 @@ def tprod(a, b):
     """
     a = _as_tensor3(a, "left operand")
     b = _as_tensor3(b, "right operand")
-    _check_tprod_shapes(a, b)
+    if a.shape[2] != b.shape[2] or a.shape[1] != b.shape[0]:
+        raise ValueError(f"tprod shape mismatch: {a.shape} vs {b.shape}")
     return _from_faces(_faces(a) @ _faces(b), a.shape[2])
-
-
-def unfold(a):
-    """Stack the frontal slices of ``(h, n, d)`` vertically into ``(h*d, n)``."""
-    a = _as_tensor3(a)
-    h, n, d = a.shape
-    return np.ascontiguousarray(np.transpose(a, (2, 0, 1)).reshape(h * d, n))
-
-
-def fold(m, h, n, d):
-    """Inverse of :func:`unfold`."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (h * d, n):
-        raise ValueError(f"cannot fold shape {m.shape} into ({h}, {n}, {d})")
-    return np.ascontiguousarray(np.transpose(m.reshape(d, h, n), (1, 2, 0)))
-
-
-def bcirc(a):
-    """Materialize the ``(h*d, l*d)`` block-circulant matrix of ``(h, l, d)``.
-
-    Block ``(r, c)`` is frontal slice ``(r - c) mod d``.  Dense and meant for
-    reference checks only: sizes with ``d * max(h, l) > 4096`` are rejected.
-    """
-    a = _as_tensor3(a)
-    h, l, d = a.shape
-    if d * max(h, l) > BCIRC_GUARD:
-        raise ValueError("oracle too large")
-    big = np.zeros((h * d, l * d), dtype=np.float64)
-    for r in range(d):
-        for c in range(d):
-            big[r * h : (r + 1) * h, c * l : (c + 1) * l] = a[:, :, (r - c) % d]
-    return big
-
-
-def tprod_bcirc_oracle(a, b):
-    """Reference tensor product: fold(bcirc(a) @ unfold(b)).
-
-    Same size guard as :func:`bcirc`.
-    """
-    a = _as_tensor3(a, "left operand")
-    b = _as_tensor3(b, "right operand")
-    _check_tprod_shapes(a, b)
-    h, _, d = a.shape
-    k = b.shape[1]
-    return fold(bcirc(a) @ unfold(b), h, k, d)
-
-
-def ttranspose(a):
-    """Transpose each frontal slice and reverse the order of slices 2..d."""
-    a = _as_tensor3(a)
-    d = a.shape[2]
-    idx = (d - np.arange(d)) % d
-    return np.ascontiguousarray(np.transpose(a[:, :, idx], (1, 0, 2)))
 
 
 def norm_fro(a):
@@ -232,7 +126,7 @@ def tubal_angle_cos(a, b):
 
 
 def bcirc_singular_values(a):
-    """All ``min(h, l) * d`` singular values of ``bcirc(a)``, descending.
+    """All ``min(h, l) * d`` singular values of ``a``'s block-circulant matrix, descending.
 
     The depth-axis DFT block-diagonalizes the block-circulant matrix, so the
     values are the union over depth frequencies of the singular values of
@@ -244,13 +138,6 @@ def bcirc_singular_values(a):
     out = np.concatenate([s.ravel(), s[1 : (a.shape[2] + 1) // 2].ravel()])
     out[::-1].sort()
     return out
-
-
-def identity_tensor(n, d):
-    """The ``(n, n, d)`` product identity: identity first face, zeros after."""
-    t = np.zeros((n, n, d), dtype=np.float64)
-    t[:, :, 0] = np.eye(n)
-    return t
 
 
 def e_tube(d, k=0):

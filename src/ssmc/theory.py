@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .solver import SolverConfig, _path, _RidgeInverse
+from .solver import SolverConfig, _check_count, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _face_weights,
@@ -109,11 +109,6 @@ def _unit_combination(gens, rng):
         if nrm > 1e-12:
             return (v / nrm)[:, None, :]
     raise RuntimeError("failed to draw a nonzero combination after 100 attempts")
-
-
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def coherence(si, sj, trials, seed):

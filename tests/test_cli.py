@@ -423,10 +423,33 @@ def test_unwritable_synth_out_is_a_parameter_error(tmp_path, capsys):
     assert str(target) in err[0]
 
 
-def test_synth_parameter_validation():
+def test_synth_parameter_validation(capsys):
     assert run_cli(["synth", "--dims", "2,2", "--samples", "5"]) == 3
     assert run_cli(["synth", "--dims", "x", "--samples", "5"]) == 3
     assert run_cli(SYNTH_ARGS + ["--k", "99"]) == 3
+    capsys.readouterr()
+    for value in ("nan", "inf"):
+        assert run_cli(SYNTH_ARGS + ["--noise", value]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"ssmc synth: parameter error: noise_sigma must be finite and nonnegative, got {value}"
+        ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--input", "data.tsr1", "--k", "2"],
+        ["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,10"],
+        ["synth"],
+        ["check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_refused_before_any_work(monkeypatch, capsys, argv):
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: pytest.fail("command ran"))
+    assert run_cli(argv + ["--seed", "-1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ssmc {argv[0]}: error: argument --seed: must be nonnegative, got -1"]
 
 
 # -- check -------------------------------------------------------------------

@@ -45,6 +45,15 @@ def _face_residual(points, gens):
         (dict(h=4, d_per_cluster=[0], samples_per_cluster=[2], depth=2), "at least 1"),
         (dict(h=2, d_per_cluster=[3], samples_per_cluster=[4], depth=2), "exceeds height"),
         (dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, noise_sigma=-1), "noise"),
+        (dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, seed=-1), "seed"),
+        (
+            dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, noise_sigma=np.nan),
+            "noise",
+        ),
+        (
+            dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, noise_sigma=np.inf),
+            "noise",
+        ),
     ],
 )
 def test_spec_validation(kwargs, match):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ssmc import t_algebra as ta
 
 
@@ -15,39 +16,33 @@ def _dft_direct(t):
     return np.tensordot(t, twiddle, axes=(2, 0))
 
 
-# -- fft3 / ifft3 ------------------------------------------------------------
+# -- half-spectrum faces -----------------------------------------------------
 
 
-def test_fft3_depth_one_is_identity():
+def test_faces_depth_one_is_identity():
     t = np.array([[[5.0]]])
-    assert np.array_equal(ta.fft3(t), t.astype(complex))
-    assert np.array_equal(ta.ifft3(ta.fft3(t)), t)
+    assert np.array_equal(ta._faces(t), t.astype(complex))
+    assert np.array_equal(ta._from_faces(ta._faces(t), 1), t)
 
 
-def test_fft3_depth_two_sum_and_difference():
+def test_faces_depth_two_sum_and_difference():
     a, b = 2.0, 7.0
-    f = ta.fft3(np.array([[[a, b]]]))
-    assert np.allclose(f[0, 0], [a + b, a - b], atol=1e-15)
+    f = ta._faces(np.array([[[a, b]]]))
+    assert np.allclose(f[:, 0, 0], [a + b, a - b], atol=1e-15)
 
 
-def test_fft3_matches_direct_dft_and_roundtrips():
+def test_faces_match_direct_dft_and_roundtrip():
     rng = np.random.default_rng(0)
     t = rng.standard_normal((4, 3, 8))
-    assert np.abs(ta.fft3(t) - _dft_direct(t)).max() < 1e-12 * np.abs(t).max()
-    assert np.abs(ta.ifft3(ta.fft3(t)) - t).max() < 1e-12
-
-
-def test_ifft3_rejects_non_symmetric_spectrum():
-    f = np.zeros((1, 1, 4), dtype=complex)
-    f[0, 0, 1] = 1.0  # conjugate partner at frequency 3 missing
-    with pytest.raises(ValueError, match="non-real inverse"):
-        ta.ifft3(f)
+    ref = np.moveaxis(_dft_direct(t), 2, 0)[:5]
+    assert np.abs(ta._faces(t) - ref).max() < 1e-12 * np.abs(t).max()
+    assert np.abs(ta._from_faces(ta._faces(t), 8) - t).max() < 1e-12
 
 
 def test_parseval_scaling():
     rng = np.random.default_rng(1)
     t = rng.standard_normal((3, 4, 7))
-    assert abs(ta.norm_fro(t) - np.linalg.norm(ta.fft3(t)) / np.sqrt(7)) < 1e-12
+    assert abs(ta.norm_fro(t) - np.linalg.norm(_dft_direct(t)) / np.sqrt(7)) < 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 6])
@@ -57,39 +52,10 @@ def test_half_spectrum_faces_roundtrip_and_weigh_to_spatial_norms(d):
     t = rng.standard_normal((3, 4, d))
     f = ta._faces(t)
     assert f.shape == (d // 2 + 1, 3, 4) and f.flags.c_contiguous
-    assert np.abs(f - np.moveaxis(ta.fft3(t), 2, 0)[: d // 2 + 1]).max() < 1e-12
+    assert np.abs(f - np.moveaxis(_dft_direct(t), 2, 0)[: d // 2 + 1]).max() < 1e-12
     assert np.abs(ta._from_faces(f, d) - t).max() < 1e-12
     sq = np.tensordot(ta._face_weights(d), np.abs(f) ** 2, axes=(0, 0))
     assert np.abs(sq - (t * t).sum(axis=2)).max() < 1e-12
-
-
-# -- tube_conv ---------------------------------------------------------------
-
-
-def test_tube_conv_identity_is_exact():
-    rng = np.random.default_rng(2)
-    b = rng.standard_normal(6)
-    assert np.array_equal(ta.tube_conv(ta.e_tube(6, 0), b), b)
-
-
-def test_tube_conv_shift():
-    assert np.array_equal(
-        ta.tube_conv(ta.e_tube(3, 1), np.array([1.0, 2.0, 3.0])), [3.0, 1.0, 2.0]
-    )
-
-
-def test_tube_conv_commutes_and_associates():
-    rng = np.random.default_rng(3)
-    a, b, c = rng.standard_normal((3, 5))
-    assert np.abs(ta.tube_conv(a, b) - ta.tube_conv(b, a)).max() < 1e-12
-    lhs = ta.tube_conv(ta.tube_conv(a, b), c)
-    rhs = ta.tube_conv(a, ta.tube_conv(b, c))
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_tube_conv_length_mismatch():
-    with pytest.raises(ValueError, match="3 vs 4"):
-        ta.tube_conv(np.ones(3), np.ones(4))
 
 
 # -- tprod and the block-circulant oracle ------------------------------------
@@ -104,7 +70,7 @@ def test_tprod_depth_one_is_matrix_multiply():
 def test_tprod_identity_tensor():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((3, 2, 5))
-    assert np.abs(ta.tprod(ta.identity_tensor(3, 5), b) - b).max() < 1e-12
+    assert np.abs(ta.tprod(oracles.identity_tensor(3, 5), b) - b).max() < 1e-12
 
 
 def test_tprod_matches_bcirc_oracle():
@@ -112,7 +78,7 @@ def test_tprod_matches_bcirc_oracle():
     a = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal((2, 2, 4))
     c = ta.tprod(a, b)
-    c_ref = ta.tprod_bcirc_oracle(a, b)
+    c_ref = oracles.tprod_bcirc_oracle(a, b)
     assert np.linalg.norm(c - c_ref) < 1e-10 * np.linalg.norm(c)
 
 
@@ -132,20 +98,20 @@ def test_tprod_zero_annihilates():
 def test_oracle_shift_tube():
     shift = ta.e_tube(3, 1)[None, None, :]
     tube = np.array([1.0, 2.0, 3.0])[None, None, :]
-    out = ta.tprod_bcirc_oracle(shift, tube)
+    out = oracles.tprod_bcirc_oracle(shift, tube)
     assert np.allclose(out[0, 0], [3.0, 1.0, 2.0], atol=1e-14)
 
 
 def test_oracle_size_guard():
     with pytest.raises(ValueError, match="oracle too large"):
-        ta.bcirc(np.zeros((70, 1, 70)))
+        oracles.bcirc(np.zeros((70, 1, 70)))
     with pytest.raises(ValueError, match="oracle too large"):
-        ta.tprod_bcirc_oracle(np.zeros((70, 1, 70)), np.zeros((1, 1, 70)))
+        oracles.tprod_bcirc_oracle(np.zeros((70, 1, 70)), np.zeros((1, 1, 70)))
 
 
 def test_bcirc_block_layout():
     a = np.arange(8, dtype=float).reshape(2, 2, 2)
-    big = ta.bcirc(a)
+    big = oracles.bcirc(a)
     assert np.array_equal(big[:2, :2], a[:, :, 0])
     assert np.array_equal(big[2:, :2], a[:, :, 1])  # block (1, 0) = slice 1
     assert np.array_equal(big[:2, 2:], a[:, :, 1])  # block (0, 1) = slice -1 mod 2
@@ -155,12 +121,12 @@ def test_bcirc_block_layout():
 def test_unfold_fold_roundtrip():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 4, 5))
-    m = ta.unfold(a)
+    m = oracles.unfold(a)
     assert m.shape == (15, 4)
     assert np.array_equal(m[:3], a[:, :, 0])
-    assert np.array_equal(ta.fold(m, 3, 4, 5), a)
+    assert np.array_equal(oracles.fold(m, 3, 4, 5), a)
     with pytest.raises(ValueError, match="cannot fold"):
-        ta.fold(m, 3, 4, 4)
+        oracles.fold(m, 3, 4, 4)
 
 
 # -- transpose ---------------------------------------------------------------
@@ -169,12 +135,12 @@ def test_unfold_fold_roundtrip():
 def test_ttranspose_depth_one():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 2, 1))
-    assert np.array_equal(ta.ttranspose(a)[:, :, 0], a[:, :, 0].T)
+    assert np.array_equal(oracles.ttranspose(a)[:, :, 0], a[:, :, 0].T)
 
 
 def test_ttranspose_reverses_trailing_slices():
     a = np.arange(12, dtype=float).reshape(2, 2, 3)
-    at = ta.ttranspose(a)
+    at = oracles.ttranspose(a)
     assert np.array_equal(at[:, :, 0], a[:, :, 0].T)
     assert np.array_equal(at[:, :, 1], a[:, :, 2].T)
     assert np.array_equal(at[:, :, 2], a[:, :, 1].T)
@@ -184,9 +150,9 @@ def test_ttranspose_involution_and_product_law():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal((2, 3, 4))
-    assert np.array_equal(ta.ttranspose(ta.ttranspose(a)), a)
-    lhs = ta.ttranspose(ta.tprod(a, b))
-    rhs = ta.tprod(ta.ttranspose(b), ta.ttranspose(a))
+    assert np.array_equal(oracles.ttranspose(oracles.ttranspose(a)), a)
+    lhs = oracles.ttranspose(ta.tprod(a, b))
+    rhs = ta.tprod(oracles.ttranspose(b), oracles.ttranspose(a))
     assert np.linalg.norm(lhs - rhs) < 1e-10 * max(1.0, np.linalg.norm(lhs))
 
 
@@ -241,9 +207,9 @@ def test_tubal_angle_matches_bcirc_oracle_and_is_symmetric():
         a = rng.standard_normal((4, 1, depth))
         b = rng.standard_normal((4, 1, depth))
         tube = ta.tubal_angle_cos(a, b)
-        ref = ta.tprod_bcirc_oracle(ta.ttranspose(a), b) + ta.tprod_bcirc_oracle(
-            ta.ttranspose(b), a
-        )
+        ref = oracles.tprod_bcirc_oracle(
+            oracles.ttranspose(a), b
+        ) + oracles.tprod_bcirc_oracle(oracles.ttranspose(b), a)
         ref = ref[0, 0] / (2.0 * ta.norm_fro(a) * ta.norm_fro(b))
         assert np.abs(tube - ref).max() < 1e-10
         # swapping the operands conjugates each face product: bit-identical tubes
@@ -275,7 +241,7 @@ def test_bcirc_singular_values_match_materialized_svd():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((4, 3, 4))
     vals = ta.bcirc_singular_values(a)
-    ref = np.linalg.svd(ta.bcirc(a), compute_uv=False)[: vals.size]
+    ref = np.linalg.svd(oracles.bcirc(a), compute_uv=False)[: vals.size]
     assert np.abs(vals - ref).max() < 1e-8
     assert (np.diff(vals) <= 0).all()
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ssmc import t_algebra as ta
 from ssmc import theory
 from ssmc.solver import _RidgeInverse
@@ -392,8 +393,8 @@ def test_min_f1_matches_douglas_rachford_reference(seed):
 
     # independent reference: Douglas-Rachford on the materialized circulant
     # system, groups = spatial tubes, projection via LAPACK pseudoinverse
-    big = ta.bcirc(dictionary)
-    b = ta.unfold(x).ravel()
+    big = oracles.bcirc(dictionary)
+    b = oracles.unfold(x).ravel()
     pinv = np.linalg.pinv(big)
 
     def prox(u):
