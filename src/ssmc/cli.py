@@ -212,14 +212,15 @@ def _load_truth(path):
 
 
 def _emit(payload, out_path, stdout_extra=None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: NaN and Infinity are not JSON
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     if stdout_extra:
         shown = dict(payload)
         shown.update(stdout_extra)
-        sys.stdout.write(json.dumps(shown, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(shown, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         sys.stdout.write(text)
 
@@ -345,6 +346,13 @@ def _synth_spec(args):
         raise ParameterError(str(exc)) from exc
 
 
+def _generate(spec):
+    try:
+        return generate_submodules(spec)
+    except ValueError as exc:  # a noise_sigma whose draw overflows
+        raise ParameterError(str(exc)) from exc
+
+
 def cmd_synth(args):
     spec = _synth_spec(args)
     cfg = _solver_config(args)
@@ -353,7 +361,7 @@ def cmd_synth(args):
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in 1..{n}, got {k}")
     start = time.perf_counter()
-    labeled = generate_submodules(spec)[1]
+    labeled = _generate(spec)[1]
     _, report, _, labels = _run_pipeline(labeled.tensor, cfg, k, args.seed)
     err = clustering_error(labels, labeled.truth)
     runtime = time.perf_counter() - start
@@ -394,7 +402,7 @@ def cmd_check(args):
     if args.fixture == "orthogonal":
         samples = _orthogonal_samples(spec, np.random.default_rng(spec.seed))
     else:
-        samples = generate_submodules(spec)[0]
+        samples = _generate(spec)[0]
     try:
         report = theorem3_check(
             samples,

@@ -132,7 +132,10 @@ def generate_submodules(spec):
         labels.extend([c] * m_c)
     tensor = np.concatenate(blocks, axis=1)
     if spec.noise_sigma > 0:
-        tensor = tensor + spec.noise_sigma * rng.standard_normal(tensor.shape)
+        with np.errstate(over="ignore"):  # refused just below
+            tensor = tensor + spec.noise_sigma * rng.standard_normal(tensor.shape)
+        if not np.isfinite(tensor).all():
+            raise ValueError(f"noise_sigma={spec.noise_sigma:g} overflows the generated samples")
     truth = ClusterLabels(labels=np.array(labels, dtype=np.int64), k=len(spec.d_per_cluster))
     return samples, LabeledTensor(tensor=np.ascontiguousarray(tensor), truth=truth)
 

@@ -44,7 +44,7 @@ def _shrink_factor(nrm, tau):
 
 
 def scale_tubes(V, w, tau, row_tau=0.0):
-    """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack.
+    """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack, in place.
 
     Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
     taken in the spatial scaling.  ``tau = 0`` keeps nonzero tubes unchanged.
@@ -55,10 +55,9 @@ def scale_tubes(V, w, tau, row_tau=0.0):
     tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so ``V`` is read once for
     the norms and once for the single multiply.
 
-    Returns ``(out, out_norms)``: the shrunk stack and the spatial tube norms
-    of ``out``, ``t_ij ||v_ij||`` with ``t_ij`` the combined shrink factor, so
-    ``sum out_norms**2`` is the squared spatial Frobenius norm of ``out``
-    without another pass over the stack.
+    Returns the spatial tube norms of the shrunk ``V``, ``t_ij ||v_ij||`` with
+    ``t_ij`` the combined shrink factor, so their sum of squares is its squared
+    spatial Frobenius norm without another pass over the stack.
     """
     nrm = np.sqrt(weighted_sq_norms(V, w))
     factor = _shrink_factor(nrm, tau)
@@ -66,7 +65,8 @@ def scale_tubes(V, w, tau, row_tau=0.0):
         shrunk = factor * nrm
         rows = np.sqrt(np.einsum("ij,ij->i", shrunk, shrunk))
         factor *= _shrink_factor(rows, row_tau)[:, None]
-    return V * factor, factor * nrm
+    V *= factor
+    return factor * nrm
 
 
 def lloyd(X, C0, max_iter):

@@ -139,14 +139,14 @@ _log = logging.getLogger(__name__)
 
 # Peak memory of a solve in complex128 (d // 2 + 1, n, n) arrays, by the dtype
 # of the ADMM state, for a path whose caller drops each W before the next.
-# complex128: the loop's a, u, x, c and new shrunk stack, plus the ridge
-# factors; tracemalloc measured 5.88 at 28x160x28 (affine, one solve and a
-# three-point path) and 5.48 at 28x320x28.  complex64: the loop holds half of
-# that, and the peak is the complex128 finish: its copy of c and the inverse
-# rFFT's 1.87 arrays, plus a and u at every point but the last.  Measured 3.42
-# (one solve) and 4.42 (three points) at 28x160x28 affine, and 3.15 and 4.15
-# at 28x320x28.
-_PEAK_ARRAYS = {np.dtype(np.complex64): 4.5, np.dtype(np.complex128): 6.0}
+# complex128: one solve peaks in the loop (a, u, x and c, plus the faces and
+# ridge factors), a path in the finish of a point before the last (c, the
+# inverse rFFT's 1.87 arrays, and the a and u the next point starts from).
+# tracemalloc measured 4.76 (one solve) and 5.40 (three points) at 28x160x28
+# affine, 4.42 and 5.15 at 28x320x28, 4.67 and 4.87 at 8x200x8.  complex64: the
+# loop holds half of that, and the peak is the complex128 finish, with a and u at
+# every point but the last: 3.31 and 4.31 at 28x160x28, 3.10 and 4.10 at 28x320x28.
+_PEAK_ARRAYS = {np.dtype(np.complex64): 4.5, np.dtype(np.complex128): 5.5}
 
 
 def _check_count(name, value):
@@ -227,6 +227,18 @@ def _check_memory(n, d, dtype):
         raise ValueError(
             f"n={n} samples at depth d={d} need about {need / 1e9:,.1f} GB for the "
             f"solve, more than the {have / 1e9:,.1f} GB of physical memory"
+        )
+
+
+def _check_scale(y, s, lambda_g):
+    """Refuse data whose fidelity ``lambda_g ||Y||^2`` or largest ridge weight
+    ``2 lambda_g s^2`` overflows at the path's largest ``lambda_g``."""
+    fidelity = lambda_g * float(np.vdot(y, y))
+    weight = 2.0 * lambda_g * np.max(s, initial=0.0) ** 2
+    if not np.isfinite([fidelity, weight]).all():
+        raise ValueError(
+            f"the input's scale overflows float64 at lambda_g={lambda_g:g}: "
+            f"lambda_g ||Y||^2 is {fidelity:g} and 2 lambda_g s_max^2 is {weight:g}"
         )
 
 
@@ -327,7 +339,8 @@ def solve_path(y, configs):
 
     ``configs`` is a nonempty sequence of ``SolverConfig`` that differ only
     in ``lambda_g``.  The input checks, the memory guard, the rFFT and the SVD
-    run once, in this call, and raise ``ValueError`` here.  The returned
+    run once, in this call, and raise ``ValueError`` here, as does an input
+    whose scale overflows float64 at the largest ``lambda_g``.  The returned
     generator yields ``(w, report)`` per config, in the given order, as
     ``solve_self_representation`` returns them; each solve after the first
     starts from the previous one's ``a``, ``u`` and ``rho``.  Drop each ``w``
@@ -355,7 +368,9 @@ def solve_path(y, configs):
     timings = {"fft": time.perf_counter() - start}
 
     start = time.perf_counter()
-    ridge = _RidgeInverse(yf, cfg.lambda_g, affine=cfg.affine, dtype=dtype)
+    with np.errstate(over="ignore"):  # an overflow is refused by _check_scale
+        ridge = _RidgeInverse(yf, cfg.lambda_g, affine=cfg.affine, dtype=dtype)
+        _check_scale(y, ridge.s, max(other.lambda_g for other in configs))
     timings["factor"] = time.perf_counter() - start
     diag = np.s_[:, np.arange(n), np.arange(n)]
     return _path(yf, yf, d, ridge, configs, timings, diag, 1.0, diag)
@@ -401,15 +416,15 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             ridge(x, out=c)
             c[b0_at] += b0
 
-            v = np.add(c, u, out=x)  # x is spent
-            v[excluded] = 0.0
-            a_new, a_tubes = kernels.scale_tubes(v, w_freq, 1.0 / rho, lam_h / rho)
-            gap = np.subtract(c, a_new, out=v)  # v is spent once shrunk
-            u += gap
-            r_norm = float(np.sqrt(kernels.weighted_sq_norms(gap, w_freq, total=True)))
-            np.subtract(a_new, a, out=a)  # the old a is spent
+            np.add(c, u, out=x)  # shrunk in place into the new a
+            x[excluded] = 0.0
+            a_tubes = kernels.scale_tubes(x, w_freq, 1.0 / rho, lam_h / rho)
+            np.subtract(a, x, out=a)  # the old a's buffer takes the step, then c - a
             s_norm = float(rho * np.sqrt(kernels.weighted_sq_norms(a, w_freq, total=True)))
-            a = a_new
+            a, x = x, a
+            np.subtract(c, a, out=x)
+            u += x
+            r_norm = float(np.sqrt(kernels.weighted_sq_norms(x, w_freq, total=True)))
             primal_history.append(r_norm)
             dual_history.append(s_norm)
 
@@ -440,7 +455,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
             point, lam_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
-        del a_new, x, v, gap  # the inverse rFFT below needs two arrays of its own
+        del x  # the inverse rFFT below needs two arrays of its own
         if point == len(configs) - 1:
             del a, u  # no later point starts from them
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import logging
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -323,6 +324,41 @@ def test_cluster_refuses_input_beyond_physical_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ssmc cluster: data error: n=200000 samples at depth d=2 need about" in err
     assert "GB of physical memory" in err
+
+
+def test_cluster_refuses_input_whose_scale_overflows(two_cluster_files, tmp_path, capsys):
+    # entries near 1e160 used to solve to objective inf, reported as converged
+    # and written to --out as Infinity, which is not JSON
+    tensor_path, _ = two_cluster_files
+    big = tmp_path / "big.tsr1"
+    write_tsr1(big, 1e160 * read_tsr1(tensor_path))
+    out = tmp_path / "result.json"
+    argv = ["cluster", "--input", str(big), "--k", "2", "--lambda-g", "1", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == cli.EXIT_DATA
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ssmc cluster: data error: the input's scale overflows float64")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,noise,code",
+    [("synth", "1e308", cli.EXIT_PARAM), ("check", "1e308", cli.EXIT_PARAM),
+     ("synth", "1e200", cli.EXIT_DATA)],
+)  # fmt: skip
+def test_overflowing_noise_is_refused_without_a_warning(command, noise, code, capsys):
+    # a draw at noise 1e308 overflows: a parameter error; at 1e200 the draw is
+    # finite but its squares are not, so the solve refuses the data
+    argv = [command, "--h", "8", "--depth", "4", "--dims", "1,1", "--samples", "4,4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--noise", noise]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if code == cli.EXIT_PARAM:
+        assert f"ssmc {command}: parameter error: noise_sigma=1e+308 overflows" in err
 
 
 _SOLVER_FLAGS = [

@@ -2,6 +2,8 @@
 depth-1 reduction, pinned iterate path, adaptive penalty and report histories, depth-shift
 and sample-permutation invariance."""
 
+import re
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -91,6 +93,46 @@ def test_memory_guard_refuses_before_the_factorization(monkeypatch):
     monkeypatch.setattr(solver, "_RidgeInverse", factor)
     with pytest.raises(ValueError, match=r"n=200000 samples at depth d=2 need about .* GB"):
         solve_self_representation(np.ones((1, 200000, 2)), SolverConfig(lambda_g=1.0))
+
+
+@pytest.mark.parametrize("tol_rel", [1e-4, 1e-6], ids=["complex64", "complex128"])
+def test_memory_guard_budget_covers_the_measured_peak(tol_rel):
+    """The traced peak of one solve, and of a three-point path whose caller
+    drops each W, stays inside the guard's ``_PEAK_ARRAYS`` complex128 stacks
+    of ``(d // 2 + 1, n, n)``.  The peak does not depend on the iteration
+    count, so five iterations show it.  A complex128 solve holds four stacks in
+    its loop, ``a``, ``u``, ``x`` and ``c`` (4.67 measured, 4.87 for the path)."""
+    h, n, d = 8, 200, 8
+    y = np.random.default_rng(18).standard_normal((h, n, d))
+    cfg = SolverConfig(lambda_g=1.0, affine=True, max_iters=5, tol_rel=tol_rel)
+    dtype = np.dtype(solver._state_dtype(tol_rel))
+
+    def peak(configs):
+        tracemalloc.start()
+        try:
+            for w, _ in solve_path(y, configs):
+                del w
+            return tracemalloc.get_traced_memory()[1] / ((d // 2 + 1) * n * n * 16)
+        finally:
+            tracemalloc.stop()
+
+    one = peak([cfg])
+    path = peak([replace(cfg, lambda_g=lam) for lam in (1e-2, 1.0, 1e2)])
+    assert max(one, path) <= solver._PEAK_ARRAYS[dtype]
+    if dtype == np.complex128:
+        assert one <= 5.0
+
+
+@pytest.mark.parametrize("scale,grid", [(1e160, [1.0]), (1e150, [1.0, 5e6])])
+def test_rejects_input_whose_scale_overflows(scale, grid):
+    """Refused when ``solve_path`` is called, at the path's largest lambda_g,
+    with no overflow warning.  Entries of 1e160 square past float64's range.
+    On constant 1e150 entries lambda_g = 5e6 keeps ``lambda_g ||Y||^2`` at
+    9e307 but takes the ridge weight ``2 lambda_g s^2`` to 5.4e308, while the
+    path's first point alone would solve."""
+    y = np.full((2, 3, 3), scale)
+    with pytest.raises(ValueError, match=re.escape(f"overflows float64 at lambda_g={grid[-1]:g}")):
+        solve_path(y, [SolverConfig(lambda_g=lam) for lam in grid])
 
 
 def test_rejects_non_finite_and_zero_input():
@@ -258,7 +300,8 @@ def test_affine_solve_of_identical_samples_has_a_rank_zero_ridge():
 
 def _shrink_spatial(kernel, x, tau):
     d = x.shape[2]
-    out = kernel(ta._faces(x), ta._face_weights(d), tau)[0]
+    out = ta._faces(x)
+    kernel(out, ta._face_weights(d), tau)
     return ta._from_faces(out, d)
 
 
