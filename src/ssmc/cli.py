@@ -1,9 +1,11 @@
 """Command-line driver: cluster files, sweep lambda grids, run synthetic
 benchmarks, and evaluate the recovery-condition checker.
 
-Exit codes: 0 success, 2 data error (unreadable or malformed input), 3
-parameter error (bad or unknown flags, or an output path that cannot be
-written).  Every command prints its JSON payload to stdout and, with
+Exit codes: 0 success, 2 data error (unreadable, malformed or refused input),
+3 parameter error (bad or unknown flags, or an output path that cannot be
+written).  A flag value that its argparse type refuses is refused before any
+file is read.  ``cluster``, ``sweep`` and ``synth`` share one solve-and-cluster
+pipeline.  Every command prints its JSON payload to stdout and, with
 ``--out``, writes the same payload to a file; payloads contain no timestamps
 or timings, so reruns with identical flags produce byte-identical files.
 ``synth`` additionally reports its wall time on stdout only.
@@ -12,6 +14,7 @@ or timings, so reruns with identical flags produce byte-identical files.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +30,7 @@ from .data import (
     load_idx_labels,
     load_pgm_dir,
 )
-from .solver import SolverConfig, affinity_from_tensor, solve_path, solve_self_representation
+from .solver import SolverConfig, affinity_from_tensor, solve_path
 from .spectral import spectral_cluster
 from .t_algebra import FormatError, read_tsr1, tprod, write_tsr1
 from .theory import SubmoduleSample, theorem3_check
@@ -66,6 +69,35 @@ def _seed(text):
     return value
 
 
+def _crop(text):
+    a, _, b = text.partition(":")
+    try:
+        a, b = int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be integer A:B, got {text!r}") from None
+    if not 0 <= a <= b:
+        raise argparse.ArgumentTypeError(f"must have 0 <= A <= B, got {text!r}")
+    return a, b
+
+
+def _comma_list(convert, what):
+    def parse(text):
+        try:
+            values = [convert(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            values = []
+        # refuses nan and inf (1e400 parses as inf); unlike math.isfinite, takes any int
+        if not values or not all(abs(v) < math.inf for v in values):
+            raise argparse.ArgumentTypeError(f"must be a nonempty list of {what}, got {text!r}")
+        return values
+
+    return parse
+
+
+_ints = _comma_list(int, "comma-separated integers")
+_grid = _comma_list(float, "comma-separated finite numbers")
+
+
 def _add_solver_args(p):
     p.add_argument("--lambda-g", type=float, default=100.0, help="fidelity weight")
     p.add_argument("--lambda-h", type=float, help="row group-norm weight")
@@ -85,15 +117,15 @@ def _add_input_args(p):
     p.add_argument("--input", required=True, help="input path")
     p.add_argument("--format", choices=["tsr1", "idx", "pgmdir"], default="tsr1")
     p.add_argument("--decimate", type=int, default=1, help="pgmdir: keep every n-th pixel")
-    p.add_argument("--crop", default=None, metavar="A:B", help="pgmdir: inclusive column range")
+    p.add_argument("--crop", type=_crop, metavar="A:B", help="pgmdir: inclusive column range")
     p.add_argument("--truth", default=None, help="true labels (.json list or IDX) for error")
 
 
 def _add_synth_args(p):
     p.add_argument("--h", type=int, default=28, help="rows per slice")
     p.add_argument("--depth", type=int, default=28, help="tube length")
-    p.add_argument("--dims", default="2,2,2,2", help="per-cluster submodular dims, comma list")
-    p.add_argument("--samples", default="10,10,10,10", help="per-cluster sample counts")
+    p.add_argument("--dims", type=_ints, default="2,2,2,2", help="per-cluster submodule dims")
+    p.add_argument("--samples", type=_ints, default="10,10,10,10", help="per-cluster sample counts")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--shift-model", action="store_true", help="shifted-prototype clusters")
     p.add_argument("--affine-data", action="store_true", help="add per-cluster offsets")
@@ -116,7 +148,7 @@ def build_parser():
     _add_solver_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--grid", required=True, help="comma list of lambda_g values")
+    p.add_argument("--grid", type=_grid, required=True, help="comma list of lambda_g values")
     p.add_argument(
         "--out", default=None, help="JSON output path; the CSV replaces its extension with .csv"
     )
@@ -139,31 +171,6 @@ def build_parser():
     return parser
 
 
-def _parse_crop(text):
-    if text is None:
-        return None
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ParameterError(f"crop must look like A:B, got {text!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParameterError(f"crop must be integer A:B, got {text!r}") from None
-    if a < 0 or b < a:
-        raise ParameterError(f"crop range {a}:{b} is empty or negative")
-    return a, b
-
-
-def _parse_int_list(text, flag):
-    try:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ParameterError(f"{flag} must be a comma list of integers, got {text!r}") from None
-    if not values:
-        raise ParameterError(f"{flag} must be nonempty")
-    return values
-
-
 def _solver_config(args):
     # every solver flag's argparse dest is the name of its SolverConfig field
     try:
@@ -173,8 +180,7 @@ def _solver_config(args):
 
 
 def _load_input(args):
-    crop = _parse_crop(args.crop)
-    if args.format != "pgmdir" and (args.decimate != 1 or crop is not None):
+    if args.format != "pgmdir" and (args.decimate != 1 or args.crop is not None):
         raise ParameterError("--decimate/--crop apply only to --format pgmdir")
     try:
         if args.format == "tsr1":
@@ -182,7 +188,7 @@ def _load_input(args):
         elif args.format == "idx":
             tensor = load_idx_images(args.input)
         else:
-            tensor, _ = load_pgm_dir(args.input, decimate=args.decimate, crop=crop)
+            tensor, _ = load_pgm_dir(args.input, decimate=args.decimate, crop=args.crop)
     except (OSError, FormatError) as exc:
         raise DataError(str(exc)) from exc
     except ValueError as exc:  # load_pgm_dir: a --decimate or --crop the images cannot take
@@ -211,28 +217,34 @@ def _load_truth(path):
         raise DataError(f"cannot read truth labels: {exc}") from exc
 
 
-def _emit(payload, out_path, stdout_extra=None):
+def _json(payload):
     # allow_nan=False: NaN and Infinity are not JSON
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _emit(args, payload, **stdout_extra):
+    payload = {"schema": SCHEMA, "command": args.command, **payload}
+    text = _json(payload)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-    if stdout_extra:
-        shown = dict(payload)
-        shown.update(stdout_extra)
-        sys.stdout.write(json.dumps(shown, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(_json({**payload, **stdout_extra}) if stdout_extra else text)
 
 
-def _run_pipeline(tensor, cfg, k, seed):
+def _solve_and_cluster(tensor, configs, k, seed):
+    """Yield ``(report, affinity, labels)`` for each of ``configs``, solved as one path."""
     try:
-        w, report = solve_self_representation(tensor, cfg)
-    except ValueError as exc:
+        path = solve_path(tensor, configs)
+    except ValueError as exc:  # the input, refused once for every config
         raise DataError(str(exc)) from exc
-    affinity = affinity_from_tensor(w)
-    labels = spectral_cluster(affinity, k, seed)
-    return w, report, affinity, labels
+    for w, report in path:
+        affinity = affinity_from_tensor(w)
+        del w  # the next solve's memory estimate leaves no room for this one
+        try:
+            labels = spectral_cluster(affinity, k, seed)
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
+        yield report, affinity, labels
 
 
 def _report_dict(report):
@@ -251,10 +263,8 @@ def _warnings(report, labels):
 def cmd_cluster(args):
     cfg = _solver_config(args)
     tensor, truth = _load_input(args)
-    _, report, affinity, labels = _run_pipeline(tensor, cfg, args.k, args.seed)
+    report, affinity, labels = next(_solve_and_cluster(tensor, [cfg], args.k, args.seed))
     payload = {
-        "schema": SCHEMA,
-        "command": "cluster",
         "k": args.k,
         "labels": [int(v) for v in labels.labels],
         "solver_report": _report_dict(report),
@@ -265,17 +275,11 @@ def cmd_cluster(args):
     if args.affinity_out:
         write_tsr1(args.affinity_out, affinity[:, :, None])
         payload["affinity_path"] = args.affinity_out
-    _emit(payload, args.out)
+    _emit(args, payload)
     return 0
 
 
 def cmd_sweep(args):
-    try:
-        grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ParameterError(f"--grid must be a comma list of numbers, got {args.grid!r}") from None
-    if not grid:
-        raise ParameterError("--grid must be nonempty")
     csv_path = None
     if args.out:
         csv_path = os.path.splitext(args.out)[0] + ".csv"
@@ -285,37 +289,23 @@ def cmd_sweep(args):
     tensor, truth = _load_input(args)
     rows = []
     configs = []
-    for lam in grid:
+    for lam in args.grid:
         row = {"lambda_g": lam}
         try:
             configs.append(replace(base, lambda_g=lam))
         except ValueError as exc:
             row["error_message"] = str(exc)
         rows.append(row)
-    solved = [row for row in rows if "error_message" not in row]
-    path = ()
-    if configs:
-        try:
-            path = solve_path(tensor, configs)
-        except ValueError as exc:  # the input, refused once for every row
-            for row in solved:
-                row["error_message"] = str(exc)
-    for row, (w, report) in zip(solved, path):
-        affinity = affinity_from_tensor(w)
-        del w  # the next solve's memory estimate leaves no room for this one
-        try:
-            labels = spectral_cluster(affinity, args.k, args.seed)
-            error = clustering_error(labels, truth) if truth is not None else None
-        except (ValueError, RuntimeError) as exc:
-            row["error_message"] = str(exc)
-            continue
+    solvable = [row for row in rows if "error_message" not in row]
+    points = _solve_and_cluster(tensor, configs, args.k, args.seed)
+    # zip asks for a row first, so a grid without one solves nothing
+    for row, (report, _, labels) in zip(solvable, points):
         row["iterations"] = report.iterations
         row["objective"] = report.objective
         row["converged"] = report.converged
-        row["clustering_error"] = error
+        row["clustering_error"] = clustering_error(labels, truth) if truth is not None else None
 
-    payload = {"schema": SCHEMA, "command": "sweep", "k": args.k, "rows": rows}
-    _emit(payload, args.out)
+    _emit(args, {"k": args.k, "rows": rows})
     if csv_path:
         fields = [
             "lambda_g", "clustering_error", "iterations", "objective", "converged", "error_message",
@@ -329,13 +319,11 @@ def cmd_sweep(args):
 
 
 def _synth_spec(args):
-    dims = _parse_int_list(args.dims, "--dims")
-    samples = _parse_int_list(args.samples, "--samples")
     try:
         return SynthSpec(
             h=args.h,
-            d_per_cluster=dims,
-            samples_per_cluster=samples,
+            d_per_cluster=args.dims,
+            samples_per_cluster=args.samples,
             depth=args.depth,
             noise_sigma=args.noise,
             affine=args.affine_data,
@@ -362,12 +350,10 @@ def cmd_synth(args):
         raise ParameterError(f"k must be in 1..{n}, got {k}")
     start = time.perf_counter()
     labeled = _generate(spec)[1]
-    _, report, _, labels = _run_pipeline(labeled.tensor, cfg, k, args.seed)
+    report, _, labels = next(_solve_and_cluster(labeled.tensor, [cfg], k, args.seed))
     err = clustering_error(labels, labeled.truth)
     runtime = time.perf_counter() - start
     payload = {
-        "schema": SCHEMA,
-        "command": "synth",
         "k": k,
         "n": n,
         "clustering_error": err,
@@ -375,7 +361,7 @@ def cmd_synth(args):
         "solver_report": _report_dict(report),
         "warnings": _warnings(report, labels),
     }
-    _emit(payload, args.out, stdout_extra={"runtime_seconds": runtime})
+    _emit(args, payload, runtime_seconds=runtime)
     return 0
 
 
@@ -414,13 +400,11 @@ def cmd_check(args):
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
     payload = {
-        "schema": SCHEMA,
-        "command": "check",
         "cluster_index": args.cluster_index,
         "fixture": args.fixture,
         "report": asdict(report),
     }
-    _emit(payload, args.out)
+    _emit(args, payload)
     return 0
 
 

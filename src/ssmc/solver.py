@@ -139,14 +139,12 @@ _log = logging.getLogger(__name__)
 
 # Peak memory of a solve in complex128 (d // 2 + 1, n, n) arrays, by the dtype
 # of the ADMM state, for a path whose caller drops each W before the next.
-# complex128: one solve peaks in the loop (a, u, x and c, plus the faces and
-# ridge factors), a path in the finish of a point before the last (c, the
-# inverse rFFT's 1.87 arrays, and the a and u the next point starts from).
-# tracemalloc measured 4.76 (one solve) and 5.40 (three points) at 28x160x28
-# affine, 4.42 and 5.15 at 28x320x28, 4.67 and 4.87 at 8x200x8.  complex64: the
-# loop holds half of that, and the peak is the complex128 finish, with a and u at
-# every point but the last: 3.31 and 4.31 at 28x160x28, 3.10 and 4.10 at 28x320x28.
-_PEAK_ARRAYS = {np.dtype(np.complex64): 4.5, np.dtype(np.complex128): 5.5}
+# complex128 peaks in the loop (a, u, x and c, plus the faces and ridge
+# factors); complex64 in the complex128 finish (c and W, plus the a and u the
+# next point starts from).  tracemalloc, one solve and three points: 4.76 and
+# 4.76 (complex128), 2.56 and 3.38 (complex64) at 28x160x28 affine; 4.42 and
+# 4.42, 2.30 and 3.16 at 28x320x28; 4.67 and 4.67, 2.38 and 2.98 at 8x200x8.
+_PEAK_ARRAYS = {np.dtype(np.complex64): 3.5, np.dtype(np.complex128): 5.0}
 
 
 def _check_count(name, value):
@@ -362,6 +360,10 @@ def solve_path(y, configs):
     dtype = _state_dtype(cfg.tol_rel)
     _check_memory(n, d, dtype)
     if cfg.normalize_columns:
+        # dividing each column first by the power of two of its largest entry is
+        # exact, and keeps the squares in its norm from overflowing or underflowing
+        _, exponent = np.frexp(np.abs(y).max(axis=(0, 2)))
+        y = np.ldexp(y, -exponent[None, :, None])
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
     yf = _faces(y)
@@ -455,7 +457,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
             point, lam_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
-        del x  # the inverse rFFT below needs two arrays of its own
+        del x  # the finish's complex128 copy of c and W need its room
         if point == len(configs) - 1:
             del a, u  # no later point starts from them
 

@@ -55,9 +55,11 @@ def _faces(a):
 def _from_faces(f, d):
     """The real ``(h, n, d)`` tensor of a ``(d // 2 + 1, h, n)`` face stack.
 
-    The irFFT runs along the faces' own axis, and only its real result is
-    transposed, in one copy."""
-    return np.ascontiguousarray(np.transpose(np.fft.irfft(f, n=d, axis=0), (1, 2, 0)))
+    The irFFT runs along the faces' own axis and writes straight into the
+    result's layout, with no transposed copy."""
+    out = np.empty(f.shape[1:] + (d,))
+    np.fft.irfft(f, n=d, axis=0, out=np.moveaxis(out, 2, 0))
+    return out
 
 
 def _face_weights(d):

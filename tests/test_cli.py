@@ -305,7 +305,6 @@ def test_truth_labels_must_be_flat_integers(
         raise AssertionError("solved before the truth labels were checked")
 
     monkeypatch.setattr(cli, "solve_path", no_solve)
-    monkeypatch.setattr(cli, "solve_self_representation", no_solve)
     tensor_path, _ = two_cluster_files
     truth = tmp_path / "bad_truth.json"
     truth.write_text(json.dumps(labels))
@@ -341,6 +340,43 @@ def test_cluster_refuses_input_whose_scale_overflows(two_cluster_files, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("ssmc cluster: data error: the input's scale overflows float64")
     assert err.count("\n") == 1
+
+
+def test_sweep_refuses_input_whose_scale_overflows(two_cluster_files, tmp_path, capsys):
+    # refused once for the whole grid, as cluster refuses it; rows used to carry
+    # the refusal with exit 0
+    tensor_path, _ = two_cluster_files
+    big = tmp_path / "big.tsr1"
+    write_tsr1(big, 1e160 * read_tsr1(tensor_path))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--input", str(big), "--k", "2", "--grid", "1,10", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == cli.EXIT_DATA
+    assert not out.exists() and not (tmp_path / "sweep.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ssmc sweep: data error: the input's scale overflows float64")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cluster", "--input", "data.tsr1", "--k", "2"],
+     ["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1"],
+     ["synth", "--h", "6", "--depth", "4", "--dims", "2,2", "--samples", "5,5"]],
+    ids=lambda argv: argv[0],
+)  # fmt: skip
+def test_clustering_step_errors_are_data_errors(two_cluster_files, monkeypatch, capsys, argv):
+    # sweep used to write the error into its rows, cluster and synth to raise it
+    def refuse(*args):
+        raise ValueError("affinity contains non-finite values")
+
+    monkeypatch.setattr(cli, "spectral_cluster", refuse)
+    tensor_path, _ = two_cluster_files
+    argv = [tensor_path if v == "data.tsr1" else v for v in argv]
+    assert run_cli(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ssmc {argv[0]}: data error: affinity contains non-finite values"]
 
 
 @pytest.mark.parametrize(
@@ -486,6 +522,28 @@ def test_negative_seed_is_refused_before_any_work(monkeypatch, capsys, argv):
     assert run_cli(argv + ["--seed", "-1"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"ssmc {argv[0]}: error: argument --seed: must be nonnegative, got -1"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,nan"], "--grid"),
+        (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,inf"], "--grid"),
+        (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,1e400"], "--grid"),
+        (["cluster", "--input", "data.tsr1", "--format", "pgmdir", "--k", "2",
+          "--crop", "4:1"], "--crop"),
+        (["synth", "--dims", "x"], "--dims"),
+        (["check", "--samples", "4,y"], "--samples"),
+    ],
+    ids=["grid-nan", "grid-inf", "grid-1e400", "crop-4:1", "dims-x", "samples-4,y"],
+)  # fmt: skip
+def test_bad_flag_values_are_refused_before_any_work(monkeypatch, capsys, argv, flag):
+    # a non-finite grid value used to be solved around, then crash the JSON
+    # output with exit 1
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: pytest.fail("command ran"))
+    assert run_cli(argv) == cli.EXIT_PARAM
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ssmc {argv[0]}: error: argument {flag}: ")
 
 
 # -- check -------------------------------------------------------------------

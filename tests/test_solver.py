@@ -4,6 +4,7 @@ and sample-permutation invariance."""
 
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -101,7 +102,7 @@ def test_memory_guard_budget_covers_the_measured_peak(tol_rel):
     drops each W, stays inside the guard's ``_PEAK_ARRAYS`` complex128 stacks
     of ``(d // 2 + 1, n, n)``.  The peak does not depend on the iteration
     count, so five iterations show it.  A complex128 solve holds four stacks in
-    its loop, ``a``, ``u``, ``x`` and ``c`` (4.67 measured, 4.87 for the path)."""
+    its loop, ``a``, ``u``, ``x`` and ``c`` (4.67 measured, also for the path)."""
     h, n, d = 8, 200, 8
     y = np.random.default_rng(18).standard_normal((h, n, d))
     cfg = SolverConfig(lambda_g=1.0, affine=True, max_iters=5, tol_rel=tol_rel)
@@ -486,6 +487,21 @@ def test_normalize_columns_equals_manual_scaling():
     w_n, _ = solve_self_representation(y, cfg_n)
     w_m, _ = solve_self_representation(manual, cfg_m)
     assert np.array_equal(w_n, w_m)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_normalize_columns_holds_at_extreme_scales(scale):
+    # the column norms' squares used to overflow at 1e160, scaling every column
+    # to 0, and to underflow at 1e-170, for an objective of 0 after 1 iteration
+    spec = SynthSpec(h=6, d_per_cluster=[2, 2], samples_per_cluster=[6, 6], depth=4, seed=0)
+    y = generate_synthetic(spec).tensor
+    cfg = SolverConfig(lambda_g=100.0, normalize_columns=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (w0, r0), (w, r) = (solve_self_representation(y * s, cfg) for s in (1.0, scale))
+    labels0 = spectral_cluster(affinity_from_tensor(w0), 2, 0).labels
+    assert np.array_equal(spectral_cluster(affinity_from_tensor(w), 2, 0).labels, labels0)
+    assert r.objective == pytest.approx(r0.objective, rel=1e-12)
 
 
 @pytest.mark.parametrize(
