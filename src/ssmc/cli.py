@@ -126,7 +126,6 @@ def _add_synth_args(p):
     p.add_argument("--depth", type=int, default=28, help="tube length")
     p.add_argument("--dims", type=_ints, default="2,2,2,2", help="per-cluster submodule dims")
     p.add_argument("--samples", type=_ints, default="10,10,10,10", help="per-cluster sample counts")
-    p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--shift-model", action="store_true", help="shifted-prototype clusters")
     p.add_argument("--affine-data", action="store_true", help="add per-cluster offsets")
 
@@ -155,6 +154,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate synthetic data, cluster, report error")
     _add_synth_args(p)
+    p.add_argument("--noise", type=float, default=0.0, help="noise added to the samples")
     _add_solver_args(p)
     p.add_argument("--k", type=int, default=None, help="clusters (default: number of dims)")
     p.add_argument("--seed", type=_seed, default=0)
@@ -318,14 +318,14 @@ def cmd_sweep(args):
     return 0
 
 
-def _synth_spec(args):
+def _synth_spec(args, noise=0.0):
     try:
         return SynthSpec(
             h=args.h,
             d_per_cluster=args.dims,
             samples_per_cluster=args.samples,
             depth=args.depth,
-            noise_sigma=args.noise,
+            noise_sigma=noise,
             affine=args.affine_data,
             shift_model=args.shift_model,
             seed=args.seed,
@@ -334,22 +334,18 @@ def _synth_spec(args):
         raise ParameterError(str(exc)) from exc
 
 
-def _generate(spec):
-    try:
-        return generate_submodules(spec)
-    except ValueError as exc:  # a noise_sigma whose draw overflows
-        raise ParameterError(str(exc)) from exc
-
-
 def cmd_synth(args):
-    spec = _synth_spec(args)
+    spec = _synth_spec(args, args.noise)
     cfg = _solver_config(args)
     k = args.k if args.k is not None else len(spec.d_per_cluster)
     n = sum(spec.samples_per_cluster)
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in 1..{n}, got {k}")
     start = time.perf_counter()
-    labeled = _generate(spec)[1]
+    try:
+        labeled = generate_submodules(spec)[1]
+    except ValueError as exc:  # a noise_sigma whose draw overflows
+        raise ParameterError(str(exc)) from exc
     report, _, labels = next(_solve_and_cluster(labeled.tensor, [cfg], k, args.seed))
     err = clustering_error(labels, labeled.truth)
     runtime = time.perf_counter() - start
@@ -384,11 +380,13 @@ def _orthogonal_samples(spec, rng):
 
 
 def cmd_check(args):
+    if args.fixture == "orthogonal" and (args.affine_data or args.shift_model):
+        raise ParameterError("--affine-data/--shift-model apply only to --fixture gaussian")
     spec = _synth_spec(args)
     if args.fixture == "orthogonal":
         samples = _orthogonal_samples(spec, np.random.default_rng(spec.seed))
     else:
-        samples = _generate(spec)[0]
+        samples = generate_submodules(spec)[0]
     try:
         report = theorem3_check(
             samples,

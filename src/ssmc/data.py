@@ -307,9 +307,6 @@ def shift_images(t, max_shift, seed):
     d = t.shape[2]
     if not 0 <= max_shift < d:
         raise ValueError(f"max_shift must be in 0..{d - 1}, got {max_shift}")
-    rng = np.random.default_rng(seed)
-    out = np.empty_like(t)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=t.shape[1])
-    for j in range(t.shape[1]):
-        out[:, j, :] = np.roll(t[:, j, :], int(shifts[j]), axis=1)
-    return out
+    shifts = np.random.default_rng(seed).integers(-max_shift, max_shift + 1, size=t.shape[1])
+    # np.roll by s: depth k of the result is depth (k - s) mod d of the slice
+    return np.take_along_axis(t, ((np.arange(d) - shifts[:, None]) % d)[None], axis=2)

@@ -108,6 +108,22 @@ def _as_oriented(a, name):
     return a
 
 
+def _tube_cos(a, b, what="operand"):
+    """Tube cosines of stacked ``(..., h, 1, d)`` oriented matrices, shape ``(..., d)``.
+
+    Face ``f`` of each tube is ``Re(a_f^H b_f)`` over ``||a||_F ||b||_F``,
+    exactly symmetric in ``a`` and ``b``.  Every sum runs over trailing axes,
+    so a pair's tube does not depend on the pairs stacked beside it.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"operand shape mismatch: {a.shape} vs {b.shape}")
+    na, nb = (np.sqrt((x * x).sum(axis=(-3, -2, -1))) for x in (a, b))
+    if not (na.all() and nb.all()):
+        raise ValueError(f"tubal angle undefined for a zero-norm {what}")
+    s = (np.conj(np.fft.rfft(a)) * np.fft.rfft(b)).real.sum(axis=(-3, -2))
+    return np.fft.irfft(s, n=a.shape[-1]) / (na * nb)[..., None]
+
+
 def tubal_angle_cos(a, b):
     """Tube-valued cosine of the angle between two oriented matrices.
 
@@ -115,16 +131,7 @@ def tubal_angle_cos(a, b):
     where ``'`` is the tensor transpose: face ``f`` is ``Re(a_f^H b_f)`` over
     ``||a||_F ||b||_F``, exactly symmetric in its arguments.
     """
-    a = _as_oriented(a, "first operand")
-    b = _as_oriented(b, "second operand")
-    if a.shape != b.shape:
-        raise ValueError(f"operand shape mismatch: {a.shape} vs {b.shape}")
-    na = norm_fro(a)
-    nb = norm_fro(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("tubal angle undefined for a zero-norm operand")
-    s = (np.conj(_faces(a)) * _faces(b)).sum(axis=(1, 2))
-    return np.fft.irfft(s.real, n=a.shape[2]) / (na * nb)
+    return _tube_cos(_as_oriented(a, "first operand"), _as_oriented(b, "second operand"))
 
 
 def bcirc_singular_values(a):

@@ -3,9 +3,11 @@
 The guarantees concern unions of free submodules: sets of oriented matrices
 closed under tube-coefficient combinations.  This module tests whether a
 slice collection generates a submodule, estimates the angular coherence
-between two sampled submodules, evaluates the sufficient recovery condition
-that compares coherence against block-circulant singular values, and, on the
-solver's ADMM loop, finds minimum-F1-norm representations over a dictionary.
+between two sampled submodules from random combinations of each side's
+generators (drawn and scored a block of trials at a time), evaluates the
+sufficient recovery condition that compares coherence against
+block-circulant singular values, and, on the solver's ADMM loop, finds
+minimum-F1-norm representations over a dictionary.
 """
 
 import itertools
@@ -23,8 +25,8 @@ from .t_algebra import (
     _as_tensor3,
     _face_weights,
     _faces,
+    _tube_cos,
     bcirc_singular_values,
-    tubal_angle_cos,
 )
 
 __all__ = [
@@ -38,6 +40,9 @@ __all__ = [
 
 RANK_TOL = 1e-10
 SUBTENSOR_BUDGET = 200
+# combination entries (trials x h x depth) that coherence scores at once:
+# about 10 MB of working arrays at any image size
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass
@@ -46,7 +51,9 @@ class SubmoduleSample:
 
     ``generators`` is ``(h, d, depth)`` with submodular dimension ``d``;
     ``points`` is ``(h, m, depth)``.  ``affine_offset``, when present, is the
-    ``(h, 1, depth)`` translation that was added to every point.
+    ``(h, 1, depth)`` translation that was added to every point.  Non-finite
+    values, points or an offset of another height or depth than the
+    generators, and more generators than rows raise ``ValueError``.
     """
 
     generators: np.ndarray
@@ -54,15 +61,17 @@ class SubmoduleSample:
     affine_offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.generators = _as_tensor3(self.generators, "generators")
-        self.points = _as_tensor3(self.points, "points")
-        if self.generators.shape[1] > self.generators.shape[0]:
-            raise ValueError(
-                f"submodular dimension {self.generators.shape[1]} exceeds "
-                f"height {self.generators.shape[0]}"
-            )
+        self.generators = _as_tensor3(self.generators, "generators", finite=True)
+        self.points = _as_tensor3(self.points, "points", finite=True)
+        h, d, depth = self.generators.shape
+        if d > h:
+            raise ValueError(f"submodular dimension {d} exceeds height {h}")
+        if self.points.shape[::2] != (h, depth):
+            raise ValueError(f"points {self.points.shape} do not match ({h}, m, {depth})")
         if self.affine_offset is not None:
-            self.affine_offset = _as_tensor3(self.affine_offset, "affine_offset")
+            self.affine_offset = _as_tensor3(self.affine_offset, "affine_offset", finite=True)
+            if self.affine_offset.shape != (h, 1, depth):
+                raise ValueError(f"affine_offset {self.affine_offset.shape} != ({h}, 1, {depth})")
 
     @property
     def dim(self):
@@ -99,36 +108,36 @@ def is_generating_set(y):
     return bool((s[:, -1] > RANK_TOL * np.maximum(s[:, 0], 1.0)).all())
 
 
-def _unit_combination(gens, rng):
-    """A random unit-Frobenius-norm scalar combination of generators."""
-    h, d, depth = gens.shape
-    for _ in range(100):
-        alpha = rng.standard_normal(d)
-        v = np.tensordot(gens, alpha, axes=(1, 0))  # (h, depth)
-        nrm = float(np.linalg.norm(v.ravel()))
-        if nrm > 1e-12:
-            return (v / nrm)[:, None, :]
-    raise RuntimeError("failed to draw a nonzero combination after 100 attempts")
-
-
 def coherence(si, sj, trials, seed):
     """Monte-Carlo lower bound on the angular coherence of two submodules.
 
-    Draws ``trials`` pairs of random unit-norm combinations of each side's
+    Draws ``trials`` pairs of random scalar combinations of each side's
     generators and returns the largest Frobenius norm of their tube-valued
-    angle cosine.  Sequential draws from one seeded stream make the estimate
-    non-decreasing in ``trials`` for a fixed seed.  This samples scalar
-    combinations only, so it is a lower bound on the supremum over the full
-    submodules, and is reported as such.
+    angle cosine, which divides by both combinations' norms.  The trials are
+    drawn from one seeded stream and scored in blocks of about ``2**18``
+    combination entries (trials x h x depth); a trial's value does not
+    depend on its block, so the estimate is non-decreasing in ``trials`` for
+    a fixed seed.  This samples scalar combinations only, so it is a lower
+    bound on the supremum over the full submodules, and is reported as such.
+    The estimate does not depend on the generators' scale.  ``ValueError``
+    is raised for generators of another height or depth than the other
+    side's, and for a zero combination, which only all-zero generators
+    produce.
     """
     _check_count("trials", trials)
+    # dividing by the power of two of the largest entry is exact, and keeps the
+    # squares in the cosine's norms from overflowing or underflowing
+    gi, gj = (np.ldexp(g, -np.frexp(np.abs(g).max())[1]) for g in (si.generators, sj.generators))
+    h, d_i, depth = gi.shape
+    block = max(1, _BLOCK_ENTRIES // (h * depth))
     rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(trials):
-        vi = _unit_combination(si.generators, rng)
-        vj = _unit_combination(sj.generators, rng)
-        tube = tubal_angle_cos(vi, vj)
-        best = max(best, float(np.linalg.norm(tube)))
+    for start in range(0, trials, block):
+        a = rng.standard_normal((min(block, trials - start), 1, 1, d_i + gj.shape[1]))
+        # one vector-matrix product per trial and row: like the cosine's sums,
+        # none spans trials, so no value depends on the block
+        tubes = _tube_cos(a[..., :d_i] @ gi, a[..., d_i:] @ gj, "combination of generators")
+        best = max(best, float(np.linalg.norm(tubes, axis=-1).max()))
     return best
 
 

@@ -77,3 +77,21 @@ def identity_tensor(n, d):
     t = np.zeros((n, n, d), dtype=np.float64)
     t[:, :, 0] = np.eye(n)
     return t
+
+
+def coherence_per_trial(gi, gj, trials, seed):
+    """Reference coherence estimate, one trial at a time from one seeded stream.
+
+    Each trial draws ``gi.shape[1]`` then ``gj.shape[1]`` standard normals,
+    forms the two scalar combinations of the ``(h, d, depth)`` generators and
+    scores the tube cosine ``(a' * b + b' * a) / (2 ||a|| ||b||)`` with the
+    dense t-product; returns the largest Frobenius norm of those tubes.
+    """
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        a = np.tensordot(gi, rng.standard_normal(gi.shape[1]), axes=(1, 0))[:, None, :]
+        b = np.tensordot(gj, rng.standard_normal(gj.shape[1]), axes=(1, 0))[:, None, :]
+        tube = (tprod_bcirc_oracle(ttranspose(a), b) + tprod_bcirc_oracle(ttranspose(b), a))[0, 0]
+        best = max(best, float(np.linalg.norm(tube)) / (2 * np.linalg.norm(a) * np.linalg.norm(b)))
+    return best

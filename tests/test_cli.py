@@ -381,8 +381,7 @@ def test_clustering_step_errors_are_data_errors(two_cluster_files, monkeypatch, 
 
 @pytest.mark.parametrize(
     "command,noise,code",
-    [("synth", "1e308", cli.EXIT_PARAM), ("check", "1e308", cli.EXIT_PARAM),
-     ("synth", "1e200", cli.EXIT_DATA)],
+    [("synth", "1e308", cli.EXIT_PARAM), ("synth", "1e200", cli.EXIT_DATA)],
 )  # fmt: skip
 def test_overflowing_noise_is_refused_without_a_warning(command, noise, code, capsys):
     # a draw at noise 1e308 overflows: a parameter error; at 1e200 the draw is
@@ -582,6 +581,29 @@ def test_check_parameter_validation(capsys):
     assert "coherence_trials must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli(["check", "--fixture", "orthogonal", "--h", "3", "--depth", "2",
                     "--dims", "2,2", "--samples", "4,4"]) == 3  # needs h >= sum dims
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--noise", "1"], ["--fixture", "orthogonal", "--affine-data"],
+     ["--fixture", "orthogonal", "--shift-model"]],
+)  # fmt: skip
+def test_check_refuses_flags_it_does_not_read(monkeypatch, capsys, flags):
+    # check used to take --noise and ignore it, and the orthogonal fixture
+    # ignored --affine-data and --shift-model
+    monkeypatch.setattr(cli, "generate_submodules", lambda spec: pytest.fail("generated"))
+    monkeypatch.setattr(cli, "_orthogonal_samples", lambda *a: pytest.fail("generated"))
+    argv = ["check", "--h", "8", "--depth", "3", "--dims", "2,2", "--samples", "4,4"]
+    assert run_cli(argv + flags) == cli.EXIT_PARAM
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    if flags[0] == "--noise":
+        assert err[0] == "ssmc: error: unrecognized arguments: --noise 1"
+    else:
+        assert err[0] == (
+            "ssmc check: parameter error: --affine-data/--shift-model apply only to "
+            "--fixture gaussian"
+        )
 
 
 def test_debug_log_reports_the_solve_and_leaves_out_unchanged(

@@ -341,6 +341,17 @@ def test_shift_images_matches_tube_product():
         assert np.abs(out[:, j : j + 1, :] - via_product).max() < 1e-12
 
 
+def test_shift_images_rolls_each_slice_exactly():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 5, 28):
+        t = rng.standard_normal((3, 6, d))
+        for max_shift in range(d):
+            out = shift_images(t, max_shift, seed=d)
+            shifts = np.random.default_rng(d).integers(-max_shift, max_shift + 1, size=6)
+            for j, s in enumerate(shifts):
+                assert np.array_equal(out[:, j], np.roll(t[:, j], int(s), axis=1))
+
+
 def test_shift_images_validates_range():
     t = np.zeros((2, 2, 4))
     with pytest.raises(ValueError, match="max_shift"):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,36 @@ def _sample(gens, m, rng):
 def test_sample_rejects_more_generators_than_rows():
     with pytest.raises(ValueError, match="exceeds"):
         SubmoduleSample(generators=np.ones((2, 3, 4)), points=np.ones((2, 1, 4)))
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [("generators", np.nan), ("points", np.inf), ("affine_offset", -np.inf)],
+)  # fmt: skip
+def test_sample_rejects_non_finite_values(field, bad):
+    # NaN points used to reach LAPACK as "SVD did not converge"
+    parts = {
+        "generators": np.ones((4, 2, 3)),
+        "points": np.ones((4, 5, 3)),
+        "affine_offset": np.ones((4, 1, 3)),
+    }
+    parts[field][0, 0, 1] = bad
+    with pytest.raises(ValueError, match=f"{field} contains non-finite values"):
+        SubmoduleSample(**parts)
+
+
+@pytest.mark.parametrize(
+    "field,shape",
+    [("points", (6, 3, 7)), ("points", (5, 3, 3)), ("points", (4, 3, 5)),
+     ("affine_offset", (4, 2, 3)), ("affine_offset", (5, 1, 3)), ("affine_offset", (4, 1, 4))],
+)  # fmt: skip
+def test_sample_rejects_points_or_offset_off_the_generators_shape(field, shape):
+    # points of shape (6, 3, 7) with (5, 2, 4) generators used to be checked,
+    # and the check reported holds, lhs and rhs for them
+    parts = {"generators": np.ones((4, 2, 3)), "points": np.ones((4, 5, 3))}
+    parts[field] = np.ones(shape)
+    with pytest.raises(ValueError, match=field):
+        SubmoduleSample(**parts)
 
 
 def test_sample_dim_property():
@@ -92,8 +123,83 @@ def test_coherence_monotone_in_trials():
     rng = np.random.default_rng(3)
     a = _sample(rng.standard_normal((5, 2, 4)), 3, rng)
     b = _sample(rng.standard_normal((5, 2, 4)), 3, rng)
-    estimates = [coherence(a, b, trials=t, seed=7) for t in (1, 5, 20, 60)]
-    assert all(x <= y + 1e-15 for x, y in zip(estimates, estimates[1:]))
+    # 20000 trials take two blocks at this shape
+    assert 20000 > theory._BLOCK_ENTRIES // (5 * 4)
+    estimates = [coherence(a, b, trials=t, seed=7) for t in (1, 5, 20, 60, 20000)]
+    assert all(x <= y for x, y in zip(estimates, estimates[1:]))
+
+
+@pytest.mark.parametrize("h,d_i,d_j,depth", [(5, 2, 2, 4), (8, 1, 3, 7), (6, 2, 3, 1)])
+def test_coherence_matches_the_per_trial_reference(h, d_i, d_j, depth):
+    # the same draws, scored one trial at a time through the dense t-product;
+    # the sums run in another order, so equal to a few rounding errors
+    rng = np.random.default_rng(16)
+    gi, gj = rng.standard_normal((h, d_i, depth)), rng.standard_normal((h, d_j, depth))
+    a, b = SubmoduleSample(gi, gi[:, :1]), SubmoduleSample(gj, gj[:, :1])
+    for trials in (1, 3, 40):
+        ref = oracles.coherence_per_trial(gi, gj, trials, [4, trials])
+        assert abs(coherence(a, b, trials, [4, trials]) - ref) <= 1e-14 * ref
+
+
+def test_coherence_does_not_depend_on_the_generators_scale():
+    # at 1e160 the squares in the norms overflowed, and at 1e-160 every draw
+    # fell under the old 1e-12 norm floor
+    rng = np.random.default_rng(17)
+    a = _sample(rng.standard_normal((5, 2, 4)), 3, rng)
+    b = _sample(rng.standard_normal((5, 3, 4)), 3, rng)
+    ref = coherence(a, b, trials=30, seed=1)
+    for scale in (1e160, 1e-160, 2.0**-1000):
+        big = SubmoduleSample(scale * a.generators, scale * a.points)
+        small = SubmoduleSample(b.generators / scale, b.points / scale)
+        assert abs(coherence(big, small, trials=30, seed=1) - ref) <= 1e-14 * ref
+    assert coherence(SubmoduleSample(2.0**600 * a.generators, a.points), b, 30, 1) == ref
+
+
+def test_coherence_does_not_depend_on_the_block(monkeypatch):
+    rng = np.random.default_rng(13)
+    h, depth = 28, 28
+    a = _sample(rng.standard_normal((h, 2, depth)), 3, rng)
+    b = _sample(rng.standard_normal((h, 3, depth)), 3, rng)
+    assert 2100 > 6 * (theory._BLOCK_ENTRIES // (h * depth))  # 2100 trials take 7 blocks
+    trial_counts = (1, 5, 50, 700, 2100)
+    default = [coherence(a, b, trials=t, seed=2) for t in trial_counts]
+    for block in (1, 7):
+        monkeypatch.setattr(theory, "_BLOCK_ENTRIES", block * h * depth)
+        assert [coherence(a, b, trials=t, seed=2) for t in trial_counts] == default
+
+
+def test_coherence_peak_memory_does_not_grow_with_blocks():
+    rng = np.random.default_rng(14)
+    h, depth = 28, 28
+    a = _sample(rng.standard_normal((h, 2, depth)), 3, rng)
+    b = _sample(rng.standard_normal((h, 2, depth)), 3, rng)
+    block = theory._BLOCK_ENTRIES // (h * depth)
+    coherence(a, b, trials=1, seed=0)  # warm up, so that neither peak holds a first call's costs
+    peaks = []
+    for trials in (block, 3 * block):
+        tracemalloc.start()
+        try:
+            coherence(a, b, trials=trials, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 16 * 2**20
+
+
+def test_coherence_refuses_zero_generators_and_mismatched_shapes():
+    # all-zero generators used to fail with RuntimeError after 100 redraws
+    rng = np.random.default_rng(15)
+    a = _sample(rng.standard_normal((4, 2, 3)), 3, rng)
+    zero = SubmoduleSample(generators=np.zeros((4, 2, 3)), points=np.zeros((4, 3, 3)))
+    with pytest.raises(ValueError, match="zero-norm combination of generators"):
+        coherence(a, zero, trials=4, seed=0)
+    with pytest.raises(ValueError, match="zero-norm combination of generators"):
+        coherence(zero, a, trials=4, seed=0)
+    for shape in ((5, 2, 3), (4, 2, 4)):
+        other = _sample(rng.standard_normal(shape), 3, rng)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            coherence(a, other, trials=4, seed=0)
 
 
 def test_coherence_bounds():
