@@ -26,7 +26,7 @@ The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
 ``Y = U diag(s) V^H`` per face, taken once per path, gives ``rho`` times its
 inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
 ``g = 1 - rho / (2 lambda_g s^2 + rho)``, so every iteration costs two thin
-matmuls per face.  Singular values at or below ``pinv``'s cut ``1e-12 s_max``
+matmuls per face.  Singular values at or below ``pinv``'s cut ``_RCOND s_max``
 count as 0, so at ``lambda_g = inf`` ``g`` is 0 or 1 and the apply projects
 onto each face's null space.  Their directions have ``g = 0`` at every
 ``lambda_g`` and ``rho``, so the factors hold only the kept ones, and the
@@ -110,7 +110,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .t_algebra import _as_tensor3, _face_weights, _faces, _from_faces
+from .t_algebra import _as_tensor3, _face_weights, _faces, _from_faces, _pow2_scaled
 
 __all__ = [
     "SolverConfig",
@@ -126,6 +126,11 @@ _RHO_MU = 10.0
 _RHO_TAU = 2.0
 _RHO_START = 1.0
 _RHO_MIN, _RHO_MAX = 1e-4, 1e4
+
+# Singular values at or below this fraction of their face's largest count as 0:
+# the ridge's cut, and pinv's rcond for theory's start B0, which must lie in the
+# span that the ridge's null-space projector keeps.
+_RCOND = 1e-12
 
 # The smallest tol_rel that runs the ADMM state in complex64.  float32 round-off
 # (eps 1.2e-7, and about sqrt(n) eps on the BLAS sums of n terms) then stays
@@ -244,7 +249,7 @@ class _RidgeInverse:
     """Applies ``rho (2 lambda_g Y_f^H Y_f + rho I)^-1`` on every Fourier face.
 
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
-    ``Y_f = U diag(s) V^H`` (``s <= 1e-12 s_max`` taken as 0) this is
+    ``Y_f = U diag(s) V^H`` (``s <= _RCOND s_max`` taken as 0) this is
     ``x - V (g V^H x)``, where ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1
     at ``lambda_g = inf`` (which ``SolverConfig`` refuses).  A direction cut
     as 0 has ``g = 0`` at every ``lambda_g`` and ``rho``, so the factors hold
@@ -274,7 +279,7 @@ class _RidgeInverse:
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
         _, s, vh = np.linalg.svd(yf, full_matrices=False)
-        kept = s > 1e-12 * s[:, :1]  # the cut of pinv(rcond=1e-12)
+        kept = s > _RCOND * s[:, :1]  # the cut of pinv(rcond=_RCOND)
         # s is sorted, so each face's kept values lead it
         self.rank = r = int(kept.sum(axis=1).max())
         self.inner = inner = r + 1 if affine else r
@@ -360,10 +365,8 @@ def solve_path(y, configs):
     dtype = _state_dtype(cfg.tol_rel)
     _check_memory(n, d, dtype)
     if cfg.normalize_columns:
-        # dividing each column first by the power of two of its largest entry is
-        # exact, and keeps the squares in its norm from overflowing or underflowing
-        _, exponent = np.frexp(np.abs(y).max(axis=(0, 2)))
-        y = np.ldexp(y, -exponent[None, :, None])
+        # exact, and keeps the squares in each column's norm in range
+        y = _pow2_scaled(y, axis=(0, 2))
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
     yf = _faces(y)

@@ -12,6 +12,12 @@ Every transform in the package keeps only the ``d // 2 + 1`` faces of the
 rFFT (face ``d - f`` is the conjugate of face ``f``), through ``_faces``,
 ``_from_faces`` and ``_face_weights``; by Parseval,
 ``||a||_F^2 = sum_f w_f ||face_f||_F^2`` with those weights.
+
+Every tube cosine, ``tubal_angle_cos`` included, goes through ``_tube_cos``,
+which first divides each operand by the power of two of its largest entry
+(``_pow2_scaled``).  That division is exact, so the cosine is the same at any
+scale: no square in its norms overflows or underflows.  The solver's column
+normalization uses the same helper.
 """
 
 import struct
@@ -108,15 +114,29 @@ def _as_oriented(a, name):
     return a
 
 
+def _pow2_scaled(a, axis):
+    """``a`` divided by the power of two of its largest magnitude over ``axis``.
+
+    Only exponents change, so the division is exact wherever the result stays
+    normal; each part's largest entry lands in ``[0.5, 1)``, and an all-zero
+    part stays zero.
+    """
+    _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
+    return np.ldexp(a, -exponent)
+
+
 def _tube_cos(a, b, what="operand"):
     """Tube cosines of stacked ``(..., h, 1, d)`` oriented matrices, shape ``(..., d)``.
 
     Face ``f`` of each tube is ``Re(a_f^H b_f)`` over ``||a||_F ||b||_F``,
     exactly symmetric in ``a`` and ``b``.  Every sum runs over trailing axes,
-    so a pair's tube does not depend on the pairs stacked beside it.
+    so a pair's tube does not depend on the pairs stacked beside it.  Each
+    operand is first scaled by ``_pow2_scaled``, so the tube is the same at
+    any scale of either operand.
     """
     if a.shape != b.shape:
         raise ValueError(f"operand shape mismatch: {a.shape} vs {b.shape}")
+    a, b = (_pow2_scaled(x, axis=(-3, -2, -1)) for x in (a, b))
     na, nb = (np.sqrt((x * x).sum(axis=(-3, -2, -1))) for x in (a, b))
     if not (na.all() and nb.all()):
         raise ValueError(f"tubal angle undefined for a zero-norm {what}")
@@ -129,7 +149,8 @@ def tubal_angle_cos(a, b):
 
     Returns the length-``d`` tube ``(a' * b + b' * a) / (2 ||a||_F ||b||_F)``
     where ``'`` is the tensor transpose: face ``f`` is ``Re(a_f^H b_f)`` over
-    ``||a||_F ||b||_F``, exactly symmetric in its arguments.
+    ``||a||_F ||b||_F``, exactly symmetric in its arguments and exact at any
+    scale of either.  A zero operand raises ``ValueError``.
     """
     return _tube_cos(_as_oriented(a, "first operand"), _as_oriented(b, "second operand"))
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .solver import SolverConfig, _check_count, _path, _RidgeInverse
+from .solver import _RCOND, SolverConfig, _check_count, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _face_weights,
@@ -119,15 +119,14 @@ def coherence(si, sj, trials, seed):
     depend on its block, so the estimate is non-decreasing in ``trials`` for
     a fixed seed.  This samples scalar combinations only, so it is a lower
     bound on the supremum over the full submodules, and is reported as such.
-    The estimate does not depend on the generators' scale.  ``ValueError``
+    The estimate does not depend on the generators' scale: ``_tube_cos``
+    divides each combination by a power of two, which is exact.  ``ValueError``
     is raised for generators of another height or depth than the other
     side's, and for a zero combination, which only all-zero generators
     produce.
     """
     _check_count("trials", trials)
-    # dividing by the power of two of the largest entry is exact, and keeps the
-    # squares in the cosine's norms from overflowing or underflowing
-    gi, gj = (np.ldexp(g, -np.frexp(np.abs(g).max())[1]) for g in (si.generators, sj.generators))
+    gi, gj = si.generators, sj.generators
     h, d_i, depth = gi.shape
     block = max(1, _BLOCK_ENTRIES // (h * depth))
     rng = np.random.default_rng(seed)
@@ -243,7 +242,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     yf, xf = _faces(dictionary), _faces(x)  # (F, h, m), (F, h, 1)
     timings = {"fft": time.perf_counter() - start}
     start = time.perf_counter()
-    a0 = np.linalg.pinv(yf, rcond=1e-12) @ xf  # (F, m, 1)
+    a0 = np.linalg.pinv(yf, rcond=_RCOND) @ xf  # (F, m, 1)
     if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
         raise ValueError("not in generated submodule")
     # lambda_g = 1 only weighs the constraint residual in report.objective

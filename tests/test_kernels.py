@@ -134,7 +134,7 @@ def test_scale_tubes_returns_shrunk_tube_norms(row_tau):
 
 
 @pytest.mark.parametrize("even_depth", [False, True])
-def test_scale_rows_applies_group_shrink(even_depth):
+def test_scale_tubes_row_stage_applies_group_shrink(even_depth):
     rng = np.random.default_rng(11)
     d = 6 if even_depth else 5
     w = _face_weights(d)

@@ -1,5 +1,7 @@
 """Tensor-algebra tests: transform conventions, product oracles, norms, TSR1."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,28 @@ def test_tubal_angle_rejects_zero_operand():
     a = _first_face_unit(2, 3, 0)
     with pytest.raises(ValueError, match="zero-norm"):
         ta.tubal_angle_cos(a, np.zeros((2, 1, 3)))
+
+
+def test_tubal_angle_is_exact_at_any_scale():
+    # a power-of-two factor on either operand or both leaves the tube bit for
+    # bit; 2**530 overflows the squares in unscaled norms, 2**-560 underflows them
+    rng = np.random.default_rng(15)
+    a, b = rng.standard_normal((2, 4, 1, 3))
+    ref = ta.tubal_angle_cos(a, b)
+
+    def scaled(c):
+        return ((c * a, b), (a, c * b), (c * a, c * b))
+
+    for k in (-1000, -560, 530, 1000):
+        for x, y in scaled(2.0**k):
+            assert np.array_equal(ta.tubal_angle_cos(x, y), ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e160, 1e-170):
+            for x, y in scaled(c):
+                assert np.abs(ta.tubal_angle_cos(x, y) - ref).max() < 1e-15
+        with pytest.raises(ValueError, match="zero-norm"):
+            ta.tubal_angle_cos(1e-170 * a, np.zeros((4, 1, 3)))
 
 
 # -- block-circulant spectrum ------------------------------------------------
