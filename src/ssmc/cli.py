@@ -98,8 +98,10 @@ _ints = _comma_list(int, "comma-separated integers")
 _grid = _comma_list(float, "comma-separated finite numbers")
 
 
-def _add_solver_args(p):
-    p.add_argument("--lambda-g", type=float, default=100.0, help="fidelity weight")
+def _add_solver_args(p, lambda_g=True):
+    # sweep passes lambda_g=False: --grid replaces the default in each config
+    if lambda_g:
+        p.add_argument("--lambda-g", type=float, help="fidelity weight")
     p.add_argument("--lambda-h", type=float, help="row group-norm weight")
     p.add_argument("--affine", action="store_true", help="affine-submodule constraint")
     p.add_argument(
@@ -110,7 +112,10 @@ def _add_solver_args(p):
     p.add_argument("--max-iters", type=int)
     p.add_argument("--tol-abs", type=float)
     p.add_argument("--tol-rel", type=float)
-    p.set_defaults(**{f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING})
+    p.set_defaults(
+        lambda_g=100.0,
+        **{f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING},
+    )
 
 
 def _add_input_args(p):
@@ -144,7 +149,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run cluster over a lambda_g grid")
     _add_input_args(p)
-    _add_solver_args(p)
+    _add_solver_args(p, lambda_g=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grid", type=_grid, required=True, help="comma list of lambda_g values")

@@ -8,13 +8,14 @@ uniformly across loaders.
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .spectral import ClusterLabels
-from .t_algebra import FormatError, _as_tensor3, e_tube, tprod
+from .t_algebra import FormatError, _as_tensor3, _check_count, e_tube, tprod
 from .theory import SubmoduleSample, is_generating_set
 
 __all__ = [
@@ -59,10 +60,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "d_per_cluster", tuple(int(v) for v in self.d_per_cluster))
-        object.__setattr__(
-            self, "samples_per_cluster", tuple(int(v) for v in self.samples_per_cluster)
-        )
+        _check_count("h", self.h)
+        _check_count("depth", self.depth)
+        _check_count("seed", self.seed, low=0)
+        for name in ("d_per_cluster", "samples_per_cluster"):
+            values = tuple(getattr(self, name))
+            for v in values:
+                _check_count(name, v)
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         if len(self.d_per_cluster) != len(self.samples_per_cluster):
             raise ValueError(
                 f"{len(self.d_per_cluster)} cluster dims vs "
@@ -70,10 +75,6 @@ class SynthSpec:
             )
         if not self.d_per_cluster:
             raise ValueError("need at least one cluster")
-        if self.h < 1 or self.depth < 1:
-            raise ValueError(f"dimensions must be at least 1, got h={self.h} depth={self.depth}")
-        if min(self.d_per_cluster) < 1 or min(self.samples_per_cluster) < 1:
-            raise ValueError("cluster dims and sample counts must be at least 1")
         if not self.shift_model and max(self.d_per_cluster) > self.h:
             raise ValueError(
                 f"cluster dim {max(self.d_per_cluster)} exceeds height {self.h}"
@@ -83,8 +84,6 @@ class SynthSpec:
             raise ValueError(
                 f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -181,50 +180,33 @@ def load_idx_labels(path):
     return _read_idx(path, IDX_LABEL_MAGIC, 1, "label").astype(np.int64)
 
 
+# A binary PGM header (Netpbm): the magic P5, then width, height and maxval
+# in decimal, each after whitespace or '#' comments that run to a CR or LF,
+# then one whitespace byte before the raster.  Every byte has one reading, so
+# a match takes linear time on any input; 20 digits keep int() far below its
+# 4300-digit limit.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,20})" * 3 + rb"\s")
+
+
 def _read_pgm(path):
+    """One P5 image as float64 in [0, 1]; maxval above 255 reads as big-endian u16."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw):
-            ch = raw[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(raw) and raw[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header at offset {start}")
-        return raw[start:pos]
-
-    if token() != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed PGM header") from exc
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise FormatError(f"{path}: no binary PGM header (P5, width, height, maxval)")
+    width, height, maxval = (int(v) for v in header.groups())
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise FormatError(f"{path}: invalid PGM dimensions {width}x{height} maxval {maxval}")
-    pos += 1  # single whitespace byte separates header and payload
-    bps = 1 if maxval < 256 else 2
-    expected = width * height * bps
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    pos = header.end()
+    expected = width * height * dtype.itemsize
     payload = raw[pos : pos + expected]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload at offset {pos} has {len(payload)} bytes, expected {expected}"
         )
-    dtype = np.uint8 if bps == 1 else ">u2"
-    img = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return img.astype(np.float64) / maxval
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width) / maxval
 
 
 def load_pgm_dir(path, decimate=1, crop=None):
@@ -235,8 +217,7 @@ def load_pgm_dir(path, decimate=1, crop=None):
     ``decimate``-th row and column; ``crop=(a, b)`` then keeps columns
     ``a..b`` inclusive.  Returns ``(tensor, names)``.
     """
-    if decimate < 1:
-        raise ValueError(f"decimate must be at least 1, got {decimate}")
+    _check_count("decimate", decimate)
     names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
     if not names:
         raise FormatError(f"{path}: no PGM files found")

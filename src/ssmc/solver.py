@@ -110,7 +110,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .t_algebra import _as_tensor3, _face_weights, _faces, _from_faces, _pow2_scaled
+from .t_algebra import _as_tensor3, _check_count, _face_weights, _faces, _from_faces, _pow2_scaled
 
 __all__ = [
     "SolverConfig",
@@ -150,12 +150,6 @@ _log = logging.getLogger(__name__)
 # 4.76 (complex128), 2.56 and 3.38 (complex64) at 28x160x28 affine; 4.42 and
 # 4.42, 2.30 and 3.16 at 28x320x28; 4.67 and 4.67, 2.38 and 2.98 at 8x200x8.
 _PEAK_ARRAYS = {np.dtype(np.complex64): 3.5, np.dtype(np.complex128): 5.0}
-
-
-def _check_count(name, value):
-    """Refuse a count that is a bool, not an integer, or below 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .t_algebra import _check_count
 
 __all__ = ["ClusterLabels", "kmeans", "spectral_cluster"]
 
@@ -30,8 +31,7 @@ class ClusterLabels:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be one-dimensional, got {self.labels.shape}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        _check_count("k", self.k)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise ValueError(f"labels out of range [0, {self.k})")
 
@@ -60,16 +60,15 @@ def kmeans(points, k, seed):
     Runs 20 restarts of at most 300 Lloyd iterations each and keeps the
     lowest final inertia; restart ``r`` draws from
     ``default_rng([seed, r])``, and inertia ties keep the lowest restart
-    index, so the result is independent of restart execution order.
+    index, so the result is independent of restart execution order.  ``k``
+    must be an integer in ``1..n`` (a bool or a float is refused).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-d array, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("points contains non-finite values")
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    _check_count("k", k, high=points.shape[0])
     best_labels = None
     best_inertia = np.inf
     for r in range(KMEANS_RESTARTS):
@@ -105,12 +104,12 @@ def spectral_cluster(m, k, seed):
     ``k`` eigenvectors of largest eigenvalue (LAPACK ``eigh``),
     row-normalize the embedding (zero rows stay zero), k-means the rows.
     A zero-degree sample has its degree replaced by 1 and adds a warning to
-    the result metadata.  Deterministic given ``(m, k, seed)``.
+    the result metadata.  Deterministic given ``(m, k, seed)``.  ``k`` must
+    be an integer in ``1..n``, as for :func:`kmeans`.
     """
     m = _validate_affinity(m)
     n = m.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    _check_count("k", k, high=n)
     warnings = ()
     deg = m.sum(axis=1)
     isolated = deg == 0

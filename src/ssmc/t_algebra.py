@@ -53,6 +53,17 @@ def _as_tensor3(a, name="tensor", finite=False):
     return a
 
 
+def _check_count(name, value, low=1, high=None):
+    """Refuse a bool, a non-integer, or an integer outside ``low..high``.
+
+    Python and numpy integers pass; ``high=None`` sets no upper limit.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < low or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+
+
 def _faces(a):
     """The ``(d // 2 + 1, h, n)`` half-spectrum face stack of a real ``(h, n, d)`` tensor."""
     return np.ascontiguousarray(np.transpose(np.fft.rfft(a, axis=2), (2, 0, 1)))

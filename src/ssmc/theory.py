@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .solver import _RCOND, SolverConfig, _check_count, _path, _RidgeInverse
+from .solver import _RCOND, SolverConfig, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
+    _check_count,
     _face_weights,
     _faces,
     _tube_cos,
@@ -113,7 +114,9 @@ def coherence(si, sj, trials, seed):
 
     Draws ``trials`` pairs of random scalar combinations of each side's
     generators and returns the largest Frobenius norm of their tube-valued
-    angle cosine, which divides by both combinations' norms.  The trials are
+    angle cosine, which divides by both combinations' norms.  It is a tube
+    norm, not a scalar cosine: it lies in ``[0, sqrt(depth)]`` and reaches
+    ``sqrt(depth)`` for parallel depth-constant generators.  The trials are
     drawn from one seeded stream and scored in blocks of about ``2**18``
     combination entries (trials x h x depth); a trial's value does not
     depend on its block, so the estimate is non-decreasing in ``trials`` for

@@ -250,6 +250,23 @@ def test_sweep_grid_validation(two_cluster_files):
     assert run_cli(base) == 3  # --grid is required
 
 
+@pytest.mark.parametrize(
+    "flags,err",
+    [
+        (["--lambda-g", "5"], "ssmc: error: unrecognized arguments: --lambda-g 5"),
+        (["--tol-rel", "-1"], "ssmc sweep: parameter error: tolerances must be nonnegative"),
+    ],
+    ids=["lambda-g", "tol-rel"],
+)
+def test_sweep_refuses_solver_flags_before_reading_input(monkeypatch, capsys, flags, err):
+    # sweep used to take --lambda-g and ignore it; a bad flag it does read is
+    # one parameter error, not an error row per grid point
+    monkeypatch.setattr(cli, "read_tsr1", lambda path: pytest.fail("read the input"))
+    argv = ["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,10"]
+    assert run_cli(argv + flags) == cli.EXIT_PARAM
+    assert capsys.readouterr().err.splitlines() == [err]
+
+
 def test_sweep_records_per_row_failures(two_cluster_files, capsys):
     tensor_path, _ = two_cluster_files
     code = run_cli(["sweep", "--input", tensor_path, "--k", "2", "--grid=-1,10"])
@@ -409,17 +426,20 @@ _SOLVER_FLAGS = [
     ids=["cluster", "sweep", "synth"],
 )
 def test_solver_flags_map_to_their_config_fields(command):
+    # sweep has no --lambda-g: --grid alone sets its lambda_g values
+    sweep = command[0] == "sweep"
+    flags = _SOLVER_FLAGS[2:] if sweep else _SOLVER_FLAGS
     parser = cli.build_parser()
     defaults = cli._solver_config(parser.parse_args(command))
-    cfg = cli._solver_config(parser.parse_args(command + _SOLVER_FLAGS))
+    cfg = cli._solver_config(parser.parse_args(command + flags))
     expected = solver.SolverConfig(
-        lambda_g=2.5, lambda_h=0.25, affine=True, max_iters=7, tol_abs=1e-5, tol_rel=1e-3,
-        normalize_columns=True,
+        lambda_g=100.0 if sweep else 2.5, lambda_h=0.25, affine=True, max_iters=7, tol_abs=1e-5,
+        tol_rel=1e-3, normalize_columns=True,
     )
     assert cfg == expected
-    assert all(
-        getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(solver.SolverConfig)
-    )
+    names = {f.name for f in fields(solver.SolverConfig)}
+    changed = {name for name in names if getattr(cfg, name) != getattr(defaults, name)}
+    assert changed == (names - {"lambda_g"} if sweep else names)
 
 
 def test_solver_flag_defaults_are_the_config_defaults():
@@ -433,6 +453,10 @@ def test_solver_flags_are_exactly_the_config_fields(capsys):
     cli._add_solver_args(parser)
     dests = {action.dest for action in parser._actions} - {"help"}
     assert dests == {f.name for f in fields(solver.SolverConfig)}
+    parser = argparse.ArgumentParser()
+    cli._add_solver_args(parser, lambda_g=False)  # as sweep, whose --grid sets lambda_g
+    dests = {action.dest for action in parser._actions} - {"help"}
+    assert dests == {f.name for f in fields(solver.SolverConfig)} - {"lambda_g"}
     # the ADMM penalty starts at 1 and adapts by residual balancing; no flag sets it
     assert run_cli(["synth", "--rho", "1"]) == 3
     assert "unrecognized arguments: --rho 1" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ def _face_residual(points, gens):
             dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, noise_sigma=np.inf),
             "noise",
         ),
+        # counts follow one integer rule: no bools, no floats, integral or not
+        (dict(h=4, d_per_cluster=[2.7], samples_per_cluster=[3], depth=2), "d_per_cluster"),
+        (dict(h=4, d_per_cluster=[2], samples_per_cluster=[True], depth=2), "samples_per"),
+        (dict(h=2.5, d_per_cluster=[2], samples_per_cluster=[3], depth=2), "h must be"),
+        (dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2.0), "depth must"),
+        (dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, seed=1.5), "seed"),
+        (dict(h=4, d_per_cluster=[2], samples_per_cluster=[3], depth=2, seed=False), "seed"),
     ],
 )
 def test_spec_validation(kwargs, match):
@@ -77,6 +85,13 @@ def test_generation_is_bitwise_deterministic():
     samples, labeled = generate_submodules(spec)
     assert np.array_equal(labeled.tensor, a.tensor)
     assert len(samples) == 2
+    # numpy integer counts are taken, and read as the same Python integers
+    np_spec = SynthSpec(
+        h=np.int64(5), d_per_cluster=np.array([2, 2]), samples_per_cluster=[4, np.int32(3)],
+        depth=4, seed=np.int64(11),
+    )
+    assert np_spec.d_per_cluster == (2, 2) and type(np_spec.samples_per_cluster[1]) is int
+    assert np.array_equal(generate_synthetic(np_spec).tensor, a.tensor)
 
 
 def test_truth_labels_match_cluster_sizes():
@@ -207,6 +222,23 @@ def test_pgm_known_pixels(tmp_path):
     assert names == ["a.pgm"]
     assert t.shape == (2, 1, 2)
     assert np.allclose(t[:, 0, :], [[0, 128 / 255], [1.0, 64 / 255]])
+    # every header spelling of a 3x2 8-bit image reads as the plain one
+    pixels = bytes([0, 1, 2, 127, 128, 255])
+    (tmp_path / "a.pgm").write_bytes(b"P5\n3 2\n255\n" + pixels)
+    plain, _ = load_pgm_dir(tmp_path)
+    for header in [
+        b"P5\n# a\n3\n# b\n2 # c\n# d\n255\n",  # a comment before every token
+        b"P5\r3 2\r255\r",
+        b"P5 3 2 255\n",
+        b"P5\r\n3 2\r\n# e\r\n255\n",
+        b"P5\t3\t2\t255\t",
+        b"P5\n03 002\n0255\n",
+    ]:
+        for tail in (b"", b"\ntrailing bytes"):
+            (tmp_path / "a.pgm").write_bytes(header + pixels + tail)
+            t, _ = load_pgm_dir(tmp_path)
+            assert t.shape == (2, 1, 3)
+            assert np.array_equal(t, plain), header + tail
 
 
 def test_pgm_comment_and_16_bit(tmp_path):
@@ -244,6 +276,34 @@ def test_pgm_error_paths(tmp_path):
     empty.mkdir()
     with pytest.raises(FormatError, match="no PGM files"):
         load_pgm_dir(empty)
+    for raw, match in [
+        (b"P5\n1 1\n255\xff", "no binary PGM header"),  # no whitespace byte before the raster
+        (b"P5\n1 1\n255", "no binary PGM header"),
+        (b"P5\n1 1 # no line end", "no binary PGM header"),
+        (b"P5\n1 1\n-255\n\xff", "no binary PGM header"),
+        (b"P2\n1 1\n255\n0", "P5"),
+        (b"P5\n0 1\n255\n", "invalid PGM dimensions 0x1"),
+        (b"P5\n1 1\n65536\n\x00\x00", "maxval 65536"),
+    ]:
+        (other / "x.pgm").write_bytes(raw)
+        with pytest.raises(FormatError, match=match):
+            load_pgm_dir(other)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P5" + b" " * 10**5, b"P5\n" + b"# " * 10**5, b"P5 1 " + b"9" * 10**5 + b" 255\n"],
+    ids=["whitespace", "comments", "digits"],
+)
+def test_pgm_crafted_header_is_refused_in_linear_time(tmp_path, header):
+    # a header pattern with more than one reading of a byte backtracks
+    # exponentially on such input; a 10**5-digit size would also exceed int()'s
+    # digit limit with a ValueError instead of a FormatError
+    (tmp_path / "x.pgm").write_bytes(header)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="no binary PGM header"):
+        load_pgm_dir(tmp_path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pgm_decimate_and_crop(tmp_path):

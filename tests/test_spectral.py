@@ -37,6 +37,8 @@ def test_labels_validation():
         ClusterLabels(labels=np.array([0, 2]), k=2)
     with pytest.raises(ValueError, match="k must be"):
         ClusterLabels(labels=np.array([0]), k=0)
+    with pytest.raises(ValueError, match="k must be at least 1, got True"):
+        ClusterLabels(labels=np.array([0]), k=True)
     with pytest.raises(ValueError, match="one-dimensional"):
         ClusterLabels(labels=np.zeros((2, 2)), k=1)
 
@@ -72,6 +74,11 @@ def test_k_out_of_range():
         spectral_cluster(m, 7, seed=0)
     with pytest.raises(ValueError, match="k must be in"):
         spectral_cluster(m, 0, seed=0)
+    # one integer rule: bools and integral floats are refused, numpy integers taken
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"k must be in 1..6, got {bad!r}"):
+            spectral_cluster(m, bad, seed=0)
+    assert spectral_cluster(m, np.int64(2), seed=0).k == 2
 
 
 def test_isolated_vertex_warns_and_still_clusters():
@@ -134,6 +141,10 @@ def test_kmeans_validates_inputs():
         kmeans(np.zeros(3), 1, seed=0)
     with pytest.raises(ValueError, match="points contains non-finite values"):
         kmeans(np.array([[0.0], [np.nan], [1.0]]), 2, seed=0)
+    for bad in (True, 2.0, 1.5):
+        with pytest.raises(ValueError, match=f"k must be in 1..3, got {bad!r}"):
+            kmeans(pts, bad, seed=0)
+    assert kmeans(pts, np.int64(2), seed=0).k == 2
 
 
 def test_kmeans_inertia_monotone_over_lloyd_iterations():
