@@ -86,16 +86,17 @@ def _comma_list(convert, what):
             values = [convert(v) for v in text.split(",") if v.strip() != ""]
         except ValueError:
             values = []
-        # refuses nan and inf (1e400 parses as inf); unlike math.isfinite, takes any int
-        if not values or not all(abs(v) < math.inf for v in values):
+        # one rule for every list flag: refuses zero, negatives, nan and inf
+        # (1e400 parses as inf); unlike math.isfinite, takes any int
+        if not values or not all(0 < v < math.inf for v in values):
             raise argparse.ArgumentTypeError(f"must be a nonempty list of {what}, got {text!r}")
         return values
 
     return parse
 
 
-_ints = _comma_list(int, "comma-separated integers")
-_grid = _comma_list(float, "comma-separated finite numbers")
+_ints = _comma_list(int, "comma-separated positive integers")
+_grid = _comma_list(float, "comma-separated positive finite numbers")
 
 
 def _add_solver_args(p, lambda_g=True):
@@ -184,6 +185,11 @@ def _solver_config(args):
         raise ParameterError(str(exc)) from exc
 
 
+def _check_k(k, n):
+    if not 1 <= k <= n:
+        raise ParameterError(f"k must be in 1..{n}, got {k}")
+
+
 def _load_input(args):
     if args.format != "pgmdir" and (args.decimate != 1 or args.crop is not None):
         raise ParameterError("--decimate/--crop apply only to --format pgmdir")
@@ -199,8 +205,7 @@ def _load_input(args):
     except ValueError as exc:  # load_pgm_dir: a --decimate or --crop the images cannot take
         raise ParameterError(str(exc)) from exc
     n = tensor.shape[1]
-    if not 1 <= args.k <= n:
-        raise ParameterError(f"k must be in 1..{n}, got {args.k}")
+    _check_k(args.k, n)
     truth = _load_truth(args.truth) if args.truth else None
     if truth is not None and truth.shape[0] != n:
         raise DataError(f"truth has {truth.shape[0]} labels for {n} samples")
@@ -252,31 +257,29 @@ def _solve_and_cluster(tensor, configs, k, seed):
         yield report, affinity, labels
 
 
-def _report_dict(report):
-    d = asdict(report)
-    del d["timings"]  # wall-clock seconds would break byte-identical reruns
-    return d
-
-
-def _warnings(report, labels):
-    found = list(labels.warnings)
+def _cluster_payload(tensor, truth, cfg, k, seed):
+    """The payload of one clustered point, and its affinity matrix."""
+    report, affinity, labels = next(_solve_and_cluster(tensor, [cfg], k, seed))
+    solver_report = asdict(report)
+    del solver_report["timings"]  # wall-clock seconds would break byte-identical reruns
+    warnings = list(labels.warnings)
     if not report.converged:  # an unconverged solve ran all max_iters iterations
-        found.append(f"solver stopped at max_iters={report.iterations} without converging")
-    return found
+        warnings.append(f"solver stopped at max_iters={report.iterations} without converging")
+    payload = {
+        "k": k,
+        "labels": [int(v) for v in labels.labels],
+        "solver_report": solver_report,
+        "warnings": warnings,
+    }
+    if truth is not None:
+        payload["clustering_error"] = clustering_error(labels, truth)
+    return payload, affinity
 
 
 def cmd_cluster(args):
     cfg = _solver_config(args)
     tensor, truth = _load_input(args)
-    report, affinity, labels = next(_solve_and_cluster(tensor, [cfg], args.k, args.seed))
-    payload = {
-        "k": args.k,
-        "labels": [int(v) for v in labels.labels],
-        "solver_report": _report_dict(report),
-        "warnings": _warnings(report, labels),
-    }
-    if truth is not None:
-        payload["clustering_error"] = clustering_error(labels, truth)
+    payload, affinity = _cluster_payload(tensor, truth, cfg, args.k, args.seed)
     if args.affinity_out:
         write_tsr1(args.affinity_out, affinity[:, :, None])
         payload["affinity_path"] = args.affinity_out
@@ -291,35 +294,25 @@ def cmd_sweep(args):
         if csv_path == args.out:
             raise ParameterError(f"--out {args.out!r} would be overwritten by the sweep's CSV")
     base = _solver_config(args)
+    configs = [replace(base, lambda_g=lam) for lam in args.grid]
     tensor, truth = _load_input(args)
-    rows = []
-    configs = []
-    for lam in args.grid:
-        row = {"lambda_g": lam}
-        try:
-            configs.append(replace(base, lambda_g=lam))
-        except ValueError as exc:
-            row["error_message"] = str(exc)
-        rows.append(row)
-    solvable = [row for row in rows if "error_message" not in row]
     points = _solve_and_cluster(tensor, configs, args.k, args.seed)
-    # zip asks for a row first, so a grid without one solves nothing
-    for row, (report, _, labels) in zip(solvable, points):
-        row["iterations"] = report.iterations
-        row["objective"] = report.objective
-        row["converged"] = report.converged
-        row["clustering_error"] = clustering_error(labels, truth) if truth is not None else None
-
+    rows = [
+        {
+            "lambda_g": lam,
+            "clustering_error": clustering_error(labels, truth) if truth is not None else None,
+            "iterations": report.iterations,
+            "objective": report.objective,
+            "converged": report.converged,
+        }
+        for lam, (report, _, labels) in zip(args.grid, points)
+    ]
     _emit(args, {"k": args.k, "rows": rows})
     if csv_path:
-        fields = [
-            "lambda_g", "clustering_error", "iterations", "objective", "converged", "error_message",
-        ]
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
-            for row in rows:
-                writer.writerow({f: row.get(f, "") for f in fields})
+            writer.writerows(rows)
     return 0
 
 
@@ -344,25 +337,15 @@ def cmd_synth(args):
     cfg = _solver_config(args)
     k = args.k if args.k is not None else len(spec.d_per_cluster)
     n = sum(spec.samples_per_cluster)
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in 1..{n}, got {k}")
+    _check_k(k, n)
     start = time.perf_counter()
     try:
         labeled = generate_submodules(spec)[1]
     except ValueError as exc:  # a noise_sigma whose draw overflows
         raise ParameterError(str(exc)) from exc
-    report, _, labels = next(_solve_and_cluster(labeled.tensor, [cfg], k, args.seed))
-    err = clustering_error(labels, labeled.truth)
+    payload, _ = _cluster_payload(labeled.tensor, labeled.truth, cfg, k, args.seed)
     runtime = time.perf_counter() - start
-    payload = {
-        "k": k,
-        "n": n,
-        "clustering_error": err,
-        "labels": [int(v) for v in labels.labels],
-        "solver_report": _report_dict(report),
-        "warnings": _warnings(report, labels),
-    }
-    _emit(args, payload, runtime_seconds=runtime)
+    _emit(args, {**payload, "n": n}, runtime_seconds=runtime)
     return 0
 
 

@@ -199,10 +199,13 @@ def write_tsr1(path, t):
 
     Layout: magic ``54 53 52 31``, three little-endian u32 ``(h, n, d)``,
     then ``h*n*d`` little-endian f64 with depth fastest, then column, then
-    row.  Non-finite values are rejected before the file is opened.
+    row.  Non-finite values and a zero dimension, which ``read_tsr1``
+    refuses, are rejected before the file is opened.
     """
     t = _as_tensor3(t, "TSR1 payload", finite=True)
     h, n, d = t.shape
+    if not t.size:
+        raise ValueError(f"invalid TSR1 dimensions {t.shape}")
     with open(path, "wb") as fh:
         fh.write(TSR1_MAGIC)
         fh.write(struct.pack("<III", h, n, d))

@@ -54,7 +54,8 @@ class SubmoduleSample:
     ``points`` is ``(h, m, depth)``.  ``affine_offset``, when present, is the
     ``(h, 1, depth)`` translation that was added to every point.  Non-finite
     values, points or an offset of another height or depth than the
-    generators, and more generators than rows raise ``ValueError``.
+    generators, no generators, and more generators than rows raise
+    ``ValueError``.
     """
 
     generators: np.ndarray
@@ -65,6 +66,8 @@ class SubmoduleSample:
         self.generators = _as_tensor3(self.generators, "generators", finite=True)
         self.points = _as_tensor3(self.points, "points", finite=True)
         h, d, depth = self.generators.shape
+        if d < 1:
+            raise ValueError(f"generators {self.generators.shape} hold no lateral slice")
         if d > h:
             raise ValueError(f"submodular dimension {d} exceeds height {h}")
         if self.points.shape[::2] != (h, depth):
@@ -100,9 +103,12 @@ def is_generating_set(y):
     Holds exactly when no Fourier face of ``y`` has a zero singular value;
     numerically, every face must satisfy
     ``sigma_min > 1e-10 * max(sigma_max, 1)`` (conjugate faces are twins).
+    No generators, or more generators than rows, raise ``ValueError``.
     """
     y = _as_tensor3(y, "generators")
     h, d, _ = y.shape
+    if d < 1:
+        raise ValueError(f"generators {y.shape} hold no lateral slice")
     if d > h:
         raise ValueError(f"more generators ({d}) than rows ({h})")
     s = np.linalg.svd(_faces(y), compute_uv=False)

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ssmc import cli, solver
+from ssmc import cli, data, solver
 from ssmc.data import SynthSpec, generate_synthetic
 from ssmc.t_algebra import read_tsr1, write_tsr1
 
@@ -77,6 +77,11 @@ def test_cluster_scores_negative_truth_labels(two_cluster_files, tmp_path, capsy
     assert json.loads(capsys.readouterr().out)["clustering_error"] == 0.0
     assert run_cli(argv + ["--truth", str(shifted)]) == 0
     assert json.loads(capsys.readouterr().out)["clustering_error"] == 0.0
+    # the same labels as an IDX label file
+    idx = tmp_path / "truth.idx"
+    idx.write_bytes(struct.pack(">II", 0x00000801, len(truth)) + bytes(truth))
+    assert run_cli(argv + ["--truth", str(idx)]) == 0
+    assert json.loads(capsys.readouterr().out)["clustering_error"] == 0.0
 
 
 def test_cluster_accepts_idx_input(tmp_path, capsys):
@@ -106,8 +111,11 @@ def test_cluster_accepts_pgmdir_with_decimate_and_crop(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["labels"]) == 4
 
 
-def test_cluster_data_errors(two_cluster_files, tmp_path):
+def test_cluster_data_errors(two_cluster_files, tmp_path, capsys):
     tensor_path, _ = two_cluster_files
+    argv = ["cluster", "--input", tensor_path, "--k", "2", "--truth", str(tmp_path / "no.idx")]
+    assert run_cli(argv) == 2
+    assert "ssmc cluster: data error: cannot read truth labels" in capsys.readouterr().err
     assert run_cli(["cluster", "--input", str(tmp_path / "missing.tsr1"), "--k", "2"]) == 2
     bad = tmp_path / "bad.tsr1"
     bad.write_bytes(b"XXXX" + bytes(12))
@@ -122,8 +130,10 @@ def test_cluster_data_errors(two_cluster_files, tmp_path):
     )
 
 
-def test_cluster_parameter_errors(two_cluster_files):
+def test_cluster_parameter_errors(two_cluster_files, capsys):
     tensor_path, _ = two_cluster_files
+    assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--seed", "abc"]) == 3
+    assert "argument --seed: must be an integer, got 'abc'" in capsys.readouterr().err
     assert run_cli(["cluster", "--input", tensor_path, "--k", "99"]) == 3
     assert run_cli(["cluster", "--input", tensor_path, "--k", "0"]) == 3
     assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--lambda-g", "0"]) == 3
@@ -208,9 +218,7 @@ def test_sweep_error_column_varies_across_grid(tmp_path, capsys):
     assert len(errors) == 3
     assert len(set(errors)) > 1
     csv_text = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert csv_text[0] == (
-        "lambda_g,clustering_error,iterations,objective,converged,error_message"
-    )
+    assert csv_text[0] == "lambda_g,clustering_error,iterations,objective,converged"
     assert len(csv_text) == 4
 
 
@@ -267,15 +275,6 @@ def test_sweep_refuses_solver_flags_before_reading_input(monkeypatch, capsys, fl
     assert capsys.readouterr().err.splitlines() == [err]
 
 
-def test_sweep_records_per_row_failures(two_cluster_files, capsys):
-    tensor_path, _ = two_cluster_files
-    code = run_cli(["sweep", "--input", tensor_path, "--k", "2", "--grid=-1,10"])
-    assert code == 0  # sweep continues past a bad grid point
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    assert "error_message" in rows[0] and "lambda_g" in rows[0]
-    assert rows[1]["iterations"] >= 1
-
-
 def test_sweep_takes_one_rfft_and_one_svd(two_cluster_files, monkeypatch, capsys):
     tensor_path, _ = two_cluster_files
     calls = {"faces": 0, "svd": 0}
@@ -296,17 +295,16 @@ def test_sweep_takes_one_rfft_and_one_svd(two_cluster_files, monkeypatch, capsys
     assert calls == {"faces": 1, "svd": 1}
 
 
-def test_sweep_warm_starts_past_an_error_row(two_cluster_files, capsys):
+def test_sweep_warm_starts_each_row_from_the_last(two_cluster_files, capsys):
     # the 10 row starts from the 1 row's solve, not from zero
     tensor_path, _ = two_cluster_files
-    assert run_cli(["sweep", "--input", tensor_path, "--k", "2", "--grid", "1,-1,10"]) == 0
+    assert run_cli(["sweep", "--input", tensor_path, "--k", "2", "--grid", "1,10"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert [row["lambda_g"] for row in rows] == [1.0, -1.0, 10.0]
-    assert "lambda_g must be positive" in rows[1]["error_message"]
+    assert [row["lambda_g"] for row in rows] == [1.0, 10.0]
     assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--lambda-g", "10"]) == 0
     cold = json.loads(capsys.readouterr().out)["solver_report"]
-    assert rows[2]["converged"]
-    assert 2 <= rows[2]["iterations"] < cold["iterations"]
+    assert rows[1]["converged"]
+    assert 2 <= rows[1]["iterations"] < cold["iterations"]
 
 
 @pytest.mark.parametrize("command", ["cluster", "sweep"])
@@ -394,6 +392,20 @@ def test_clustering_step_errors_are_data_errors(two_cluster_files, monkeypatch, 
     assert run_cli(argv) == cli.EXIT_DATA
     err = capsys.readouterr().err.splitlines()
     assert err == [f"ssmc {argv[0]}: data error: affinity contains non-finite values"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "--h", "6", "--depth", "4", "--dims", "2,2", "--samples", "5,5"],
+     ["check", "--h", "6", "--depth", "3", "--dims", "2,2", "--samples", "4,4"]],
+    ids=lambda argv: argv[0],
+)  # fmt: skip
+def test_generation_failure_is_a_data_error(monkeypatch, capsys, argv):
+    # generate_submodules raises RuntimeError after 100 draws that do not generate
+    monkeypatch.setattr(data, "is_generating_set", lambda y: False)
+    assert run_cli(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ssmc {argv[0]}: failed to draw a generating set after 100 attempts"]
 
 
 @pytest.mark.parametrize(
@@ -553,16 +565,23 @@ def test_negative_seed_is_refused_before_any_work(monkeypatch, capsys, argv):
         (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,nan"], "--grid"),
         (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,inf"], "--grid"),
         (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,1e400"], "--grid"),
+        (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,-1,10"], "--grid"),
+        (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "0"], "--grid"),
+        (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "-0.0"], "--grid"),
         (["cluster", "--input", "data.tsr1", "--format", "pgmdir", "--k", "2",
           "--crop", "4:1"], "--crop"),
         (["synth", "--dims", "x"], "--dims"),
+        (["synth", "--dims", "0"], "--dims"),
         (["check", "--samples", "4,y"], "--samples"),
+        (["check", "--samples", "4,0"], "--samples"),
     ],
-    ids=["grid-nan", "grid-inf", "grid-1e400", "crop-4:1", "dims-x", "samples-4,y"],
+    ids=["grid-nan", "grid-inf", "grid-1e400", "grid-1,-1,10", "grid-0", "grid--0.0",
+         "crop-4:1", "dims-x", "dims-0", "samples-4,y", "samples-4,0"],
 )  # fmt: skip
 def test_bad_flag_values_are_refused_before_any_work(monkeypatch, capsys, argv, flag):
     # a non-finite grid value used to be solved around, then crash the JSON
-    # output with exit 1
+    # output with exit 1; a grid value <= 0 used to become an error_message
+    # row of a sweep that exited 0
     monkeypatch.setitem(cli._COMMANDS, argv[0], lambda args: pytest.fail("command ran"))
     assert run_cli(argv) == cli.EXIT_PARAM
     err = capsys.readouterr().err.splitlines()

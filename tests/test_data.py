@@ -203,6 +203,9 @@ def test_idx_error_paths(tmp_path):
     short.write_bytes(struct.pack(">I", 0x00000803) + b"\x00")
     with pytest.raises(FormatError, match="truncated dimension header"):
         load_idx_images(short)
+    short.write_bytes(b"\x00\x00\x08")
+    with pytest.raises(FormatError, match="truncated header at offset 0"):
+        load_idx_labels(short)
 
 
 # -- PGM loader --------------------------------------------------------------
@@ -379,6 +382,8 @@ def test_clustering_error_validates_lengths():
         clustering_error(np.array([0, 1]), np.array([0]))
     with pytest.raises(ValueError, match="empty"):
         clustering_error(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        clustering_error(np.array([[0, 1], [1, 0]]), np.array([0, 1, 1, 0]))
 
 
 # -- shift_images ------------------------------------------------------------

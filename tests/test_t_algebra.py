@@ -224,6 +224,12 @@ def test_tubal_angle_rejects_zero_operand():
         ta.tubal_angle_cos(a, np.zeros((2, 1, 3)))
 
 
+def test_tubal_angle_rejects_operands_that_are_not_oriented():
+    a = _first_face_unit(2, 3, 0)
+    with pytest.raises(ValueError, match=r"second operand must have shape \(h, 1, d\)"):
+        ta.tubal_angle_cos(a, np.ones((2, 2, 3)))
+
+
 def test_tubal_angle_is_exact_at_any_scale():
     # a power-of-two factor on either operand or both leaves the tube bit for
     # bit; 2**530 overflows the squares in unscaled norms, 2**-560 underflows them
@@ -323,6 +329,19 @@ def test_tsr1_error_paths(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ta.FormatError, match="non-finite"):
         ta.read_tsr1(path)
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [((0, 2, 2), "dimensions"), ((2, 0, 2), "dimensions"), ((2, 2, 0), "dimensions"),
+     ((2, 2), "3-dimensional")],
+)  # fmt: skip
+def test_tsr1_write_refuses_what_read_refuses_before_creating_the_file(tmp_path, shape, message):
+    # a zero dimension used to be written as a 16-byte file that read_tsr1 refuses
+    path = tmp_path / "t.tsr1"
+    with pytest.raises(ValueError, match=message):
+        ta.write_tsr1(path, np.ones(shape))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -62,11 +62,13 @@ def test_sample_rejects_non_finite_values(field, bad):
 @pytest.mark.parametrize(
     "field,shape",
     [("points", (6, 3, 7)), ("points", (5, 3, 3)), ("points", (4, 3, 5)),
-     ("affine_offset", (4, 2, 3)), ("affine_offset", (5, 1, 3)), ("affine_offset", (4, 1, 4))],
+     ("affine_offset", (4, 2, 3)), ("affine_offset", (5, 1, 3)), ("affine_offset", (4, 1, 4)),
+     ("generators", (4, 0, 3))],
 )  # fmt: skip
 def test_sample_rejects_points_or_offset_off_the_generators_shape(field, shape):
     # points of shape (6, 3, 7) with (5, 2, 4) generators used to be checked,
-    # and the check reported holds, lhs and rhs for them
+    # and the check reported holds, lhs and rhs for them; zero generators were
+    # taken, and theorem3_check then failed with an IndexError
     parts = {"generators": np.ones((4, 2, 3)), "points": np.ones((4, 5, 3))}
     parts[field] = np.ones(shape)
     with pytest.raises(ValueError, match=field):
@@ -102,6 +104,9 @@ def test_depth_constant_tubes_break_generation():
 def test_generating_set_shape_guard():
     with pytest.raises(ValueError, match="more generators"):
         is_generating_set(np.ones((2, 3, 2)))
+    # zero generators used to fail with an IndexError
+    with pytest.raises(ValueError, match="hold no lateral slice"):
+        is_generating_set(np.zeros((3, 0, 2)))
 
 
 # -- coherence ---------------------------------------------------------------
@@ -382,6 +387,9 @@ def test_theorem3_validates_arguments():
     )
     with pytest.raises(ValueError, match="exceeds point count"):
         theorem3_check([thin], 0)
+    empty = SubmoduleSample(generators=a.generators, points=np.zeros((5, 0, 3)))
+    with pytest.raises(ValueError, match="cluster has no points"):
+        theorem3_check([empty, a], 0)
     # one cluster: no coherence is estimated, so only the checker can refuse
     with pytest.raises(ValueError, match="subtensor_budget must be at least 1, got 0"):
         theorem3_check([a], 0, subtensor_budget=0)
