@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import ClusterLabels
+from .spectral import ClusterLabels, _label_vector
 from .t_algebra import FormatError, _as_tensor3, _check_count, e_tube, tprod
 from .theory import SubmoduleSample, is_generating_set
 
@@ -245,10 +245,53 @@ def load_pgm_dir(path, decimate=1, crop=None):
 def _label_array(labels):
     if isinstance(labels, ClusterLabels):
         return labels.labels
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"labels must be one-dimensional, got shape {arr.shape}")
-    return arr
+    return _label_vector(labels)
+
+
+def _max_assignment(confusion):
+    """Largest total of ``confusion[i, j]`` over one-to-one row-to-column matchings.
+
+    Exact Kuhn-Munkres on integer weights: one shortest augmenting path per
+    row, found with row and column potentials, all in int64 arithmetic.  The
+    matrix is transposed so that rows ``r`` <= columns ``c``; each of the
+    ``r`` rows takes at most ``r`` Dijkstra steps of one O(c) numpy pass.
+    """
+    w = np.asarray(confusion, dtype=np.int64)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    r, c = w.shape
+    # minimize -w; column c is the virtual start column of each search
+    cost = np.zeros((r, c + 1), dtype=np.int64)
+    cost[:, :c] = -w
+    u = np.zeros(r, dtype=np.int64)
+    v = np.zeros(c + 1, dtype=np.int64)
+    owner = np.full(c + 1, -1)  # row matched to each column
+    way = np.zeros(c + 1, dtype=np.intp)  # previous column on the shortest path
+    unreached = np.iinfo(np.int64).max
+    for i in range(r):
+        owner[c] = i
+        j0 = c
+        minv = np.full(c + 1, unreached, dtype=np.int64)
+        used = np.zeros(c + 1, dtype=bool)
+        while owner[j0] >= 0:
+            used[j0] = True
+            i0 = owner[j0]
+            reduced = cost[i0] - u[i0] - v
+            shorter = ~used & (reduced < minv)
+            minv[shorter] = reduced[shorter]
+            way[shorter] = j0
+            free = np.flatnonzero(~used)
+            j0 = free[minv[free].argmin()]
+            delta = minv[j0]
+            u[owner[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
+        while j0 != c:  # augment along the path back to the start column
+            prev = way[j0]
+            owner[j0] = owner[prev]
+            j0 = prev
+    matched = np.flatnonzero(owner[:c] >= 0)
+    return int(w[owner[matched], matched].sum())
 
 
 def clustering_error(pred, truth):
@@ -256,12 +299,15 @@ def clustering_error(pred, truth):
 
     One minus the largest achievable matched fraction over injective
     mappings of predicted to true labels (optimal assignment).  Labels may be
-    any integers, negative or sparse: only the distinct values matter.
-    """
-    # scipy.optimize takes most of ``import ssmc``'s time and memory, and
-    # nothing else uses it
-    from scipy.optimize import linear_sum_assignment
+    any integers, negative or sparse: only the distinct values matter.  Float
+    or bool labels are refused, not truncated.
 
+    The matching is exact Kuhn-Munkres (shortest augmenting paths with
+    potentials) on the ``r x c`` confusion matrix of distinct labels, with
+    ``r <= c`` after transposing: O(r^2 c) work in O(r^2) numpy steps.  That
+    is about a millisecond for tens of clusters, but near a second for 300
+    labels per side drawn at random.
+    """
     p = _label_array(pred)
     t = _label_array(truth)
     if p.shape != t.shape:
@@ -272,9 +318,7 @@ def clustering_error(pred, truth):
     t_vals, t = np.unique(t, return_inverse=True)
     confusion = np.zeros((p_vals.size, t_vals.size), dtype=np.int64)
     np.add.at(confusion, (p, t), 1)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    matched = confusion[rows, cols].sum()
-    return float(1.0 - matched / p.size)
+    return float(1.0 - _max_assignment(confusion) / p.size)
 
 
 def shift_images(t, max_shift, seed):

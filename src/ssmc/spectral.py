@@ -19,6 +19,20 @@ KMEANS_RESTARTS = 20
 KMEANS_MAX_ITERS = 300
 
 
+def _label_vector(labels):
+    """``labels`` as a one-dimensional int64 array; floats and bools are refused.
+
+    A float label would be truncated and a bool read as 0 or 1, each merging
+    labels the caller kept apart.  An empty sequence of any dtype passes.
+    """
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ValueError(f"labels must be one-dimensional, got shape {arr.shape}")
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass
 class ClusterLabels:
     """A length-``n`` assignment of samples to clusters ``0 .. k-1``."""
@@ -28,9 +42,7 @@ class ClusterLabels:
     warnings: tuple = ()
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise ValueError(f"labels must be one-dimensional, got {self.labels.shape}")
+        self.labels = _label_vector(self.labels)
         _check_count("k", self.k)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise ValueError(f"labels out of range [0, {self.k})")

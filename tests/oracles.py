@@ -3,8 +3,11 @@
 Every function here uses numpy and the standard library only, so a fault in
 ``ssmc`` cannot hide itself by also breaking the reference it is compared
 with.  They materialize the block-circulant matrix of the t-product (Kilmer
-& Martin 2011) instead of working one Fourier face at a time.
+& Martin 2011) instead of working one Fourier face at a time, and search
+every label matching instead of solving the assignment problem.
 """
+
+import itertools
 
 import numpy as np
 
@@ -95,3 +98,17 @@ def coherence_per_trial(gi, gj, trials, seed):
         tube = (tprod_bcirc_oracle(ttranspose(a), b) + tprod_bcirc_oracle(ttranspose(b), a))[0, 0]
         best = max(best, float(np.linalg.norm(tube)) / (2 * np.linalg.norm(a) * np.linalg.norm(b)))
     return best
+
+
+def max_assignment_brute(w):
+    """Largest ``sum_i w[i, m(i)]`` over all injective maps ``m`` of the shorter axis.
+
+    Enumerates every ordered choice of ``min(r, c)`` distinct columns (or
+    rows, if the matrix is tall): ``c! / (c - r)!`` maps, so keep sides small.
+    """
+    w = np.asarray(w, dtype=np.int64)
+    if w.shape[0] > w.shape[1]:
+        w = w.T
+    r, c = w.shape
+    maps = np.array(list(itertools.permutations(range(c), r)), dtype=np.intp)
+    return int(w[np.arange(r), maps].sum(axis=1).max())

@@ -5,6 +5,7 @@ import struct
 import time
 
 import numpy as np
+import oracles
 import pytest
 
 import ssmc.data as data_mod
@@ -384,6 +385,54 @@ def test_clustering_error_validates_lengths():
         clustering_error(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
         clustering_error(np.array([[0, 1], [1, 0]]), np.array([0, 1, 1, 0]))
+    with pytest.raises(ValueError, match="empty"):
+        clustering_error([], [])
+    # a float or bool label is refused, not truncated into another label
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        clustering_error([0.2, 0.7], [0, 1])
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        clustering_error([0, 0, 1, 1], [0.2, 0.7, 1.5, 1.9])
+    with pytest.raises(ValueError, match="integers, got dtype bool"):
+        clustering_error([True, False], [0, 1])
+    assert clustering_error([3, 3, 4], np.array([1, 1, 0], dtype=np.uint8)) == 0.0
+
+
+def _assignment_cases(kind, rng):
+    # 120 integer matrices of one kind, each side 1 to 7
+    for _ in range(120):
+        r, c = (int(v) for v in rng.integers(1, 8, 2))
+        if kind == "zeros":
+            yield np.zeros((r, c), dtype=np.int64)
+        elif kind == "ties":
+            yield np.full((r, c), int(rng.integers(1, 5)), dtype=np.int64)
+        elif kind == "row":
+            yield rng.integers(0, 6, (1, c))
+        elif kind == "column":
+            yield rng.integers(0, 6, (r, 1))
+        else:  # a small range of entries makes partial ties common
+            yield rng.integers(0, int(rng.integers(1, 12)), (r, c))
+
+
+@pytest.mark.parametrize("kind", ["zeros", "ties", "row", "column", "random"])
+def test_max_assignment_matches_brute_force(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for w in _assignment_cases(kind, rng):
+        best = oracles.max_assignment_brute(w)
+        # more predicted than true labels, and the reverse
+        assert data_mod._max_assignment(w) == best, w
+        assert data_mod._max_assignment(w.T) == best, w
+
+
+def test_max_assignment_finds_a_planted_matching():
+    # off-diagonal counts <= 3 cannot pay for giving up a diagonal count >= 901,
+    # so the permuted diagonal is the unique optimum
+    rng = np.random.default_rng(5)
+    n = 300
+    w = rng.integers(0, 4, (n, n))
+    diag = rng.integers(3 * n + 1, 4 * n, n)
+    w[np.arange(n), np.arange(n)] = diag
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    assert data_mod._max_assignment(w[rows][:, cols]) == int(diag.sum())
 
 
 # -- shift_images ------------------------------------------------------------

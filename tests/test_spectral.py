@@ -39,8 +39,17 @@ def test_labels_validation():
         ClusterLabels(labels=np.array([0]), k=0)
     with pytest.raises(ValueError, match="k must be at least 1, got True"):
         ClusterLabels(labels=np.array([0]), k=True)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        ClusterLabels(labels=np.zeros((2, 2)), k=1)
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        ClusterLabels(labels=np.zeros((2, 2), dtype=np.int64), k=1)
+    # a float or bool label is refused, not truncated into another label
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        ClusterLabels(labels=[0.9, 1.2], k=2)
+    with pytest.raises(ValueError, match="integers, got dtype float64"):
+        ClusterLabels(labels=np.array([0.0, 1.0]), k=2)
+    with pytest.raises(ValueError, match="integers, got dtype bool"):
+        ClusterLabels(labels=[True, False], k=2)
+    assert ClusterLabels(labels=[1, 0], k=2).labels.dtype == np.int64
+    assert ClusterLabels(labels=np.array([1, 0], dtype=np.uint8), k=2).labels.tolist() == [1, 0]
 
 
 # -- spectral_cluster --------------------------------------------------------
