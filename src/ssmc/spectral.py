@@ -99,7 +99,7 @@ def _validate_affinity(m):
         raise ValueError(f"affinity must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("affinity contains non-finite values")
-    scale = 1.0 + float(np.abs(m).max(initial=0.0))
+    scale = float(np.abs(m).max(initial=0.0))
     if float(np.abs(m - m.T).max(initial=0.0)) > 1e-10 * scale:
         raise ValueError("affinity must be symmetric")
     if m.min(initial=0.0) < 0:
@@ -117,7 +117,10 @@ def spectral_cluster(m, k, seed):
     row-normalize the embedding (zero rows stay zero), k-means the rows.
     A zero-degree sample has its degree replaced by 1 and adds a warning to
     the result metadata.  Deterministic given ``(m, k, seed)``.  ``k`` must
-    be an integer in ``1..n``, as for :func:`kmeans`.
+    be an integer in ``1..n``, as for :func:`kmeans`.  ``m`` must be finite,
+    nonnegative, and symmetric with a zero diagonal to within ``1e-10`` times
+    its largest entry, a relative rule that refuses the same affinities at
+    any scale.
     """
     m = _validate_affinity(m)
     n = m.shape[0]

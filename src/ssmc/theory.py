@@ -19,12 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .solver import _RCOND, SolverConfig, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _check_count,
-    _face_weights,
     _faces,
     _tube_cos,
     bcirc_singular_values,
@@ -97,13 +95,22 @@ class TheoremReport:
     rank_deficient: bool = False
 
 
+def _full_rank(s):
+    """The rank rule of ``is_generating_set`` and ``theorem3_check`` on the
+    ``(F, r)`` face singular values ``s``, each face's sorted descending."""
+    return bool(s[:, -1].min() > RANK_TOL * s[:, 0].max())
+
+
 def is_generating_set(y):
     """True iff the ``(h, d, depth)`` slices generate a ``d``-dim submodule.
 
     Holds exactly when no Fourier face of ``y`` has a zero singular value;
-    numerically, every face must satisfy
-    ``sigma_min > 1e-10 * max(sigma_max, 1)`` (conjugate faces are twins).
-    No generators, or more generators than rows, raise ``ValueError``.
+    numerically, the smallest singular value over all faces must exceed
+    ``RANK_TOL = 1e-10`` times the largest over all faces (conjugate faces
+    are twins).  The rule is global, not per face, since each face's
+    round-off is relative to the whole tensor's norm, and it has no absolute
+    floor, so scaling ``y`` does not change the verdict.  No generators, or
+    more generators than rows, raise ``ValueError``.
     """
     y = _as_tensor3(y, "generators")
     h, d, _ = y.shape
@@ -111,8 +118,7 @@ def is_generating_set(y):
         raise ValueError(f"generators {y.shape} hold no lateral slice")
     if d > h:
         raise ValueError(f"more generators ({d}) than rows ({h})")
-    s = np.linalg.svd(_faces(y), compute_uv=False)
-    return bool((s[:, -1] > RANK_TOL * np.maximum(s[:, 0], 1.0)).all())
+    return _full_rank(np.linalg.svd(_faces(y), compute_uv=False))
 
 
 def coherence(si, sj, trials, seed):
@@ -165,8 +171,12 @@ def theorem3_check(
     when there are at most ``subtensor_budget`` candidates and otherwise
     over ``subtensor_budget`` distinct ones drawn by seeded sampling.  The
     points take one rFFT, and each candidate one SVD of its columns of those
-    faces, of which only the smallest and largest values are kept.
-    ``holds`` means ``lhs < rhs``.  When no full-rank subtensor exists the
+    faces.  A candidate is full rank by ``is_generating_set``'s rule: its
+    smallest singular value over all faces exceeds ``RANK_TOL`` times its
+    largest over all faces, global because each face's round-off is relative
+    to the whole tensor's norm, and with no absolute floor, so scaling the
+    points scales ``rhs`` and changes no verdict.  ``holds`` means
+    ``lhs < rhs``.  When no full-rank subtensor exists the
     report carries ``rhs = 0``, ``holds = False`` and
     ``rank_deficient = True``.  ``ValueError`` is raised for empty ``data``,
     an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials`` that
@@ -209,11 +219,8 @@ def theorem3_check(
         while len(subsets) < subtensor_budget:  # ends: there are more than budget subsets
             subsets[tuple(np.sort(rng.choice(m_i, size=d_i, replace=False)))] = None
     faces = _faces(si.points)
-    pairs = []  # (sigma_min, sigma_max) of each subtensor's block-circulant
-    for idx in subsets:
-        s = np.linalg.svd(faces[:, :, list(idx)], compute_uv=False)
-        pairs.append((float(s[:, -1].min()), float(s[:, 0].max())))
-    full_rank = [lo for lo, hi in pairs if lo > RANK_TOL * max(hi, 1.0)]
+    spectra = [np.linalg.svd(faces[:, :, list(idx)], compute_uv=False) for idx in subsets]
+    full_rank = [float(s[:, -1].min()) for s in spectra if _full_rank(s)]
     rhs = max(full_rank, default=0.0)
     return TheoremReport(
         lhs=lhs,
@@ -222,7 +229,7 @@ def theorem3_check(
         coherence_max=coherence_max,
         sigma_max_rest=sigma_max_rest,
         sigma_min_best=rhs,
-        subtensors_searched=len(pairs),
+        subtensors_searched=len(spectra),
         exhaustive=exhaustive,
         rank_deficient=not full_rank,
     )
@@ -235,11 +242,17 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     matrix; returns ``(a, report)``, the ``(m, 1, depth)`` coefficient tensor
     and its ``SolverReport``.  Non-finite input raises ``ValueError``, and so
     does a least-squares residual above ``tol`` on any Fourier face ('not in
-    generated submodule').  The solver's loop runs at ``lambda_g = inf`` from
-    ``B0 = pinv(dictionary) x`` until both residuals fall below
-    ``1e-12 max(1, ||B0||)``; ``report.objective`` is ``||a||_F1`` plus the
-    squared constraint residual.  Stopping at ``max_iters`` first is not an
-    error: the last iterate is returned and a ``RuntimeWarning`` says so.
+    generated submodule').  The program is homogeneous in ``x``, so it is
+    solved for ``x / ||B0||`` and ``a`` is scaled back, where
+    ``B0 = pinv(dictionary) x`` and ``||B0||`` is the largest modulus of its
+    face entries, which neither overflows nor underflows (a zero ``B0`` is
+    left as it is).  The solver's loop runs at ``lambda_g = inf`` from
+    ``B0 / ||B0||`` until both residuals fall below ``1e-12``, so neither the
+    target's nor the dictionary's scale changes the iterations.  The residual
+    histories are those of that normalized program; ``report.objective`` is
+    ``||a||_F1`` plus the squared constraint residual of the returned ``a``.
+    Stopping at ``max_iters`` first is not an error: the last iterate is
+    returned and a ``RuntimeWarning`` says so.
     """
     dictionary = _as_tensor3(dictionary, "dictionary", finite=True)
     x = _as_tensor3(x, "target", finite=True)
@@ -254,13 +267,18 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     a0 = np.linalg.pinv(yf, rcond=_RCOND) @ xf  # (F, m, 1)
     if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
         raise ValueError("not in generated submodule")
-    # lambda_g = 1 only weighs the constraint residual in report.objective
-    scale = max(1.0, math.sqrt(kernels.weighted_sq_norms(a0, _face_weights(depth), True)))
-    tol_abs = 1e-12 * scale / math.sqrt(m * depth)  # sqrt(m depth) tol_abs = 1e-12 scale
-    cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
+    # the program is homogeneous: solve it for x / ||B0||, then scale a back;
+    # lambda_g = ||B0|| makes the objective that of x, divided by ||B0||.  Any
+    # norm of degree 1 serves; the largest modulus has no squares to overflow
+    scale = float(np.abs(a0).max()) or 1.0  # a zero B0 stays as it is
+    tol_abs = 1e-12 / math.sqrt(m * depth)  # sqrt(m depth) tol_abs = 1e-12
+    cfg = SolverConfig(lambda_g=scale, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
     ridge = _RidgeInverse(yf, np.inf)
     timings["factor"] = time.perf_counter() - start
-    a, report = next(_path(yf, xf, depth, ridge, [cfg], timings, ..., a0, np.s_[:, [], []]))
+    path = _path(yf, xf / scale, depth, ridge, [cfg], timings, ..., a0 / scale, np.s_[:, [], []])
+    a, report = next(path)
+    a *= scale
+    report.objective *= scale
     if not report.converged:
         warnings.warn(
             f"min_f1_representation stopped at max_iters={max_iters} without converging",

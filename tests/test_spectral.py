@@ -117,6 +117,22 @@ def test_affinity_validation(mutate, match):
         spectral_cluster(mutate(m), 2, seed=0)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+def test_spectral_cluster_does_not_depend_on_scale(scale):
+    m = _block_affinity([6, 4, 5], np.random.default_rng(4))
+    base = spectral_cluster(m, 3, seed=2)
+    assert np.array_equal(spectral_cluster(scale * m, 3, seed=2).labels, base.labels)
+    # a 10 x 10 two-block affinity with a diagonal of 0.5, and with one entry
+    # tripled on one side: a tolerance of 1e-10 (1 + max|m|) used to accept
+    # both once the affinity was scaled by 1e-12
+    two = _block_affinity([5, 5])
+    skew = two.copy()
+    skew[0, 1] *= 3.0
+    for bad, match in [(two + 0.5 * np.eye(10), "zero diagonal"), (skew, "symmetric")]:
+        with pytest.raises(ValueError, match=match):
+            spectral_cluster(scale * bad, 2, seed=0)
+
+
 def test_spectral_determinism():
     rng = np.random.default_rng(2)
     m = _block_affinity([6, 6], rng)

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from ssmc import t_algebra as ta
 from ssmc import theory
+from ssmc.data import SynthSpec, generate_submodules
 from ssmc.solver import _RidgeInverse
 from ssmc.theory import (
     SubmoduleSample,
@@ -99,6 +100,21 @@ def test_depth_constant_tubes_break_generation():
     rng = np.random.default_rng(2)
     y = np.repeat(rng.standard_normal((4, 2, 1)), 3, axis=2)  # flat along depth
     assert not is_generating_set(y)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+def test_both_checkers_apply_one_rank_rule(scale):
+    # depth 2: rFFT faces diag(1e12, 1e3) and diag(1, 1e-5).  Each face alone
+    # is well conditioned, but the second face's sigma_min lies below RANK_TOL
+    # times the tensor's sigma_max, inside the round-off of its rFFT.  The two
+    # checkers used to disagree here: a per-face rule called these generators
+    # generating, while theorem3_check found them rank-deficient
+    f0, f1 = np.diag([1e12, 1e3]), np.diag([1.0, 1e-5])
+    y = scale * np.stack([(f0 + f1) / 2, (f0 - f1) / 2], axis=2)
+    assert not is_generating_set(y)
+    report = theorem3_check([SubmoduleSample(generators=y, points=y)], 0)
+    assert report.rank_deficient
+    assert report.rhs == 0.0
 
 
 def test_generating_set_shape_guard():
@@ -350,7 +366,7 @@ def test_subtensor_search_matches_bcirc_reference(fixture, budget):
         base = rng.standard_normal((h, 1, depth))
         points = ta.tprod(base, rng.standard_normal((1, m, depth)))
     # at this scale the round-off sigma_min of a rank-deficient face is far
-    # above RANK_TOL, so only the cut relative to sigma_max refuses it
+    # above RANK_TOL, so only a cut relative to sigma_max can refuse it
     points *= 1e9
     a = SubmoduleSample(generators=rng.standard_normal((h, 2, depth)), points=points)
     b = _sample(rng.standard_normal((h, 2, depth)), 6, rng)
@@ -359,8 +375,8 @@ def test_subtensor_search_matches_bcirc_reference(fixture, budget):
     subsets = _searched_subsets(m, 2, budget, 3, 2)
     full_rank = []
     for idx in subsets:
-        vals = ta.bcirc_singular_values(points[:, list(idx), :])
-        if vals[-1] > theory.RANK_TOL * max(vals[0], 1.0):
+        vals = ta.bcirc_singular_values(points[:, list(idx), :])  # sorted, all faces
+        if vals[-1] > theory.RANK_TOL * vals[0]:
             full_rank.append(float(vals[-1]))
     if fixture == "duplicated":
         assert 0 < len(full_rank) < len(subsets)  # both kinds were searched
@@ -373,6 +389,32 @@ def test_subtensor_search_matches_bcirc_reference(fixture, budget):
     assert report.rank_deficient == (not full_rank)
     assert report.holds == (report.lhs < rhs)
     assert report.sigma_max_rest == float(ta.bcirc_singular_values(b.points)[0])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+def test_checkers_do_not_depend_on_scale(scale):
+    # a floor of max(sigma_max, 1) used to make Gaussian generators x 1e-12
+    # read as not generating, and this union x 1e-12 as rank-deficient
+    g = np.random.default_rng(0).standard_normal((28, 2, 28))
+    assert is_generating_set(scale * g)
+    flat = np.repeat(g[:, :, :1], 28, axis=2)  # depth-constant: rank-deficient faces
+    assert not is_generating_set(scale * flat)
+    # the paper-scale union: four 2-dimensional submodules, 28x40x28
+    spec = SynthSpec(h=28, d_per_cluster=[2] * 4, samples_per_cluster=[10] * 4, depth=28, seed=1)
+    union = generate_submodules(spec)[0]
+    scaled = [
+        SubmoduleSample(generators=scale * s.generators, points=scale * s.points) for s in union
+    ]
+    assert all(is_generating_set(s.generators) for s in scaled)
+    base = theorem3_check(union, 0)
+    report = theorem3_check(scaled, 0)
+    assert not report.rank_deficient
+    assert report.coherence_max == pytest.approx(base.coherence_max, rel=1e-12)
+    for name in ("holds", "rank_deficient", "exhaustive", "subtensors_searched"):
+        assert getattr(report, name) == getattr(base, name), name
+    for name in ("lhs", "rhs", "sigma_max_rest", "sigma_min_best"):
+        assert getattr(report, name) == pytest.approx(scale * getattr(base, name), rel=1e-12)
+    assert base.rhs == pytest.approx(65.574250137423, rel=1e-12)
 
 
 def test_theorem3_validates_arguments():
@@ -462,6 +504,34 @@ def test_min_f1_rejects_non_finite_input():
     dictionary[0, 1, 0] = np.inf
     with pytest.raises(ValueError, match="dictionary contains non-finite values"):
         min_f1_representation(dictionary, np.zeros((4, 1, 5)), tol=1e-8, max_iters=10)
+
+
+@pytest.mark.parametrize(
+    "x_scale,d_scale",
+    [(1e-200, 1.0), (1e-8, 1.0), (1e-4, 1.0), (1e4, 1.0), (1.0, 1e3), (1.0, 1e6)],
+)  # fmt: skip
+def test_min_f1_does_not_depend_on_scale(x_scale, d_scale):
+    # the program is homogeneous; a convergence floor of max(1, ||B0||) used
+    # to take 10169 iterations at x_scale 1e-4 and to stop unconverged with 8
+    # nonzero tubes at 1e-8, against 93 at scale 1, and a Frobenius ||B0||
+    # underflows at 1e-200
+    dictionary = np.random.default_rng(3).standard_normal((4, 8, 5))
+    coef = np.zeros((8, 1, 5))
+    coef[[1, 5]] = np.random.default_rng(4).standard_normal((2, 1, 5))
+    x = ta.tprod(dictionary, coef)
+    a1, base = min_f1_representation(dictionary, x, tol=1e-8)
+    y, target = d_scale * dictionary, x_scale * x
+    a, report = min_f1_representation(y, target, tol=1e-8 * x_scale)
+    assert report.converged
+    assert report.iterations == base.iterations
+    unit = x_scale / d_scale  # the scale of a
+    assert np.abs(a / unit - a1).max() <= 1e-12 * np.abs(a1).max()
+    assert int((np.linalg.norm(a / unit, axis=2) > 1e-6).sum()) == 2
+    # ||a||_F1 + ||target - y * a||^2, with y * a = x_scale * dictionary * (a / unit);
+    # at x_scale 1e-200 the squared residual underflows to 0 in both
+    residual = ta.norm_fro(x - ta.tprod(dictionary, a / unit))
+    objective = unit * ta.norm_f1(a / unit) + x_scale**2 * residual**2
+    assert report.objective == pytest.approx(objective, rel=1e-12)
 
 
 @pytest.mark.parametrize("rank_deficient", [False, True])
