@@ -251,47 +251,71 @@ def _label_array(labels):
 def _max_assignment(confusion):
     """Largest total of ``confusion[i, j]`` over one-to-one row-to-column matchings.
 
-    Exact Kuhn-Munkres on integer weights: one shortest augmenting path per
-    row, found with row and column potentials, all in int64 arithmetic.  The
-    matrix is transposed so that rows ``r`` <= columns ``c``; each of the
-    ``r`` rows takes at most ``r`` Dijkstra steps of one O(c) numpy pass.
+    Exact shortest-augmenting-path assignment (Kuhn-Munkres with row and
+    column potentials; Crouse 2016, *On implementing 2D rectangular
+    assignment algorithms*) on integer weights, all in int64 arithmetic.  The
+    matrix is transposed so that rows ``r`` <= columns ``c``.  It starts from
+    the greedy matching of each row to its first largest entry, when no
+    lower row took that column, with each row's potential its largest entry:
+    a feasible, tight start.  Each row left over then takes one Dijkstra
+    search, whose steps are numpy passes over the columns not yet reached
+    only, and which takes a free column among equally near ones, so that
+    ties, which small counts make common, end the search early.
     """
     w = np.asarray(confusion, dtype=np.int64)
     if w.shape[0] > w.shape[1]:
         w = w.T
     r, c = w.shape
-    # minimize -w; column c is the virtual start column of each search
-    cost = np.zeros((r, c + 1), dtype=np.int64)
-    cost[:, :c] = -w
-    u = np.zeros(r, dtype=np.int64)
-    v = np.zeros(c + 1, dtype=np.int64)
-    owner = np.full(c + 1, -1)  # row matched to each column
-    way = np.zeros(c + 1, dtype=np.intp)  # previous column on the shortest path
-    unreached = np.iinfo(np.int64).max
-    for i in range(r):
-        owner[c] = i
-        j0 = c
-        minv = np.full(c + 1, unreached, dtype=np.int64)
-        used = np.zeros(c + 1, dtype=bool)
-        while owner[j0] >= 0:
-            used[j0] = True
-            i0 = owner[j0]
-            reduced = cost[i0] - u[i0] - v
-            shorter = ~used & (reduced < minv)
-            minv[shorter] = reduced[shorter]
-            way[shorter] = j0
-            free = np.flatnonzero(~used)
-            j0 = free[minv[free].argmin()]
-            delta = minv[j0]
-            u[owner[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-        while j0 != c:  # augment along the path back to the start column
-            prev = way[j0]
-            owner[j0] = owner[prev]
-            j0 = prev
-    matched = np.flatnonzero(owner[:c] >= 0)
-    return int(w[owner[matched], matched].sum())
+    if r == 0:
+        return 0
+    cost = -w  # minimize
+    u = cost.min(axis=1)
+    v = np.zeros(c, dtype=np.int64)
+    row4col = np.full(c, -1)
+    col4row = np.full(r, -1)
+    cols, rows = np.unique(cost.argmin(axis=1), return_index=True)
+    row4col[cols], col4row[rows] = rows, cols
+    path = np.empty(c, dtype=np.intp)  # the row before each reached column
+    for start in np.flatnonzero(col4row < 0):
+        # per unreached column: its index, path cost, the row before it on its
+        # path and its potential; and whether it is free
+        far = np.iinfo(np.int64).max
+        unreached = np.stack([np.arange(c), np.full(c, far), np.full(c, start), v])
+        free = row4col < 0
+        reached, reached_dist = [], []
+        i, low = start, 0
+        while True:
+            cols, dist, before, v_cols = unreached
+            reduced = low + cost[i, cols] - u[i] - v_cols
+            shorter = reduced < dist
+            dist[shorter] = reduced[shorter]
+            before[shorter] = i
+            low = dist.min()
+            ties = np.flatnonzero(dist == low)
+            free_ties = ties[free[ties]]
+            k = free_ties[0] if free_ties.size else ties[0]
+            j = cols[k]
+            path[j] = before[k]
+            reached.append(j)
+            reached_dist.append(low)
+            if free[k]:
+                break
+            i = row4col[j]
+            # drop column k: the last one takes its place
+            unreached[:, k], free[k] = unreached[:, -1], free[-1]
+            unreached, free = unreached[:, :-1], free[:-1]
+        reached = np.array(reached)
+        shift = low - np.array(reached_dist)  # 0 at the free column that ends the path
+        u[start] += low
+        u[row4col[reached[:-1]]] += shift[:-1]
+        v[reached] -= shift
+        while True:  # augment along the path back to the start row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return int(w[np.arange(r), col4row].sum())
 
 
 def clustering_error(pred, truth):

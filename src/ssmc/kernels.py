@@ -37,13 +37,19 @@ def weighted_sq_norms(x, w, total=False):
     return (t[0::2] + t[1::2]).reshape(x.shape[1:])
 
 
+def _sq_norm(z):
+    """The squared Frobenius norm of a contiguous array: one BLAS dot on its real view."""
+    v = z.view(z.real.dtype)
+    return float(np.vdot(v, v))
+
+
 def _shrink_factor(nrm, tau):
     """``max(0, 1 - tau / nrm)``, with 0 at ``nrm = 0`` (where ``fmax`` drops the nan of 0/0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.fmax(1.0 - tau / nrm, 0.0)
 
 
-def scale_tubes(V, w, tau, row_tau=0.0):
+def scale_tubes(V, w, tau, row_tau=0.0, excluded=None):
     """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack, in place.
 
     Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
@@ -51,52 +57,95 @@ def scale_tubes(V, w, tau, row_tau=0.0):
     With ``row_tau > 0`` the tube-shrunk result is then shrunk per horizontal
     slice (fixed ``i``, all faces and columns) by ``row_tau``.  Tubes nest in
     rows, so the composition is the exact prox of ``tau sum ||v_ij|| + row_tau
-    sum ||v_i||`` (Jenatton et al. 2011).  The row norms come from the shrunk
-    tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so ``V`` is read once for
-    the norms and once for the single multiply.
+    sum ||v_i||`` (Jenatton et al. 2011).  ``excluded`` indexes tubes of the
+    ``(n, k)`` tube grid that are set to 0, the prox of their indicator, a leaf
+    of the same tree: their factor is 0 before the row stage.  The row norms
+    come from the shrunk tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so
+    ``V`` is read once for the norms and once for the single multiply.
 
-    Returns the spatial tube norms of the shrunk ``V``, ``t_ij ||v_ij||`` with
-    ``t_ij`` the combined shrink factor, so their sum of squares is its squared
-    spatial Frobenius norm without another pass over the stack.
+    Returns the squared spatial Frobenius norms of the shrunk stack and of the
+    part taken away, ``(1 - t) V`` with ``t`` the combined shrink factor, as
+    ``sum((t ||v_ij||)^2)`` and ``sum(((1 - t) ||v_ij||)^2)``: from the tube
+    norms, without another pass over the stack.
     """
     nrm = np.sqrt(weighted_sq_norms(V, w))
     factor = _shrink_factor(nrm, tau)
+    if excluded is not None:
+        factor[excluded] = 0.0
     if row_tau > 0:
         shrunk = factor * nrm
         rows = np.sqrt(np.einsum("ij,ij->i", shrunk, shrunk))
         factor *= _shrink_factor(rows, row_tau)[:, None]
     V *= factor
-    return factor * nrm
+    shrunk = np.multiply(factor, nrm, out=factor)
+    taken = np.subtract(nrm, shrunk, out=nrm)
+    return _sq_norm(shrunk), _sq_norm(taken)
 
 
 def lloyd(X, C0, max_iter):
-    """Run Lloyd iterations from initial centroids ``C0``.
+    """Run Lloyd iterations from ``R`` sets of initial centroids at once.
 
-    Returns ``(labels, centroids, inertia_history, n_iter)``.  Nearest-centroid
-    ties break toward the lowest centroid index, the inertia history is
-    recorded right after each assignment step (so it is non-increasing), and
-    a cluster that loses all its points keeps its previous centroid.
-    Iteration stops when assignments repeat or ``max_iter`` is reached.
+    ``X`` is ``(n, dim)`` and ``C0`` is ``(R, k, dim)``, one start per
+    restart.  The restarts run in lockstep, and each one's results are
+    identical to running it alone: its squared distances, nearest-centroid
+    choice and inertia are taken with the same numpy reductions, and each
+    centroid is the sum of its points in index order divided by their count.
+    That sum is numpy's ``mean(axis=0)`` for points of two or more
+    coordinates; numpy sums a single coordinate pairwise, so 1-d centroids
+    may differ from it in the last bit.  Nearest-centroid ties break toward
+    the lowest centroid index, and a cluster that loses all its points keeps
+    its previous centroid.  A restart stops when its assignments repeat or at
+    ``max_iter``; the others go on without it.  Temporaries are ``(R, n,
+    dim)`` and ``(R, k, n)``.
+
+    Returns ``(labels, centroids, inertia, n_iter)``: the ``(R, n)`` labels,
+    the ``(R, k, dim)`` centroids, the ``(R, T)`` inertia history, and the
+    total iteration count over the restarts.  Column ``t`` of the history is
+    each restart's inertia right after the assignment step of iteration
+    ``t + 1`` (so it is non-increasing), held at its last value once the
+    restart has stopped; ``T`` is the longest restart's iteration count.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     C = np.array(C0, dtype=np.float64)
-    max_iter = int(max_iter)
+    restarts, k, dim = C.shape
     n = X.shape[0]
-    k = C.shape[0]
-    prev = np.full(n, -1, dtype=np.int64)
-    hist = np.empty(max_iter, dtype=np.float64)
-    it = 0
-    labels = prev
-    while it < max_iter:
-        d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1).astype(np.int64)
-        hist[it] = d2[np.arange(n), labels].sum()
-        it += 1
-        if np.array_equal(labels, prev):
+    labels = np.full((restarts, n), -1, dtype=np.int64)
+    inertia = np.zeros(restarts)
+    hist = []
+    live = np.arange(restarts)  # the restarts still iterating
+    n_iter = 0
+    columns = [np.ascontiguousarray(X[:, j]) for j in range(dim)]
+    # allocated once and sliced as restarts stop: temporaries of a new,
+    # shrinking size every iteration fragmented the heap of a long-running
+    # process and raised its peak RSS by about 2 MB
+    diff_all = np.empty((restarts, n, dim))
+    d2_all = np.empty((restarts, k, n))
+    for _ in range(int(max_iter)):
+        if not live.size:
             break
-        prev = labels
+        diff, d2 = diff_all[: live.size], d2_all[: live.size]
         for c in range(k):
-            mask = labels == c
-            if mask.any():
-                C[c] = X[mask].mean(axis=0)
-    return labels, C, hist[:it].copy(), it
+            np.subtract(X, C[live, c, None, :], out=diff)
+            np.square(diff, out=diff)
+            np.sum(diff, axis=2, out=d2[:, c])
+        new = np.argmin(d2, axis=1)
+        inertia[live] = np.take_along_axis(d2, new[:, None, :], axis=1)[:, 0].sum(axis=1)
+        hist.append(inertia.copy())
+        n_iter += live.size
+        moved = (new != labels[live]).any(axis=1)
+        labels[live] = new
+        live, new = live[moved], new[moved]
+        # per (restart, cluster) sums in point order: bincount adds sequentially
+        groups = (np.arange(live.size)[:, None] * k + new).ravel()
+        size = live.size * k
+        counts = np.bincount(groups, minlength=size)
+        sums = np.empty((size, dim))
+        for j in range(dim):
+            weights = np.broadcast_to(columns[j], (live.size, n)).ravel()
+            sums[:, j] = np.bincount(groups, weights=weights, minlength=size)
+        means = C[live].reshape(size, dim)
+        kept = counts > 0
+        means[kept] = sums[kept] / counts[kept, None]
+        C[live] = means.reshape(live.size, k, dim)
+    history = np.array(hist).T if hist else np.empty((restarts, 0))
+    return labels, C, history, n_iter

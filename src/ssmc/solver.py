@@ -20,7 +20,9 @@ group ``(i, j)`` lies inside row group ``i``, and for tree-structured groups
 the prox of the sum of group norms is the composition of the group proxes,
 leaves first (Jenatton et al. 2011, *Proximal methods for hierarchical sparse
 coding*).  Zeroing a tube is the prox of its indicator, a leaf of the same
-tree.  ``kernels.scale_tubes`` applies both shrinks in one multiply.
+tree.  ``kernels.scale_tubes`` applies all three in one multiply: the
+excluded tubes get a shrink factor of 0 in its ``(n, k)`` factor, so no pass
+over the stack zeroes them.
 
 The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
 ``Y = U diag(s) V^H`` per face, taken once per path, gives ``rho`` times its
@@ -37,7 +39,10 @@ the affine column below) rather than 29 at 28x160x28 affine.  Full-rank faces
 keep all ``min(h, n)``.  The ``c`` update is that apply ``R`` of
 ``a - u`` plus ``B0 - R(B0)``, where ``Y B0`` is ``X`` projected on the range
 of ``Y`` (``B0 = pinv(Y) X``, or ``I`` when ``X = Y``): it is
-``c = R(a - u - B0) + B0``, and ``B0 = I`` touches only the diagonal.  The affine
+``c = R(a - u - B0) + B0 = (a - u) - V (g V^H (a - u) - g V^H B0)``.  So ``B0``
+enters only through the small ``(inner, k)`` product ``g V^H B0`` of each
+face, which is refreshed whenever ``rho`` or ``lambda_g`` re-weights ``g``,
+and the stack sees no pass for it.  The affine
 constraint costs one fixed inner column.  Under ``1^T C = 1^T`` the fit
 ``Y (I - C)`` equals ``Yc (I - C)``, where ``Yc = Y - ybar 1^T`` is the data
 less its mean sample, and the rows of ``Yc`` are orthogonal to ``1``.  So
@@ -54,9 +59,12 @@ Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
 spatial Frobenius norm and ``N = n k d`` the number of coefficients:
 ``r = ||c - a||`` and ``s = rho ||a - a_prev||`` must fall below
 ``eps_pri = sqrt(N) tol_abs + tol_rel max(||c||, ||a||)`` and
-``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.  ``||a||`` comes from the
-shrunk tube norms that ``kernels.scale_tubes`` returns, not from another pass
-over ``a``.
+``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.  ``||a||`` and ``||u||``
+come from the tube norms that ``kernels.scale_tubes`` takes of ``v = c + u``:
+the new ``a`` is ``t v`` and the new ``u`` is ``v - a = (1 - t) v`` tube by
+tube, with ``t`` the shrink factor, so their norms need no pass over the
+stack.  ``r``, ``s`` and ``||c||`` are each one BLAS dot on the flat real
+view of a stack.
 
 The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011,
 section 3.4.1; Wohlberg 2017).  Once per iteration the relative residuals
@@ -85,7 +93,12 @@ start at ``lambda_g = 1e2`` stopped after 1 iteration.  A single solve is the
 one-point path.
 
 ``y`` enters and ``W`` leaves by ``t_algebra``'s half-spectrum face format, whose
-``_face_weights`` make every norm below equal its spatial-domain counterpart.
+``_face_weights`` ``w_f`` make every norm above equal its spatial-domain
+counterpart.  The ADMM state runs in weighted face coordinates
+``z_f = sqrt(w_f) x_f``: the ridge apply and the shrinks act face by face or
+tube by tube, so they commute with that scaling, and every norm of the state
+is then a plain unweighted one.  The finish undoes the scaling on its
+complex128 copy of ``c``.
 
 Precision: the ADMM state (``a``, ``u``, the ``x`` and ``c`` buffers and the
 ridge factors) runs in complex64 when ``tol_rel >= 1e-5`` and in complex128
@@ -103,6 +116,7 @@ iterations.
 """
 
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -144,11 +158,13 @@ _log = logging.getLogger(__name__)
 
 # Peak memory of a solve in complex128 (d // 2 + 1, n, n) arrays, by the dtype
 # of the ADMM state, for a path whose caller drops each W before the next.
-# complex128 peaks in the loop (a, u, x and c, plus the faces and ridge
-# factors); complex64 in the complex128 finish (c and W, plus the a and u the
-# next point starts from).  tracemalloc, one solve and three points: 4.76 and
-# 4.76 (complex128), 2.56 and 3.38 (complex64) at 28x160x28 affine; 4.42 and
-# 4.42, 2.30 and 3.16 at 28x320x28; 4.67 and 4.67, 2.38 and 2.98 at 8x200x8.
+# complex128 peaks in the loop (a, u, x and c, plus the faces, the ridge
+# factors, the folded (inner, n) product g V^H B0 and the (n, n) tube norms
+# inside kernels.scale_tubes); complex64 in the complex128 finish (c and W,
+# plus the a and u the next point starts from).  tracemalloc, one solve and
+# three points: 4.80 and 4.80 (complex128), 2.58 and 3.40 (complex64) at
+# 28x160x28 affine; 4.38 and 4.38, 2.28 and 3.15 at 28x320x28; 4.62 and 4.62,
+# 2.35 and 2.95 at 8x200x8.
 _PEAK_ARRAYS = {np.dtype(np.complex64): 3.5, np.dtype(np.complex128): 5.0}
 
 
@@ -294,18 +310,24 @@ class _RidgeInverse:
         g = 1.0 - rho / (self.s2 + rho)  # 1 at s2 = inf, where s2 / (s2 + rho) is nan
         np.multiply(g[:, :, None], self.vh, out=self.right[:, : self.rank])
 
-    def __call__(self, x, out=None):
-        out = np.matmul(self.left, self.right @ x, out=out)
+    def __call__(self, x, out=None, rb0=None):
+        """The apply ``x - V (g V^H x)``; with ``rb0``, the right factor's
+        product with ``B0``, it is ``R(x - B0) + B0 = x - V (g V^H x - rb0)``."""
+        t = self.right @ x
+        if rb0 is not None:
+            t -= rb0
+        out = np.matmul(self.left, t, out=out)
         return np.subtract(x, out, out=out)
 
 
 def _feasible(c, excluded, affine, n):
     """Zero the excluded tubes and, if affine, rebalance column face sums to 1, in place."""
-    c[excluded] = 0.0
+    tubes = (slice(None),) + excluded
+    c[tubes] = 0.0
     if affine:
         deficit = 1.0 - c.sum(axis=1)
         c += deficit[:, None, :] / (n - 1)
-        c[excluded] = 0.0
+        c[tubes] = 0.0
 
 
 def _objective(c, yf, xf, w, lambda_g, lambda_h):
@@ -371,24 +393,33 @@ def solve_path(y, configs):
         ridge = _RidgeInverse(yf, cfg.lambda_g, affine=cfg.affine, dtype=dtype)
         _check_scale(y, ridge.s, max(other.lambda_g for other in configs))
     timings["factor"] = time.perf_counter() - start
-    diag = np.s_[:, np.arange(n), np.arange(n)]
-    return _path(yf, yf, d, ridge, configs, timings, diag, 1.0, diag)
+    return _path(yf, yf, d, ridge, configs, timings, None, (np.arange(n), np.arange(n)))
 
 
-def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
+def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
     """The ADMM loop for the targets ``xf`` over ``yf``, run once per config on
-    carried state.  ``B0`` is ``b0`` at ``b0_at`` and 0 elsewhere; the tubes at
-    ``excluded`` are held at 0.  ``ridge`` is weighted for the first config's
-    ``lambda_g`` at ``_RHO_START``, where every path starts, and its dtype is
-    that of the state; the finish runs in complex128."""
+    carried state.  ``B0`` is ``b0``, or the identity when ``b0`` is None; the
+    tubes at the ``(rows, cols)`` index arrays ``excluded`` are held at 0.
+    ``ridge`` is weighted for the first config's ``lambda_g`` at
+    ``_RHO_START``, where every path starts, and its dtype is that of the
+    state; the state runs in weighted coordinates ``sqrt(w_f) x_f``, and the
+    finish, in complex128, undoes them."""
     n, k = yf.shape[2], xf.shape[2]
     w_freq = _face_weights(d)
+    root_w = np.sqrt(w_freq)[:, None, None]
+    unit = np.ones_like(w_freq)  # tube norms in weighted coordinates weigh no face
     shape = (w_freq.shape[0], n, k)
     dtype = ridge.dtype
     a = np.zeros(shape, dtype=dtype)
     u = np.zeros(shape, dtype=dtype)
     rho = _RHO_START
-    abs_floor = np.sqrt(n * k * d) * configs[0].tol_abs
+    abs_floor = math.sqrt(n * k * d) * configs[0].tol_abs
+
+    def folded():
+        """The right factor's product with ``B0`` in weighted coordinates, for
+        the ridge's current weights."""
+        rb0 = ridge.right * root_w if b0 is None else ridge.right @ (root_w * b0)
+        return rb0.astype(dtype, copy=False)
 
     for point, cfg in enumerate(configs):
         lam_g, lam_h = cfg.lambda_g, cfg.lambda_h
@@ -398,6 +429,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             timings = {"fft": 0.0, "factor": time.perf_counter() - start}
 
         start = time.perf_counter()
+        rb0 = folded()
         x = np.empty(shape, dtype=dtype)
         c = np.empty(shape, dtype=dtype)
         rho_history = []
@@ -411,27 +443,22 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
             rho_history.append(rho)
             # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - B0) + B0
             np.subtract(a, u, out=x)
-            x[b0_at] -= b0
-            ridge(x, out=c)
-            c[b0_at] += b0
+            ridge(x, out=c, rb0=rb0)
 
             np.add(c, u, out=x)  # shrunk in place into the new a
-            x[excluded] = 0.0
-            a_tubes = kernels.scale_tubes(x, w_freq, 1.0 / rho, lam_h / rho)
+            # ||a|| and ||u|| for the new a and u = (c + u) - a, from the tube norms
+            a_norm2, u_norm2 = kernels.scale_tubes(x, unit, 1.0 / rho, lam_h / rho, excluded)
             np.subtract(a, x, out=a)  # the old a's buffer takes the step, then c - a
-            s_norm = float(rho * np.sqrt(kernels.weighted_sq_norms(a, w_freq, total=True)))
+            s_norm = rho * math.sqrt(kernels._sq_norm(a))
             a, x = x, a
             np.subtract(c, a, out=x)
             u += x
-            r_norm = float(np.sqrt(kernels.weighted_sq_norms(x, w_freq, total=True)))
+            r_norm = math.sqrt(kernels._sq_norm(x))
             primal_history.append(r_norm)
             dual_history.append(s_norm)
 
-            a_norm2 = float(np.einsum("ij,ij->", a_tubes, a_tubes, dtype=np.float64))
-            c_norm2 = kernels.weighted_sq_norms(c, w_freq, total=True)
-            u_norm2 = kernels.weighted_sq_norms(u, w_freq, total=True)
-            eps_pri = abs_floor + cfg.tol_rel * np.sqrt(max(c_norm2, a_norm2))
-            eps_dual = abs_floor + cfg.tol_rel * rho * np.sqrt(u_norm2)
+            eps_pri = abs_floor + cfg.tol_rel * math.sqrt(max(kernels._sq_norm(c), a_norm2))
+            eps_dual = abs_floor + cfg.tol_rel * rho * math.sqrt(u_norm2)
             if iterations % _LOG_EVERY == 0:
                 _log.debug("iteration %d: r %.3e, s %.3e, rho %g", iterations, r_norm, s_norm, rho)
             if not changed and r_norm <= eps_pri and s_norm <= eps_dual:
@@ -449,18 +476,20 @@ def _path(yf, xf, d, ridge, configs, timings, b0_at, b0, excluded):
                 u *= rho / new_rho
                 rho = new_rho
                 ridge.set_rho(rho)
+                rb0 = folded()
         timings["iterate"] = time.perf_counter() - start
         _log.debug(
             "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
             point, lam_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
-        del x  # the finish's complex128 copy of c and W need its room
+        del x, rb0  # the finish's complex128 copy of c and W need their room
         if point == len(configs) - 1:
             del a, u  # no later point starts from them
 
         start = time.perf_counter()
         c = c.astype(np.complex128, copy=False)  # the finish runs in complex128
-        _feasible(c, excluded, cfg.affine, n)  # c is not used again
+        c /= root_w  # out of weighted coordinates; c is not used again
+        _feasible(c, excluded, cfg.affine, n)
         objective = _objective(c, yf, xf, w_freq, lam_g, lam_h)
         w = _from_faces(c, d)
         del c

@@ -48,21 +48,46 @@ class ClusterLabels:
             raise ValueError(f"labels out of range [0, {self.k})")
 
 
-def _kmeanspp_init(points, k, rng):
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+def _sq_dists(points, centers):
+    """``(R, n)`` squared distances of every point to each restart's center ``centers[r]``."""
+    return ((points[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+
+
+def _choice(rngs, weights, totals):
+    """``rngs[r].choice(n, p=weights[r] / totals[r])`` for every row ``r`` at once.
+
+    ``Generator.choice`` with ``p`` takes one uniform draw and inverts the
+    normalized cumulative sum of ``p`` by ``searchsorted(side="right")``;
+    this takes the same draw from each generator and the same cumulative
+    sums, so it returns the same indices and leaves each generator where
+    ``choice`` would.
+    """
+    cdf = (weights / totals[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    uniform = np.array([rng.random() for rng in rngs])
+    # searchsorted(side="right") on each nondecreasing row
+    return (cdf <= uniform[:, None]).sum(axis=1)
+
+
+def _kmeanspp_init(points, k, rngs):
+    """k-means++ starts, one per generator in ``rngs``, drawn in lockstep: ``(R, k, dim)``.
+
+    Each restart draws from its own generator exactly as it would alone.
+    """
+    n, dim = points.shape
+    centers = np.empty((len(rngs), k, dim), dtype=np.float64)
+    centers[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
+    d2 = _sq_dists(points, centers[:, 0])
     for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            # all remaining points coincide with chosen centers; duplicates
-            # are permitted
-            idx = int(np.argmax(d2))
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        # a restart whose points all coincide with chosen centers takes point
+        # argmax(d2) = 0 again; duplicates are permitted
+        idx = np.argmax(d2, axis=1)
+        drawn = np.flatnonzero(total > 0)
+        if drawn.size:
+            idx[drawn] = _choice([rngs[r] for r in drawn], d2[drawn], total[drawn])
+        centers[:, c] = points[idx]
+        np.minimum(d2, _sq_dists(points, centers[:, c]), out=d2)
     return centers
 
 
@@ -72,8 +97,13 @@ def kmeans(points, k, seed):
     Runs 20 restarts of at most 300 Lloyd iterations each and keeps the
     lowest final inertia; restart ``r`` draws from
     ``default_rng([seed, r])``, and inertia ties keep the lowest restart
-    index, so the result is independent of restart execution order.  ``k``
-    must be an integer in ``1..n`` (a bool or a float is refused).
+    index.  The restarts run in lockstep (``kernels.lloyd``), and the result
+    is identical to running them one at a time: each restart draws and
+    computes as it would alone (for 1-d points up to the last bit of the
+    centroids; see ``kernels.lloyd``).  ``k`` must be an integer in ``1..n``
+    (a bool or a float is refused).  Points so spread out that ``n`` times
+    their bounding box's squared diagonal overflows float64 raise
+    ``ValueError``: that bounds every squared distance and inertia.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -81,16 +111,14 @@ def kmeans(points, k, seed):
     if not np.isfinite(points).all():
         raise ValueError("points contains non-finite values")
     _check_count("k", k, high=points.shape[0])
-    best_labels = None
-    best_inertia = np.inf
-    for r in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, r])
-        c0 = _kmeanspp_init(points, k, rng)
-        labels, _, hist, _ = kernels.lloyd(points, c0, KMEANS_MAX_ITERS)
-        if hist[-1] < best_inertia:
-            best_inertia = float(hist[-1])
-            best_labels = labels
-    return ClusterLabels(labels=best_labels, k=k)
+    with np.errstate(over="ignore"):
+        bound = points.shape[0] * float(np.square(np.ptp(points, axis=0)).sum())
+    if not np.isfinite(bound):
+        raise ValueError("the points' squared distances overflow float64")
+    rngs = [np.random.default_rng([seed, r]) for r in range(KMEANS_RESTARTS)]
+    starts = _kmeanspp_init(points, k, rngs)
+    labels, _, inertia, _ = kernels.lloyd(points, starts, KMEANS_MAX_ITERS)
+    return ClusterLabels(labels=labels[np.argmin(inertia[:, -1])], k=k)
 
 
 def _validate_affinity(m):

@@ -155,6 +155,13 @@ def coherence(si, sj, trials, seed):
     return best
 
 
+def _linear_points(sample):
+    """A sample's points less its affine offset: points of its linear submodule."""
+    if sample.affine_offset is None:
+        return sample.points
+    return sample.points - sample.affine_offset
+
+
 def theorem3_check(
     data,
     i,
@@ -169,8 +176,11 @@ def theorem3_check(
     rhs = the largest minimum-singular-value over full-rank ``(h, d_i,
     depth)`` subtensors of cluster ``i``'s points, searched exhaustively
     when there are at most ``subtensor_budget`` candidates and otherwise
-    over ``subtensor_budget`` distinct ones drawn by seeded sampling.  The
-    points take one rFFT, and each candidate one SVD of its columns of those
+    over ``subtensor_budget`` distinct ones drawn by seeded sampling.  A
+    sample's ``affine_offset``, when present, is first subtracted from its
+    points, so that the coherence (taken of the generators), the subtensor
+    search and ``sigma_max_rest`` all describe the same linear submodules.
+    The points take one rFFT, and each candidate one SVD of its columns of those
     faces.  A candidate is full rank by ``is_generating_set``'s rule: its
     smallest singular value over all faces exceeds ``RANK_TOL`` times its
     largest over all faces, global because each face's round-off is relative
@@ -203,7 +213,7 @@ def theorem3_check(
             continue
         coherence_max = max(coherence_max, coherence(si, sj, coherence_trials, [seed, j]))
 
-    rest = [sj.points for j, sj in enumerate(data) if j != i]
+    rest = [_linear_points(sj) for j, sj in enumerate(data) if j != i]
     if rest:
         sigma_max_rest = float(bcirc_singular_values(np.concatenate(rest, axis=1))[0])
     else:
@@ -218,7 +228,7 @@ def theorem3_check(
         subsets = {}  # distinct sorted draws, in the order first drawn
         while len(subsets) < subtensor_budget:  # ends: there are more than budget subsets
             subsets[tuple(np.sort(rng.choice(m_i, size=d_i, replace=False)))] = None
-    faces = _faces(si.points)
+    faces = _faces(_linear_points(si))
     spectra = [np.linalg.svd(faces[:, :, list(idx)], compute_uv=False) for idx in subsets]
     full_rank = [float(s[:, -1].min()) for s in spectra if _full_rank(s)]
     rhs = max(full_rank, default=0.0)
@@ -275,7 +285,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     cfg = SolverConfig(lambda_g=scale, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
     ridge = _RidgeInverse(yf, np.inf)
     timings["factor"] = time.perf_counter() - start
-    path = _path(yf, xf / scale, depth, ridge, [cfg], timings, ..., a0 / scale, np.s_[:, [], []])
+    path = _path(yf, xf / scale, depth, ridge, [cfg], timings, a0 / scale, ([], []))
     a, report = next(path)
     a *= scale
     report.objective *= scale

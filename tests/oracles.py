@@ -3,8 +3,9 @@
 Every function here uses numpy and the standard library only, so a fault in
 ``ssmc`` cannot hide itself by also breaking the reference it is compared
 with.  They materialize the block-circulant matrix of the t-product (Kilmer
-& Martin 2011) instead of working one Fourier face at a time, and search
-every label matching instead of solving the assignment problem.
+& Martin 2011) instead of working one Fourier face at a time, search every
+label matching instead of solving the assignment problem, and run k-means one
+restart at a time, with ``Generator.choice`` for the k-means++ draws.
 """
 
 import itertools
@@ -112,3 +113,70 @@ def max_assignment_brute(w):
     r, c = w.shape
     maps = np.array(list(itertools.permutations(range(c), r)), dtype=np.intp)
     return int(w[np.arange(r), maps].sum(axis=1).max())
+
+
+def lloyd_one_start(X, C0, max_iter):
+    """Reference Lloyd iterations from one ``(k, dim)`` start.
+
+    Returns ``(labels, centroids, inertia_history, n_iter)``.  Ties go to the
+    lowest centroid index, the inertia is recorded right after each
+    assignment step, a cluster that loses all its points keeps its centroid,
+    and the run stops when the assignments repeat or at ``max_iter``.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    C = np.array(C0, dtype=np.float64)
+    max_iter = int(max_iter)
+    n = X.shape[0]
+    k = C.shape[0]
+    prev = np.full(n, -1, dtype=np.int64)
+    hist = np.empty(max_iter, dtype=np.float64)
+    it = 0
+    labels = prev
+    while it < max_iter:
+        d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1).astype(np.int64)
+        hist[it] = d2[np.arange(n), labels].sum()
+        it += 1
+        if np.array_equal(labels, prev):
+            break
+        prev = labels
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                C[c] = X[mask].mean(axis=0)
+    return labels, C, hist[:it].copy(), it
+
+
+def kmeanspp_one_start(points, k, rng):
+    """Reference k-means++ start drawn from ``rng``, with ``Generator.choice``."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(np.argmax(d2))
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def kmeans_one_restart_at_a_time(points, k, seed, restarts=20, max_iter=300):
+    """Reference k-means: restart ``r`` starts from ``kmeanspp_one_start`` on
+    ``default_rng([seed, r])`` and runs ``lloyd_one_start``; the lowest final
+    inertia wins, ties to the lowest restart.  Returns ``(labels, inertia,
+    runs)``, with ``runs`` each restart's ``(start, labels, history, n_iter)``."""
+    points = np.asarray(points, dtype=np.float64)
+    best_labels, best_inertia = None, np.inf
+    runs = []
+    for r in range(restarts):
+        c0 = kmeanspp_one_start(points, k, np.random.default_rng([seed, r]))
+        labels, _, hist, it = lloyd_one_start(points, c0, max_iter)
+        runs.append((c0, labels, hist, it))
+        if hist[-1] < best_inertia:
+            best_inertia = float(hist[-1])
+            best_labels = labels
+    return best_labels, best_inertia, runs

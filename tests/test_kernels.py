@@ -114,9 +114,10 @@ def test_shrink_factor_edge_values_raise_no_warning():
 
 
 @pytest.mark.parametrize("row_tau", [0.0, 1.1])
-def test_scale_tubes_returns_shrunk_tube_norms(row_tau):
-    # the second result is the tube norms of the first, so the solver can take
-    # ||a|| from it; the tubes of rows 0 and 1 fall below tau and are zeroed
+def test_scale_tubes_returns_the_squared_norms_kept_and_taken(row_tau):
+    # the results are the squared norms of the shrunk stack and of the part
+    # taken away, so the solver can take ||a|| and ||(c + u) - a|| from them;
+    # the tubes of rows 0 and 1 fall below tau and are zeroed
     rng = np.random.default_rng(12)
     d = 6
     w = _face_weights(d)
@@ -124,13 +125,32 @@ def test_scale_tubes_returns_shrunk_tube_norms(row_tau):
     v[:, 0] = 0.0
     v[:, 1] *= 1e-3
     out = v.copy()
-    norms = kernels.scale_tubes(out, w, 0.7, row_tau)
-    ref = _spatial_tube_norms(out, w)
-    assert norms.shape == (4, 5)
-    assert (norms[:2] == 0).all()
-    assert np.abs(norms - ref).max() < 1e-14 * max(1.0, ref.max())
-    total = kernels.weighted_sq_norms(out, w, total=True)
-    assert abs((norms**2).sum() - total) < 1e-13 * total
+    kept, taken = kernels.scale_tubes(out, w, 0.7, row_tau)
+    assert (out[:, :2] == 0).all()
+    want_kept = kernels.weighted_sq_norms(out, w, total=True)
+    want_taken = kernels.weighted_sq_norms(v - out, w, total=True)
+    assert abs(kept - want_kept) < 1e-13 * want_kept
+    assert abs(taken - want_taken) < 1e-13 * want_taken
+
+
+@pytest.mark.parametrize("row_tau", [0.0, 1.1])
+def test_scale_tubes_zeroes_the_excluded_tubes_before_the_row_stage(row_tau):
+    # excluding tubes is zeroing them first: the row norms do not count them,
+    # and the part taken away includes them whole
+    rng = np.random.default_rng(15)
+    w = _face_weights(5)
+    v = rng.standard_normal((w.size, 4, 4)) + 1j * rng.standard_normal((w.size, 4, 4))
+    diag = (np.arange(4), np.arange(4))
+    out = v.copy()
+    kept, taken = kernels.scale_tubes(out, w, 0.3, row_tau, diag)
+    want = v.copy()
+    want[:, diag[0], diag[1]] = 0.0
+    kernels.scale_tubes(want, w, 0.3, row_tau)
+    assert np.abs(out - want).max() < 1e-14
+    assert (out[:, diag[0], diag[1]] == 0).all()
+    assert abs(kept - kernels.weighted_sq_norms(out, w, total=True)) < 1e-13 * kept
+    want_taken = kernels.weighted_sq_norms(v - out, w, total=True)
+    assert abs(taken - want_taken) < 1e-13 * want_taken
 
 
 @pytest.mark.parametrize("even_depth", [False, True])
@@ -157,7 +177,7 @@ def _blob_points(rng, centers, per):
 
 @pytest.mark.parametrize("swapped_init", [False, True])
 def test_lloyd_separates_clear_blobs(swapped_init):
-    # labels follow the order of the initial centroids
+    # labels follow the order of the initial centroids; the one-restart batch
     rng = np.random.default_rng(13)
     pts = _blob_points(rng, [(0.0, 0.0), (10.0, 10.0)], 20)
     c0 = np.array([[1.0, 1.0], [9.0, 9.0]])
@@ -165,30 +185,40 @@ def test_lloyd_separates_clear_blobs(swapped_init):
     if swapped_init:
         c0 = c0[::-1].copy()
         first = 1
-    labels, centers, hist, n_iter = kernels.lloyd(pts, c0, 50)
-    assert (labels[:20] == first).all() and (labels[20:] == 1 - first).all()
+    labels, centers, hist, n_iter = kernels.lloyd(pts, c0[None], 50)
+    assert labels.shape == (1, 40) and centers.shape == (1, 2, 2) and hist.shape == (1, n_iter)
+    assert (labels[0, :20] == first).all() and (labels[0, 20:] == 1 - first).all()
     assert n_iter <= 50
-    assert np.abs(centers[first] - pts[:20].mean(axis=0)).max() < 1e-12
+    assert np.abs(centers[0, first] - pts[:20].mean(axis=0)).max() < 1e-12
 
 
 def test_lloyd_inertia_never_increases():
+    # in every restart of a batch, also after a restart has stopped (its
+    # inertia is held); the iteration count is the sum over the restarts
     rng = np.random.default_rng(14)
     pts = rng.standard_normal((60, 3))
-    c0 = pts[:4].copy()
-    _, _, hist, _ = kernels.lloyd(pts, c0, 100)
-    assert (np.diff(hist) <= 1e-12).all()
+    c0 = np.stack([pts[i : i + 4] for i in range(0, 20, 4)])
+    _, _, hist, n_iter = kernels.lloyd(pts, c0, 100)
+    assert hist.shape[0] == 5
+    assert (np.diff(hist, axis=1) <= 1e-12).all()
+    assert isinstance(n_iter, int) and hist.shape[1] <= n_iter <= 5 * hist.shape[1]
 
 
 def test_lloyd_ties_break_to_lowest_index():
+    # the equidistant point goes to centroid 0 in both restarts, whichever
+    # side of it that centroid starts on
     pts = np.array([[0.0, 0.0]])
-    c0 = np.array([[1.0, 0.0], [-1.0, 0.0]])  # equidistant
+    c0 = np.array([[[1.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]])
     labels, _, _, _ = kernels.lloyd(pts, c0, 5)
-    assert labels[0] == 0
+    assert (labels[:, 0] == 0).all()
 
 
 def test_lloyd_empty_cluster_keeps_centroid():
+    # the second centroid captures nothing in restart 0, the first nothing in
+    # restart 1; each keeps its start while the other restart's moves
     pts = np.array([[0.0], [0.1], [0.2]])
-    c0 = np.array([[0.1], [100.0]])  # second centroid captures nothing
+    c0 = np.array([[[0.1], [100.0]], [[-50.0], [0.0]]])
     labels, centers, _, _ = kernels.lloyd(pts, c0, 10)
-    assert (labels == 0).all()
-    assert centers[1, 0] == 100.0
+    assert (labels[0] == 0).all() and (labels[1] == 1).all()
+    assert centers[0, 1, 0] == 100.0 and centers[1, 0, 0] == -50.0
+    assert abs(centers[0, 0, 0] - 0.1) < 1e-15 and abs(centers[1, 1, 0] - 0.1) < 1e-15

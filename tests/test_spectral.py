@@ -1,11 +1,12 @@
 """Spectral clustering tests: embeddings, k-means policy, determinism."""
 
 import numpy as np
+import oracles
 import pytest
 
-from ssmc import kernels
+from ssmc import kernels, spectral
 from ssmc.data import clustering_error
-from ssmc.spectral import ClusterLabels, kmeans, spectral_cluster
+from ssmc.spectral import KMEANS_MAX_ITERS, KMEANS_RESTARTS, ClusterLabels, kmeans, spectral_cluster
 
 
 def _block_affinity(sizes, rng=None):
@@ -176,8 +177,8 @@ def test_kmeans_inertia_monotone_over_lloyd_iterations():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((30, 3))
     c0 = pts[:3].copy()
-    _, _, hist, _ = kernels.lloyd(pts, c0, 300)
-    assert (np.diff(hist) <= 1e-12).all()
+    _, _, hist, _ = kernels.lloyd(pts, c0[None], 300)
+    assert (np.diff(hist[0]) <= 1e-12).all()
 
 
 def test_kmeans_determinism_and_seed_sensitivity():
@@ -186,3 +187,92 @@ def test_kmeans_determinism_and_seed_sensitivity():
     a = kmeans(pts, 3, seed=5)
     b = kmeans(pts, 3, seed=5)
     assert np.array_equal(a.labels, b.labels)
+
+
+# -- lockstep restarts against one restart at a time --------------------------
+
+
+def _kmeans_case(rng, case, dim):
+    """Points of one of four kinds, and k = 1, k = n or k drawn in 1..n."""
+    n = int(rng.integers(1, 25))
+    kind = case % 4
+    if kind == 0:
+        pts = rng.standard_normal((n, dim))
+    elif kind == 1:  # duplicate points
+        pool = rng.standard_normal((max(1, n // 3), dim))
+        pts = pool[rng.integers(len(pool), size=n)]
+    elif kind == 2:  # unit-normalized rows, as spectral_cluster's embedding
+        pts = rng.standard_normal((n, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:  # a small integer grid: exact ties in distances and inertias
+        pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    k = (1, n, int(rng.integers(1, n + 1)))[case % 3]
+    return pts, k, int(rng.integers(1000))
+
+
+def _lockstep(pts, k, seed):
+    rngs = [np.random.default_rng([seed, r]) for r in range(KMEANS_RESTARTS)]
+    starts = spectral._kmeanspp_init(pts, k, rngs)
+    return (starts,) + kernels.lloyd(pts, starts, KMEANS_MAX_ITERS)
+
+
+def test_lockstep_kmeans_matches_one_restart_at_a_time():
+    """320 seeded cases with 2 to 6 coordinates: every restart's start, labels,
+    inertia history and iteration count, and kmeans' labels and final inertia,
+    are those of the restarts run one at a time, bit for bit."""
+    rng = np.random.default_rng(2026)
+    for case in range(320):
+        pts, k, seed = _kmeans_case(rng, case, int(rng.integers(2, 7)))
+        want_labels, want_inertia, runs = oracles.kmeans_one_restart_at_a_time(pts, k, seed)
+        starts, labels, _, hist, n_iter = _lockstep(pts, k, seed)
+        for r, (start, run_labels, run_hist, run_iter) in enumerate(runs):
+            assert np.array_equal(starts[r], start), (case, r)
+            assert np.array_equal(labels[r], run_labels), (case, r)
+            assert np.array_equal(hist[r, :run_iter], run_hist), (case, r)
+            assert (hist[r, run_iter:] == run_hist[-1]).all(), (case, r)
+        assert n_iter == sum(run[3] for run in runs)
+        assert hist[:, -1].min() == want_inertia, case
+        assert np.array_equal(kmeans(pts, k, seed).labels, want_labels), case
+
+
+def test_lockstep_kmeans_on_one_coordinate_matches_up_to_the_last_bit():
+    """numpy's ``mean(axis=0)`` sums a single coordinate pairwise, the lockstep
+    sequentially, so 1-d centroids and inertias may differ in the last bits;
+    kmeans' labels are the same on these 80 cases."""
+    rng = np.random.default_rng(2027)
+    for case in range(80):
+        pts, k, seed = _kmeans_case(rng, case, 1)
+        want_labels, want_inertia, _ = oracles.kmeans_one_restart_at_a_time(pts, k, seed)
+        _, _, _, hist, _ = _lockstep(pts, k, seed)
+        assert abs(hist[:, -1].min() - want_inertia) <= 1e-14 * want_inertia, case
+        assert np.array_equal(kmeans(pts, k, seed).labels, want_labels), case
+
+
+def test_choice_by_inverse_cdf_is_generator_choice():
+    """``_choice`` returns what ``Generator.choice(n, p=w / w.sum())`` returns on
+    an identically seeded generator, with zero weights, a single nonzero
+    weight and ties among the rows, and leaves the generator at the same
+    point of its stream."""
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        n = int(rng.integers(1, 40))
+        weights = rng.exponential(size=(8, n)) * (rng.random((8, n)) < 0.7)
+        weights[0] = 0.0
+        weights[0, rng.integers(n)] = 3.0
+        weights[1] = 1.0
+        weights = weights[weights.sum(axis=1) > 0]
+        totals = weights.sum(axis=1)
+        seeds = [[case, r] for r in range(len(weights))]
+        mine = [np.random.default_rng(s) for s in seeds]
+        got = spectral._choice(mine, weights, totals)
+        for r, s in enumerate(seeds):
+            theirs = np.random.default_rng(s)
+            assert got[r] == theirs.choice(n, p=weights[r] / totals[r]), (case, r)
+            assert mine[r].random() == theirs.random(), (case, r)
+
+
+def test_kmeans_refuses_points_whose_squared_distances_overflow():
+    pts = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(ValueError, match="overflow float64"):
+        kmeans(pts, 2, seed=0)
+

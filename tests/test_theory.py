@@ -417,6 +417,40 @@ def test_checkers_do_not_depend_on_scale(scale):
     assert base.rhs == pytest.approx(65.574250137423, rel=1e-12)
 
 
+@pytest.mark.parametrize("budget", [200, 5])
+def test_theorem3_reads_offset_samples_as_their_linear_submodules(budget):
+    """An affine sample's offset is subtracted before the subtensor search and
+    ``sigma_max_rest``, as the coherence uses the linear generators: the report
+    on offset samples is the report on the same samples with the offsets
+    removed and ``affine_offset=None``, and close to the one on the points
+    before the offsets were added.  A budget of 5 samples the subtensors."""
+    spec = SynthSpec(
+        h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=6, affine=True, seed=3
+    )
+    offset_samples = generate_submodules(spec)[0]
+    removed = [
+        SubmoduleSample(generators=s.generators, points=s.points - s.affine_offset)
+        for s in offset_samples
+    ]
+    # the offsets are as large as the points, so reading them in changes the report
+    assert not np.allclose(offset_samples[0].points, removed[0].points, atol=0.1)
+    rng = np.random.default_rng(4)
+    clean, dirty = [], []
+    for s in offset_samples:
+        points = ta.tprod(s.generators, rng.standard_normal((s.dim, 6, spec.depth)))
+        clean.append(SubmoduleSample(generators=s.generators, points=points))
+        dirty.append(SubmoduleSample(s.generators, points + s.affine_offset, s.affine_offset))
+    for i in range(len(offset_samples)):
+        report = theorem3_check(offset_samples, i, subtensor_budget=budget)
+        assert report == theorem3_check(removed, i, subtensor_budget=budget)
+        near = theorem3_check(dirty, i, subtensor_budget=budget)
+        base = theorem3_check(clean, i, subtensor_budget=budget)
+        for name in ("holds", "rank_deficient", "exhaustive", "subtensors_searched"):
+            assert getattr(near, name) == getattr(base, name), name
+        for name in ("lhs", "rhs", "coherence_max", "sigma_max_rest"):
+            assert getattr(near, name) == pytest.approx(getattr(base, name), rel=1e-12), name
+
+
 def test_theorem3_validates_arguments():
     rng = np.random.default_rng(10)
     a = _sample(rng.standard_normal((5, 2, 3)), 4, rng)
