@@ -329,8 +329,8 @@ def clustering_error(pred, truth):
     The matching is exact Kuhn-Munkres (shortest augmenting paths with
     potentials) on the ``r x c`` confusion matrix of distinct labels, with
     ``r <= c`` after transposing: O(r^2 c) work in O(r^2) numpy steps.  That
-    is about a millisecond for tens of clusters, but near a second for 300
-    labels per side drawn at random.
+    is about a millisecond for tens of clusters, and about 0.02 s for 3000
+    samples with 300 labels per side drawn at random.
     """
     p = _label_array(pred)
     t = _label_array(truth)

@@ -7,33 +7,25 @@ first, so per-face work hits contiguous memory.
 import numpy as np
 
 
-# Group norms are spatial, sqrt(sum_f w_f |.|^2) with w = t_algebra._face_weights(d).
-
-# Real entries squared per block in the per-entry mode of weighted_sq_norms, so
-# its temporary is a cache-sized (F, _BLOCK) array rather than a whole stack.
+# Real entries squared per block in tube_sq_norms, so its temporary is a
+# cache-sized (F, _BLOCK) array rather than a whole stack.
 _BLOCK = 8192
 
 
-def weighted_sq_norms(x, w, total=False):
-    """Weighted squared moduli ``sum_f w_f |x[f, ...]|^2`` of a face stack.
+def tube_sq_norms(x):
+    """Squared tube norms ``sum_f |x[f, ...]|^2`` of a face stack, shape ``x.shape[1:]``.
 
-    Returns one value per entry, shape ``x.shape[1:]``, or with ``total`` their
-    sum ``sum_f w_f ||x[f]||_F^2`` as a float.  Both reduce over the faces with
-    BLAS on a real view in the input's precision (float32 for complex64,
-    float64 otherwise), without real/imaginary temporaries; ``total`` sums the
-    per-face squared norms in float64.  Only a non-contiguous stack (a
-    transposed view, say) is copied first.
+    Reduces over the faces with BLAS, a ones vector against blocks of squares
+    of a real view in the input's precision (float32 for complex64, float64
+    otherwise), without real/imaginary temporaries.  Only a non-contiguous
+    stack (a transposed view, say) is copied first.
     """
     x = np.asarray(x)
     x = np.ascontiguousarray(x, dtype=np.result_type(x.dtype, np.complex64))
-    real = x.real.dtype
-    xr = x.view(real).reshape(x.shape[0], -1)  # re, im alternate
-    if total:
-        rows = xr[:, None, :]
-        return float(w @ (rows @ rows.transpose(0, 2, 1)).ravel().astype(np.float64))
-    w = w.astype(real)
+    xr = x.view(x.real.dtype).reshape(x.shape[0], -1)  # re, im alternate
+    ones = np.ones(x.shape[0], dtype=xr.dtype)
     blocks = range(0, xr.shape[1], _BLOCK)
-    t = np.concatenate([w @ np.square(xr[:, i : i + _BLOCK]) for i in blocks])
+    t = np.concatenate([ones @ np.square(xr[:, i : i + _BLOCK]) for i in blocks])
     return (t[0::2] + t[1::2]).reshape(x.shape[1:])
 
 
@@ -49,11 +41,11 @@ def _shrink_factor(nrm, tau):
         return np.fmax(1.0 - tau / nrm, 0.0)
 
 
-def scale_tubes(V, w, tau, row_tau=0.0, excluded=None):
+def scale_tubes(V, tau, row_tau=0.0, excluded=None):
     """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack, in place.
 
-    Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the tube norm
-    taken in the spatial scaling.  ``tau = 0`` keeps nonzero tubes unchanged.
+    Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the plain norm
+    over the tube's faces.  ``tau = 0`` keeps nonzero tubes unchanged.
     With ``row_tau > 0`` the tube-shrunk result is then shrunk per horizontal
     slice (fixed ``i``, all faces and columns) by ``row_tau``.  Tubes nest in
     rows, so the composition is the exact prox of ``tau sum ||v_ij|| + row_tau
@@ -63,12 +55,12 @@ def scale_tubes(V, w, tau, row_tau=0.0, excluded=None):
     come from the shrunk tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so
     ``V`` is read once for the norms and once for the single multiply.
 
-    Returns the squared spatial Frobenius norms of the shrunk stack and of the
+    Returns the squared Frobenius norms of the shrunk stack and of the
     part taken away, ``(1 - t) V`` with ``t`` the combined shrink factor, as
     ``sum((t ||v_ij||)^2)`` and ``sum(((1 - t) ||v_ij||)^2)``: from the tube
     norms, without another pass over the stack.
     """
-    nrm = np.sqrt(weighted_sq_norms(V, w))
+    nrm = np.sqrt(tube_sq_norms(V))
     factor = _shrink_factor(nrm, tau)
     if excluded is not None:
         factor[excluded] = 0.0

@@ -94,11 +94,14 @@ one-point path.
 
 ``y`` enters and ``W`` leaves by ``t_algebra``'s half-spectrum face format, whose
 ``_face_weights`` ``w_f`` make every norm above equal its spatial-domain
-counterpart.  The ADMM state runs in weighted face coordinates
+counterpart.  The ADMM state and the finish run in weighted face coordinates
 ``z_f = sqrt(w_f) x_f``: the ridge apply and the shrinks act face by face or
-tube by tube, so they commute with that scaling, and every norm of the state
-is then a plain unweighted one.  The finish undoes the scaling on its
-complex128 copy of ``c``.
+tube by tube, so they commute with that scaling, and every norm, in the
+shrinks, the stopping test and the objective, is a plain unweighted one.
+``kernels`` takes no weights.  ``_path`` weights its inputs once, ``B0`` and
+the targets, and unweights ``c`` once, right before the inverse rFFT; the
+affine rebalance aims each face's column sums at ``sqrt(w_f)``, the unit
+tube's weighted faces.
 
 Precision: the ADMM state (``a``, ``u``, the ``x`` and ``c`` buffers and the
 ridge factors) runs in complex64 when ``tol_rel >= 1e-5`` and in complex128
@@ -320,25 +323,26 @@ class _RidgeInverse:
         return np.subtract(x, out, out=out)
 
 
-def _feasible(c, excluded, affine, n):
-    """Zero the excluded tubes and, if affine, rebalance column face sums to 1, in place."""
+def _feasible(c, excluded, sums):
+    """Zero the excluded tubes of a face stack and, unless ``sums`` is None,
+    rebalance each face's column sums to ``sums`` (one value per face), in place."""
     tubes = (slice(None),) + excluded
     c[tubes] = 0.0
-    if affine:
-        deficit = 1.0 - c.sum(axis=1)
-        c += deficit[:, None, :] / (n - 1)
+    if sums is not None:
+        deficit = sums - c.sum(axis=1, keepdims=True)
+        c += deficit / (c.shape[1] - 1)
         c[tubes] = 0.0
 
 
-def _objective(c, yf, xf, w, lambda_g, lambda_h):
-    """The primal objective of a half-spectrum coefficient stack."""
-    grp = kernels.weighted_sq_norms(c, w)
+def _objective(c, yf, xw, lambda_g, lambda_h):
+    """The primal objective of a coefficient stack ``c`` in weighted coordinates,
+    for targets ``xw`` in the same coordinates: every norm is a plain one."""
+    grp = kernels.tube_sq_norms(c)
     f1 = float(np.sqrt(grp).sum())
     ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
     resid = yf @ c
-    np.subtract(xf, resid, out=resid)
-    fid = kernels.weighted_sq_norms(resid, w, total=True)
-    return f1 + lambda_h * ff1 + lambda_g * fid
+    np.subtract(xw, resid, out=resid)
+    return f1 + lambda_h * ff1 + lambda_g * kernels._sq_norm(resid)
 
 
 def solve_self_representation(y, cfg):
@@ -402,13 +406,12 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
     tubes at the ``(rows, cols)`` index arrays ``excluded`` are held at 0.
     ``ridge`` is weighted for the first config's ``lambda_g`` at
     ``_RHO_START``, where every path starts, and its dtype is that of the
-    state; the state runs in weighted coordinates ``sqrt(w_f) x_f``, and the
-    finish, in complex128, undoes them."""
+    state.  The state and the complex128 finish run in weighted coordinates
+    ``sqrt(w_f) x_f``: ``B0`` is weighted for the loop and the targets for the
+    objective, and ``c`` is unweighted once, for the inverse rFFT."""
     n, k = yf.shape[2], xf.shape[2]
-    w_freq = _face_weights(d)
-    root_w = np.sqrt(w_freq)[:, None, None]
-    unit = np.ones_like(w_freq)  # tube norms in weighted coordinates weigh no face
-    shape = (w_freq.shape[0], n, k)
+    root_w = np.sqrt(_face_weights(d))[:, None, None]
+    shape = (root_w.shape[0], n, k)
     dtype = ridge.dtype
     a = np.zeros(shape, dtype=dtype)
     u = np.zeros(shape, dtype=dtype)
@@ -447,7 +450,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
 
             np.add(c, u, out=x)  # shrunk in place into the new a
             # ||a|| and ||u|| for the new a and u = (c + u) - a, from the tube norms
-            a_norm2, u_norm2 = kernels.scale_tubes(x, unit, 1.0 / rho, lam_h / rho, excluded)
+            a_norm2, u_norm2 = kernels.scale_tubes(x, 1.0 / rho, lam_h / rho, excluded)
             np.subtract(a, x, out=a)  # the old a's buffer takes the step, then c - a
             s_norm = rho * math.sqrt(kernels._sq_norm(a))
             a, x = x, a
@@ -488,9 +491,9 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
 
         start = time.perf_counter()
         c = c.astype(np.complex128, copy=False)  # the finish runs in complex128
+        _feasible(c, excluded, root_w if cfg.affine else None)
+        objective = _objective(c, yf, root_w * xf, lam_g, lam_h)
         c /= root_w  # out of weighted coordinates; c is not used again
-        _feasible(c, excluded, cfg.affine, n)
-        objective = _objective(c, yf, xf, w_freq, lam_g, lam_h)
         w = _from_faces(c, d)
         del c
         timings["finalize"] = time.perf_counter() - start

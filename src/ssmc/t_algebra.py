@@ -17,9 +17,12 @@ Every tube cosine, ``tubal_angle_cos`` included, goes through ``_tube_cos``,
 which first divides each operand by the power of two of its largest entry
 (``_pow2_scaled``).  That division is exact, so the cosine is the same at any
 scale: no square in its norms overflows or underflows.  The solver's column
-normalization uses the same helper.
+normalization uses the same helper, and ``norm_fro``, ``norm_f1`` and
+``norm_ff1`` divide by one such power of two over the whole tensor and multiply
+their result back by it, so they too are exact at any scale.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -101,21 +104,31 @@ def tprod(a, b):
     return _from_faces(_faces(a) @ _faces(b), a.shape[2])
 
 
+def _rescaled(norm, a):
+    """``norm(a)`` for a norm of degree 1, exact at any scale of ``a``.
+
+    The norm is taken of ``a`` divided by the power of two of its largest
+    magnitude, as ``_pow2_scaled`` divides, and multiplied back by
+    ``math.ldexp``, so no square in it overflows or underflows.  A result
+    beyond float64's range raises ``OverflowError``.
+    """
+    _, exponent = np.frexp(np.abs(a).max(initial=0.0))
+    return math.ldexp(float(norm(np.ldexp(a, -exponent))), int(exponent))
+
+
 def norm_fro(a):
     """Frobenius norm of all entries."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64).ravel()))
+    return _rescaled(np.linalg.norm, np.asarray(a, dtype=np.float64).ravel())
 
 
 def norm_f1(a):
     """Sum of the Frobenius norms of all tubes (group norm over tubes)."""
-    a = _as_tensor3(a)
-    return float(np.sqrt((a * a).sum(axis=2)).sum())
+    return _rescaled(lambda x: np.sqrt((x * x).sum(axis=2)).sum(), _as_tensor3(a))
 
 
 def norm_ff1(a):
     """Sum of the Frobenius norms of all horizontal slices."""
-    a = _as_tensor3(a)
-    return float(np.sqrt((a * a).sum(axis=(1, 2))).sum())
+    return _rescaled(lambda x: np.sqrt((x * x).sum(axis=(1, 2))).sum(), _as_tensor3(a))
 
 
 def _as_oriented(a, name):

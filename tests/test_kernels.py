@@ -6,83 +6,89 @@ import numpy as np
 import pytest
 
 from ssmc import kernels
-from ssmc.t_algebra import _face_weights
+from ssmc.t_algebra import _face_weights, _faces
 
 
-# -- weighted squared norms --------------------------------------------------
+# -- squared tube norms ------------------------------------------------------
 
 
 @pytest.mark.parametrize("transposed", [False, True])
-def test_weighted_sq_norms_match_direct_formula(transposed):
+def test_tube_sq_norms_match_direct_formula(transposed):
     # a transposed view is not contiguous, so the float64 view needs a copy
     rng = np.random.default_rng(7)
-    w = np.array([1.0, 2.0, 2.0, 1.0])
     x = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
     if transposed:  # same values, stored face-last
         x = np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
         assert not x.flags.c_contiguous
-    ref = np.tensordot(w, np.abs(x) ** 2, axes=(0, 0))
-    entries = kernels.weighted_sq_norms(x, w)
+    ref = (np.abs(x) ** 2).sum(axis=0)
+    entries = kernels.tube_sq_norms(x)
     assert entries.shape == (5, 3)
     assert np.abs(entries - ref).max() < 1e-13 * ref.max()
-    assert abs(kernels.weighted_sq_norms(x, w, total=True) - ref.sum()) < 1e-13 * ref.sum()
 
 
-def test_weighted_sq_norms_reduce_complex64_in_float32():
-    # wide enough that the per-entry squares run in more than one block; the
-    # float32 sums of 2F nonnegative terms are within (2F + 1) eps32 of exact
-    # (the per-face totals, sums of 2 n m terms, are compared at 1e-5)
+def test_tube_sq_norms_reduce_complex64_in_float32():
+    # wide enough that the squares run in more than one block; the float32
+    # sums of 2F nonnegative terms are within (2F + 1) eps32 of exact (the
+    # stack's squared norm, a sum of 2 F n m terms, is compared at 1e-5)
     rng = np.random.default_rng(10)
-    w = _face_weights(6)
-    f = w.shape[0]
+    f = 4
     x = rng.standard_normal((f, 70, 70)) + 1j * rng.standard_normal((f, 70, 70))
     x = x.astype(np.complex64)
     assert 2 * x[0].size > kernels._BLOCK
-    single = kernels.weighted_sq_norms(x, w)
-    double = kernels.weighted_sq_norms(x.astype(np.complex128), w)
-    ref = np.tensordot(w, np.abs(x.astype(np.complex128)) ** 2, axes=(0, 0))
+    single = kernels.tube_sq_norms(x)
+    double = kernels.tube_sq_norms(x.astype(np.complex128))
+    ref = (np.abs(x.astype(np.complex128)) ** 2).sum(axis=0)
     assert single.dtype == np.float32
     assert double.dtype == np.float64
     assert np.abs(double - ref).max() < 1e-13 * ref.max()
     eps = np.finfo(np.float32).eps
     assert (np.abs(single - double) <= (2 * f + 1) * eps * double).all()
-    total = kernels.weighted_sq_norms(x, w, total=True)
+    total = kernels._sq_norm(x)
     assert isinstance(total, float)
     assert abs(total - ref.sum()) <= 1e-5 * ref.sum()
+    assert abs(kernels._sq_norm(x.astype(np.complex128)) - ref.sum()) < 1e-13 * ref.sum()
 
 
 # -- group shrinkage ---------------------------------------------------------
+# The solver shrinks the weighted half-spectrum faces sqrt(w_f) x_f of a real
+# tensor x, whose plain tube norms are x's spatial ones; at an even depth the
+# last of them is the Nyquist face.  The expected results below are the plain
+# formulas on the stack.
 
 
-def _spatial_tube_norms(v, w):
-    sq = v.real**2 + v.imag**2
-    return np.sqrt(np.tensordot(w, sq, axes=(0, 0)))
+def _weighted_faces(rng, shape, d):
+    x = rng.standard_normal(shape + (d,))
+    return np.sqrt(_face_weights(d))[:, None, None] * _faces(x)
+
+
+def _tube_norms(v):
+    return np.sqrt((np.abs(v) ** 2).sum(axis=0))
+
+
+def _plain_shrink(nrm, tau):
+    return np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
 
 
 @pytest.mark.parametrize("even_depth", [False, True])
 def test_scale_tubes_applies_group_shrink(even_depth):
-    # an even depth adds the Nyquist face, which carries weight 1, not 2
     rng = np.random.default_rng(9)
-    d = 6 if even_depth else 5
-    w = _face_weights(d)
-    v = rng.standard_normal((w.size, 4, 5)) + 1j * rng.standard_normal((w.size, 4, 5))
-    tau = 0.7
+    v = _weighted_faces(rng, (4, 5), 6 if even_depth else 5)
+    tau = 1.6  # zeroes some tubes and shrinks the rest
     out = v.copy()
-    kernels.scale_tubes(out, w, tau)
-    nrm = _spatial_tube_norms(v, w)
-    factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
+    kernels.scale_tubes(out, tau)
+    factor = _plain_shrink(_tube_norms(v), tau)
+    assert 0 < (factor == 0).sum() < factor.size
     assert np.abs(out - v * factor).max() < 1e-14
 
 
 def test_scale_tubes_edge_cases():
     rng = np.random.default_rng(10)
-    w = _face_weights(4)
-    v = rng.standard_normal((w.size, 3, 3)) + 1j * rng.standard_normal((w.size, 3, 3))
+    v = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
     out = v.copy()
-    kernels.scale_tubes(out, w, 0.0)
+    kernels.scale_tubes(out, 0.0)
     assert np.array_equal(out, v)
-    big = 1.0 + _spatial_tube_norms(v, w).max()
-    kernels.scale_tubes(out, w, big)
+    big = 1.0 + _tube_norms(v).max()
+    kernels.scale_tubes(out, big)
     assert (out == 0).all()
 
 
@@ -113,22 +119,24 @@ def test_shrink_factor_edge_values_raise_no_warning():
         assert np.array_equal(kernels._shrink_factor(nrm, 0.5), [0.0, 0.0, 1.0])
 
 
+def _sq_total(v):
+    return float((np.abs(v) ** 2).sum())
+
+
 @pytest.mark.parametrize("row_tau", [0.0, 1.1])
 def test_scale_tubes_returns_the_squared_norms_kept_and_taken(row_tau):
     # the results are the squared norms of the shrunk stack and of the part
     # taken away, so the solver can take ||a|| and ||(c + u) - a|| from them;
     # the tubes of rows 0 and 1 fall below tau and are zeroed
     rng = np.random.default_rng(12)
-    d = 6
-    w = _face_weights(d)
-    v = rng.standard_normal((w.size, 4, 5)) + 1j * rng.standard_normal((w.size, 4, 5))
+    v = rng.standard_normal((4, 4, 5)) + 1j * rng.standard_normal((4, 4, 5))
     v[:, 0] = 0.0
     v[:, 1] *= 1e-3
     out = v.copy()
-    kept, taken = kernels.scale_tubes(out, w, 0.7, row_tau)
+    kept, taken = kernels.scale_tubes(out, 0.7, row_tau)
     assert (out[:, :2] == 0).all()
-    want_kept = kernels.weighted_sq_norms(out, w, total=True)
-    want_taken = kernels.weighted_sq_norms(v - out, w, total=True)
+    want_kept = _sq_total(out)
+    want_taken = _sq_total(v - out)
     assert abs(kept - want_kept) < 1e-13 * want_kept
     assert abs(taken - want_taken) < 1e-13 * want_taken
 
@@ -138,33 +146,29 @@ def test_scale_tubes_zeroes_the_excluded_tubes_before_the_row_stage(row_tau):
     # excluding tubes is zeroing them first: the row norms do not count them,
     # and the part taken away includes them whole
     rng = np.random.default_rng(15)
-    w = _face_weights(5)
-    v = rng.standard_normal((w.size, 4, 4)) + 1j * rng.standard_normal((w.size, 4, 4))
+    v = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     diag = (np.arange(4), np.arange(4))
     out = v.copy()
-    kept, taken = kernels.scale_tubes(out, w, 0.3, row_tau, diag)
+    kept, taken = kernels.scale_tubes(out, 0.3, row_tau, diag)
     want = v.copy()
     want[:, diag[0], diag[1]] = 0.0
-    kernels.scale_tubes(want, w, 0.3, row_tau)
+    kernels.scale_tubes(want, 0.3, row_tau)
     assert np.abs(out - want).max() < 1e-14
     assert (out[:, diag[0], diag[1]] == 0).all()
-    assert abs(kept - kernels.weighted_sq_norms(out, w, total=True)) < 1e-13 * kept
-    want_taken = kernels.weighted_sq_norms(v - out, w, total=True)
+    assert abs(kept - _sq_total(out)) < 1e-13 * kept
+    want_taken = _sq_total(v - out)
     assert abs(taken - want_taken) < 1e-13 * want_taken
 
 
 @pytest.mark.parametrize("even_depth", [False, True])
 def test_scale_tubes_row_stage_applies_group_shrink(even_depth):
     rng = np.random.default_rng(11)
-    d = 6 if even_depth else 5
-    w = _face_weights(d)
-    v = rng.standard_normal((w.size, 4, 6)) + 1j * rng.standard_normal((w.size, 4, 6))
-    tau = 1.1
+    v = _weighted_faces(rng, (4, 6), 6 if even_depth else 5)
+    tau = 5.5  # zeroes some rows and shrinks the rest
     out = v.copy()
-    kernels.scale_tubes(out, w, 0.0, tau)  # the row stage alone
-    sq = v.real**2 + v.imag**2
-    nrm = np.sqrt(np.tensordot(w, sq, axes=(0, 0)).sum(axis=1))
-    factor = np.where(nrm > tau, 1.0 - tau / np.where(nrm > 0, nrm, 1.0), 0.0)
+    kernels.scale_tubes(out, 0.0, tau)  # the row stage alone
+    factor = _plain_shrink(np.sqrt((np.abs(v) ** 2).sum(axis=(0, 2))), tau)
+    assert 0 < (factor == 0).sum() < factor.size
     assert np.abs(out - v * factor[None, :, None]).max() < 1e-14
 
 

@@ -294,21 +294,24 @@ def test_affine_solve_of_identical_samples_has_a_rank_zero_ridge():
 
 
 # -- group shrinkage ---------------------------------------------------------
-# The solver shrinks half-spectrum face stacks; these check that the result,
-# taken back to the spatial domain, is the group shrink of the spatial tubes
-# and slices whose norms ||.||_F,1 and ||.||_FF,1 sum.
+# The solver shrinks half-spectrum face stacks in weighted coordinates
+# sqrt(w_f) x_f, where plain tube and slice norms are the spatial ones; these
+# check that the result, taken back to the spatial domain, is the group shrink
+# of the spatial tubes and slices whose norms ||.||_F,1 and ||.||_FF,1 sum.
+# An even depth adds the Nyquist face, whose weight is 1/d, not 2/d.
 
 
 def _shrink_spatial(kernel, x, tau):
     d = x.shape[2]
-    out = ta._faces(x)
-    kernel(out, ta._face_weights(d), tau)
-    return ta._from_faces(out, d)
+    root_w = np.sqrt(ta._face_weights(d))[:, None, None]
+    out = root_w * ta._faces(x)
+    kernel(out, tau)
+    return ta._from_faces(out / root_w, d)
 
 
-def _scale_rows(v, w, tau):
+def _scale_rows(v, tau):
     # the row stage alone: with tube tau 0 the tube stage keeps every tube
-    return kernels.scale_tubes(v, w, 0.0, tau)
+    return kernels.scale_tubes(v, 0.0, tau)
 
 
 def test_group_shrink_tube_formula():
@@ -439,10 +442,15 @@ def test_affine_constraint_column_sums():
     assert np.abs(sums - target).max() < 1e-6
 
 
-def test_objective_matches_spatial_recomputation():
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("depth", [5, 6])
+def test_objective_matches_spatial_recomputation(depth, affine):
+    # an even depth adds the Nyquist face, and affine the rebalance of each
+    # face's column sums in weighted coordinates; the objective is that of the
+    # returned W whether or not the solve converged (affine ones stop at 2000)
     rng = np.random.default_rng(6)
-    y = rng.standard_normal((4, 6, 5))
-    cfg = SolverConfig(lambda_g=20.0, lambda_h=0.5, **TIGHT)
+    y = rng.standard_normal((4, 6, depth))
+    cfg = SolverConfig(lambda_g=20.0, lambda_h=0.5, affine=affine, **dict(TIGHT, max_iters=2000))
     w, report = solve_self_representation(y, cfg)
     ref = _objective_spatial(y, w, cfg)
     assert abs(report.objective - ref) < 1e-8 * max(1.0, abs(ref))

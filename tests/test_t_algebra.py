@@ -182,6 +182,30 @@ def test_group_norms_dominate_frobenius():
     assert ta.norm_f1(np.zeros((2, 2, 2))) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norms_are_exact_at_any_scale(scale):
+    # the squares of 1e200 overflow and those of 1e-200 underflow to 0; the
+    # norms divide by a power of two first, so a power-of-two factor comes out
+    # exactly and any other within rounding, with no warning
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 4, 5))
+    p = 2.0 ** round(np.log2(scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (ta.norm_fro, ta.norm_f1, ta.norm_ff1):
+            assert norm(p * a) == p * norm(a)
+            assert abs(norm(scale * a) - scale * norm(a)) <= 1e-15 * scale * norm(a)
+        ones = scale * np.ones((2, 2, 3))
+        assert ta.norm_fro(ones) == pytest.approx(np.sqrt(12) * scale, rel=1e-15)
+        assert ta.norm_f1(ones) == pytest.approx(4 * np.sqrt(3) * scale, rel=1e-15)
+        assert ta.norm_ff1(ones) == pytest.approx(2 * np.sqrt(6) * scale, rel=1e-15)
+
+
+def test_norm_beyond_float64_range_raises():
+    with pytest.raises(OverflowError):
+        ta.norm_f1(1e308 * np.ones((2, 2, 3)))
+
+
 # -- tubal angles ------------------------------------------------------------
 
 
