@@ -260,14 +260,13 @@ def _max_assignment(confusion):
     a feasible, tight start.  Each row left over then takes one Dijkstra
     search, whose steps are numpy passes over the columns not yet reached
     only, and which takes a free column among equally near ones, so that
-    ties, which small counts make common, end the search early.
+    ties, which small counts make common, end the search early.  The matrix
+    is not empty: ``clustering_error`` refuses empty labelings.
     """
     w = np.asarray(confusion, dtype=np.int64)
     if w.shape[0] > w.shape[1]:
         w = w.T
     r, c = w.shape
-    if r == 0:
-        return 0
     cost = -w  # minimize
     u = cost.min(axis=1)
     v = np.zeros(c, dtype=np.int64)
@@ -350,12 +349,12 @@ def shift_images(t, max_shift, seed):
 
     Shifts are uniform integers in ``[-max_shift, max_shift]``, drawn from
     ``default_rng(seed)``; a shift of ``s`` equals tube-multiplication by
-    ``e_tube(d, s mod d)``.
+    ``e_tube(d, s mod d)``.  ``max_shift`` must be an integer in ``0..d - 1``;
+    a bool or a float is refused.
     """
     t = _as_tensor3(t)
     d = t.shape[2]
-    if not 0 <= max_shift < d:
-        raise ValueError(f"max_shift must be in 0..{d - 1}, got {max_shift}")
+    _check_count("max_shift", max_shift, 0, d - 1)
     shifts = np.random.default_rng(seed).integers(-max_shift, max_shift + 1, size=t.shape[1])
     # np.roll by s: depth k of the result is depth (k - s) mod d of the slice
     return np.take_along_axis(t, ((np.arange(d) - shifts[:, None]) % d)[None], axis=2)

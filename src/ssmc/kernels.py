@@ -1,31 +1,27 @@
-"""Hot numeric kernels of the solver and of k-means.
+"""Numpy helpers of the solver and of k-means: tube norms, the tube and row
+shrink, and lockstep Lloyd iterations.
 
 Dense Fourier-face stacks are laid out ``(F, n, m)`` with the face index
-first, so per-face work hits contiguous memory.
+first, so per-face work hits contiguous memory.  Each reduction is one numpy
+call, an ``einsum`` or a BLAS dot, with no temporary as large as the stack.
 """
 
 import numpy as np
 
 
-# Real entries squared per block in tube_sq_norms, so its temporary is a
-# cache-sized (F, _BLOCK) array rather than a whole stack.
-_BLOCK = 8192
-
-
 def tube_sq_norms(x):
     """Squared tube norms ``sum_f |x[f, ...]|^2`` of a face stack, shape ``x.shape[1:]``.
 
-    Reduces over the faces with BLAS, a ones vector against blocks of squares
-    of a real view in the input's precision (float32 for complex64, float64
-    otherwise), without real/imaginary temporaries.  Only a non-contiguous
-    stack (a transposed view, say) is copied first.
+    One ``einsum`` over the faces of a real view in the input's precision
+    (float32 for complex64, float64 otherwise) sums the squares of the real
+    and imaginary parts, which alternate in that view, with no temporary but
+    the result and its pair sum.  Only a non-contiguous stack (a transposed
+    view, say) is copied first.
     """
     x = np.asarray(x)
     x = np.ascontiguousarray(x, dtype=np.result_type(x.dtype, np.complex64))
     xr = x.view(x.real.dtype).reshape(x.shape[0], -1)  # re, im alternate
-    ones = np.ones(x.shape[0], dtype=xr.dtype)
-    blocks = range(0, xr.shape[1], _BLOCK)
-    t = np.concatenate([ones @ np.square(xr[:, i : i + _BLOCK]) for i in blocks])
+    t = np.einsum("fi,fi->i", xr, xr)
     return (t[0::2] + t[1::2]).reshape(x.shape[1:])
 
 

@@ -279,7 +279,8 @@ class _RidgeInverse:
     column face-sum of the apply is 0.  ``inner``, the matmuls' inner
     dimension, is ``rank``, plus 1 under ``affine``.  ``set_rho`` re-weights
     ``g`` for a new ``rho`` from the stored SVD, and ``set_lambda_g`` for a new
-    ``lambda_g``.
+    ``lambda_g``; a new instance is weighted at ``_RHO_START``, where every
+    path starts.
 
     The SVD, ``s`` and ``g`` stay in complex128 and float64; the two factors
     are held in ``dtype``, the precision of the ADMM state that the apply
@@ -287,7 +288,7 @@ class _RidgeInverse:
     re-weighting.
     """
 
-    def __init__(self, yf, lambda_g, rho=_RHO_START, affine=False, dtype=np.complex128):
+    def __init__(self, yf, lambda_g, affine=False, dtype=np.complex128):
         faces, _, n = yf.shape
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
@@ -302,7 +303,7 @@ class _RidgeInverse:
         self.right = np.empty((faces, inner, n), dtype=dtype)  # [g V^H ; 1^T/sqrt(n)]
         self.left[:, :, :r] = np.conj(np.swapaxes(self.vh, 1, 2))
         self.left[:, :, r:] = self.right[:, r:] = 1.0 / np.sqrt(n)
-        self.set_lambda_g(lambda_g, rho)
+        self.set_lambda_g(lambda_g, _RHO_START)
 
     def set_lambda_g(self, lambda_g, rho):
         self.s2 = np.zeros_like(self.s)
@@ -518,7 +519,7 @@ def affinity_from_tensor(w):
     w = _as_tensor3(w, "coefficient tensor")
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"coefficient tensor must be square, got {w.shape}")
-    tube_norms = np.sqrt((w * w).sum(axis=2))
+    tube_norms = np.sqrt(np.einsum("ijk,ijk->ij", w, w))
     m = tube_norms + tube_norms.T
     np.fill_diagonal(m, 0.0)
     return m

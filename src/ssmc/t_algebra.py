@@ -56,13 +56,17 @@ def _as_tensor3(a, name="tensor", finite=False):
     return a
 
 
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(name, value, low=1, high=None):
     """Refuse a bool, a non-integer, or an integer outside ``low..high``.
 
     Python and numpy integers pass; ``high=None`` sets no upper limit.
     """
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integer or value < low or (high is not None and value > high):
+    if not _is_integer(value) or value < low or (high is not None and value > high):
         span = f"at least {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {span}, got {value!r}")
 
@@ -198,8 +202,12 @@ def e_tube(d, k=0):
     """Unit tube of length ``d`` with a one in depth position ``k``.
 
     ``e_tube(d, 0)`` is the ring identity; tube-multiplying by
-    ``e_tube(d, s)`` circularly shifts depth by ``s``.
+    ``e_tube(d, s)`` circularly shifts depth by ``s``.  ``d`` and ``k`` must be
+    integers; a bool or a float is refused.
     """
+    _check_count("d", d)
+    if not _is_integer(k):
+        raise ValueError(f"position must be an integer, got {k!r}")
     if not 0 <= k < d:
         raise ValueError(f"position {k} outside depth range 0..{d - 1}")
     t = np.zeros(d, dtype=np.float64)

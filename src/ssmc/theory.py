@@ -262,8 +262,11 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     histories are those of that normalized program; ``report.objective`` is
     ``||a||_F1`` plus the squared constraint residual of the returned ``a``.
     Stopping at ``max_iters`` first is not an error: the last iterate is
-    returned and a ``RuntimeWarning`` says so.
+    returned and a ``RuntimeWarning`` says so.  A non-finite or negative
+    ``tol`` raises ``ValueError``.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     dictionary = _as_tensor3(dictionary, "dictionary", finite=True)
     x = _as_tensor3(x, "target", finite=True)
     h, m, depth = dictionary.shape

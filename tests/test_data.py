@@ -485,3 +485,9 @@ def test_shift_images_validates_range():
         shift_images(t, 4, seed=0)
     with pytest.raises(ValueError, match="max_shift"):
         shift_images(t, -1, seed=0)
+
+
+@pytest.mark.parametrize("max_shift", [1.5, 1.0, True])
+def test_shift_images_refuses_bools_and_floats(max_shift):
+    with pytest.raises(ValueError, match="max_shift"):
+        shift_images(np.zeros((2, 2, 4)), max_shift, seed=0)

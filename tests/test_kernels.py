@@ -1,5 +1,6 @@
 """Kernel-level tests: LAPACK oracles and direct reference formulas."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,14 +28,13 @@ def test_tube_sq_norms_match_direct_formula(transposed):
 
 
 def test_tube_sq_norms_reduce_complex64_in_float32():
-    # wide enough that the squares run in more than one block; the float32
-    # sums of 2F nonnegative terms are within (2F + 1) eps32 of exact (the
-    # stack's squared norm, a sum of 2 F n m terms, is compared at 1e-5)
+    # the float32 sums of 2F nonnegative terms are within (2F + 1) eps32 of
+    # exact (the stack's squared norm, a sum of 2 F n m terms, is compared at
+    # 1e-5)
     rng = np.random.default_rng(10)
     f = 4
     x = rng.standard_normal((f, 70, 70)) + 1j * rng.standard_normal((f, 70, 70))
     x = x.astype(np.complex64)
-    assert 2 * x[0].size > kernels._BLOCK
     single = kernels.tube_sq_norms(x)
     double = kernels.tube_sq_norms(x.astype(np.complex128))
     ref = (np.abs(x.astype(np.complex128)) ** 2).sum(axis=0)
@@ -47,6 +47,22 @@ def test_tube_sq_norms_reduce_complex64_in_float32():
     assert isinstance(total, float)
     assert abs(total - ref.sum()) <= 1e-5 * ref.sum()
     assert abs(kernels._sq_norm(x.astype(np.complex128)) - ref.sum()) < 1e-13 * ref.sum()
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_tube_sq_norms_hold_no_stack_sized_temporary(dtype):
+    # the reduction's temporaries are the per-entry sums of the real view (two
+    # results) and the result: a traced peak of 3 results, never a stack
+    rng = np.random.default_rng(19)
+    shape = (15, 320, 320)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+    tracemalloc.start()
+    try:
+        t = kernels.tube_sq_norms(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * t.nbytes
 
 
 # -- group shrinkage ---------------------------------------------------------

@@ -188,14 +188,15 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
     rhs = rng.standard_normal((f, n, 3)) + 1j * rng.standard_normal((f, n, 3))
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, 1.0 / lam_g, 1.4)  # built at the other end of the grid
+    ridge = _RidgeInverse(yf, 1.0 / lam_g)  # built at the other end of the grid
     ridge.set_lambda_g(lam_g, 1.4)
     # up and down in factor-2 steps, as the solver moves.  Below rho = 0.7 at
     # lam_g = 1e2 the apply shrinks its input about 1e3-fold and the cancellation
     # in I - V diag(g) V^H costs digits: 1.7e-12 relative at rho = 0.35
     for rho in [1.4, 11.2, 0.7]:
         ridge.set_rho(rho)
-        fresh = _RidgeInverse(yf, lam_g, rho)
+        fresh = _RidgeInverse(yf, lam_g)
+        fresh.set_rho(rho)
         mats = 2.0 * lam_g * gram + rho * np.eye(n)[None]
         for got, again, want in [
             (ridge(rhs), fresh(rhs), rho * np.linalg.solve(mats, rhs)),
@@ -225,7 +226,7 @@ def test_affine_ridge_update_is_the_constrained_solve(h, n, repeated, lam_g):
         yf[:, :, -1] = yf[:, :, 0]
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, 1.0 / lam_g, 1.4, affine=True)
+    ridge = _RidgeInverse(yf, 1.0 / lam_g, affine=True)
     ridge.set_lambda_g(lam_g, 1.4)
     for rho in [1.4, 11.2, 0.7]:
         ridge.set_rho(rho)
@@ -255,7 +256,7 @@ def test_ridge_inverse_holds_only_the_kept_directions(affine):
     f = len(ranks)
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, 1e2, 1.4, affine=affine)
+    ridge = _RidgeInverse(yf, 1e2, affine=affine)
     assert ridge.rank == max(ranks)
     assert ridge.inner == ridge.left.shape[2] == ridge.right.shape[1] == max(ranks) + affine
     assert (ridge.kept.sum(axis=1) == ranks).all()
@@ -285,7 +286,7 @@ def test_affine_solve_of_identical_samples_has_a_rank_zero_ridge():
     sample = rng.integers(-3, 4, size=(h, 1, d)).astype(float)
     sample[0, 0, 0] = 1.0  # not identically zero
     y = np.repeat(sample, n, axis=1)
-    ridge = _RidgeInverse(ta._faces(y), 1.0, 1.0, affine=True)
+    ridge = _RidgeInverse(ta._faces(y), 1.0, affine=True)
     assert (ridge.rank, ridge.inner) == (0, 1)
     w, report = solve_self_representation(y, SolverConfig(lambda_g=1.0, affine=True))
     assert report.converged
@@ -650,6 +651,21 @@ def test_rho_starts_at_one_and_stays_within_its_bounds(lam_g):
     _assert_histories(report)
 
 
+def test_ridge_is_weighted_at_the_starting_rho(monkeypatch):
+    # held at a starting rho other than 1, the loop and the ridge apply must use
+    # the same penalty, or the fixed point is not the optimum: a ridge weighted
+    # at 1 under a loop at 0.25 "converged" at 26.465 against 24.923
+    y = np.random.default_rng(6).standard_normal((4, 6, 5))
+    cfg = SolverConfig(lambda_g=20.0, max_iters=5000, tol_abs=1e-12, tol_rel=1e-12)
+    monkeypatch.setattr(solver, "_RHO_MU", np.inf)  # rho never changes
+    _, ref = solve_self_representation(y, cfg)
+    monkeypatch.setattr(solver, "_RHO_START", 0.25)
+    _, report = solve_self_representation(y, cfg)
+    assert ref.converged and report.converged
+    assert set(report.rho_history) == {0.25}
+    assert report.objective == pytest.approx(ref.objective, rel=1e-9)
+
+
 def _zero_optimum(tol_rel):
     y = np.random.default_rng(0).standard_normal((8, 6, 2))
     cfg = SolverConfig(lambda_g=1e-2, lambda_h=0.3, tol_rel=tol_rel)
@@ -838,6 +854,19 @@ def test_affinity_zero_tensor_and_invariants():
     assert (np.diag(m) == 0).all()
     tube = np.linalg.norm(w[2, 4]) + np.linalg.norm(w[4, 2])
     assert m[4, 2] == pytest.approx(tube, abs=1e-14)
+
+
+def test_affinity_holds_no_tensor_sized_temporary():
+    # the tube norms, their transpose sum and the einsum's output before its
+    # square root are each (n, n): a traced peak of 2 results, never a W
+    w = np.random.default_rng(20).standard_normal((320, 320, 28))
+    tracemalloc.start()
+    try:
+        m = affinity_from_tensor(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m.nbytes
 
 
 def test_affinity_rejects_non_square():

@@ -311,6 +311,14 @@ def test_e_tube_bounds():
         ta.e_tube(4, -1)
 
 
+@pytest.mark.parametrize("d,k", [(4, True), (4, 1.0), (4.0, 1), (True, 0), (4, np.float64(2))])
+def test_e_tube_refuses_bools_and_floats(d, k):
+    # a bool k indexed as a mask and set every entry; a float k raised IndexError
+    with pytest.raises(ValueError, match="must be"):
+        ta.e_tube(d, k)
+    assert np.array_equal(ta.e_tube(np.int64(4), np.int64(1)), [0.0, 1.0, 0.0, 0.0])
+
+
 # -- TSR1 container ----------------------------------------------------------
 
 

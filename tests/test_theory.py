@@ -506,6 +506,19 @@ def test_infeasible_target_is_rejected():
         min_f1_representation(gens, x, tol=1e-8)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_min_f1_refuses_a_non_finite_or_negative_tol(tol):
+    # a target outside the span of a 4x2x5 dictionary: a nan or infinite tol
+    # let it through to a "converged" solve that does not represent it
+    rng = np.random.default_rng(0)
+    dictionary = rng.standard_normal((4, 2, 5))
+    x = rng.standard_normal((4, 1, 5))
+    with pytest.raises(ValueError, match="not in generated submodule"):
+        min_f1_representation(dictionary, x, tol=1e-8)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        min_f1_representation(dictionary, x, tol=tol)
+
+
 def test_target_shape_is_validated():
     rng = np.random.default_rng(13)
     dictionary = rng.standard_normal((4, 3, 5))
@@ -581,7 +594,9 @@ def test_exact_fit_ridge_apply_is_the_null_space_projector(rank_deficient):
     m = yf.shape[2]
     eye = np.broadcast_to(np.eye(m, dtype=np.complex128), (yf.shape[0], m, m))
     for rho in (1.0, 8.0):
-        applied = _RidgeInverse(yf, np.inf, rho)(eye.copy())
+        ridge = _RidgeInverse(yf, np.inf)
+        ridge.set_rho(rho)
+        applied = ridge(eye.copy())
         assert np.abs(applied - (eye - np.linalg.pinv(yf, rcond=1e-12) @ yf)).max() <= 1e-12
 
 
