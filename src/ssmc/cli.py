@@ -111,8 +111,7 @@ def _add_solver_args(p, lambda_g=True):
         help="scale each lateral slice to unit Frobenius norm before solving",
     )
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--tol-abs", type=float)
-    p.add_argument("--tol-rel", type=float)
+    p.add_argument("--tol-rel", type=float, help="the solver's one tolerance, on scaled residuals")
     p.set_defaults(
         lambda_g=100.0,
         **{f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING},

@@ -56,29 +56,39 @@ the objective, which is evaluated once, on the returned coefficients, after
 the loop.
 
 Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
-spatial Frobenius norm and ``N = n k d`` the number of coefficients:
-``r = ||c - a||`` and ``s = rho ||a - a_prev||`` must fall below
-``eps_pri = sqrt(N) tol_abs + tol_rel max(||c||, ||a||)`` and
-``eps_dual = sqrt(N) tol_abs + tol_rel rho ||u||``.  ``||a||`` and ``||u||``
-come from the tube norms that ``kernels.scale_tubes`` takes of ``v = c + u``:
-the new ``a`` is ``t v`` and the new ``u`` is ``v - a = (1 - t) v`` tube by
-tube, with ``t`` the shrink factor, so their norms need no pass over the
-stack.  ``r``, ``s`` and ``||c||`` are each one BLAS dot on the flat real
-view of a stack.
+spatial Frobenius norm and ``N = n k d`` the number of coefficients.  Each
+iteration takes one pair of scales, ``P = f sqrt(N) + max(||c||, ||a||)`` for
+the primal residual ``r = ||c - a||`` and ``D = f sqrt(N) + rho ||u||`` for the
+dual residual ``s = rho ||a - a_prev||``, with the fixed floor
+``f = _SCALE_FLOOR = 1e-2``.  The solve stops when ``r <= tol_rel P`` and
+``s <= tol_rel D``: ``tol_rel`` is the one tolerance, and ``tol_rel f`` plays
+the part of Boyd et al.'s absolute tolerance, so a tighter ``tol_rel`` only
+ever asks for more.  ``||a||`` and ``||u||`` come from the tube norms that
+``kernels.scale_tubes`` takes of ``v = c + u``: the new ``a`` is ``t v`` and
+the new ``u`` is ``v - a = (1 - t) v`` tube by tube, with ``t`` the shrink
+factor, so their norms need no pass over the stack.  ``r``, ``s`` and ``||c||``
+are each one BLAS dot on the flat real view of a stack.
 
 The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011,
-section 3.4.1; Wohlberg 2017).  Once per iteration the relative residuals
-``r_norm / eps_pri`` and ``s_norm / eps_dual`` are compared: when one exceeds
-the other more than ``_RHO_MU = 10`` times, ``rho`` is multiplied (primal
-larger) or divided (dual larger) by ``_RHO_TAU = 2``.  Every path starts at
-``rho = 1``, and ``rho`` stays within ``[1e-4, 1e4]``; it is not an option,
-since the balancing finds it.  A change of ``rho`` rescales the scaled dual by
-``rho_old / rho_new`` and re-weights the ridge inverse from the stored SVD,
-with no new factorization.  The first iteration run with a new ``rho`` is not
-tested for convergence: its dual residual measures a step taken under two
-penalties, and stopping there let a run end early with a dual residual of 0.
-With both tolerances zero the relative residuals are undefined and ``rho``
-stays fixed.
+section 3.4.1) on the same scales (Wohlberg 2017, *ADMM penalty parameter
+selection by residual balancing*).  Once per iteration ``r / P`` and ``s / D``
+are compared: when one exceeds the other more than ``_RHO_MU = 10`` times,
+``rho`` is multiplied (primal larger) or divided (dual larger) by
+``_RHO_TAU = 2``.  No tolerance enters that comparison, so every ``tol_rel``
+follows one ``rho`` path, and a tighter one runs a longer prefix of the same
+iterate path.  Every path starts at ``rho = 1``, and ``rho`` stays within
+``[1e-4, 1e4]``; it is not an option, since the balancing finds it.  After
+``_RHO_CHANGES = 30`` changes at one path point ``rho`` stays fixed: ADMM's
+convergence holds once ``rho`` stops changing (Boyd et al. 2011,
+section 3.4.1), and on small hard problems the balancing can otherwise swap
+``rho`` between two values every ten or so iterations, with no progress, for
+as long as it runs.  Solves that converge change ``rho`` far fewer times
+(at most 11 on the benchmark shapes, even at ``tol_rel = 1e-6``).  A change
+of ``rho`` rescales the scaled dual by ``rho_old / rho_new`` and re-weights the
+ridge inverse from the stored SVD, with no new factorization.  The first
+iteration run with a new ``rho`` is not tested for convergence: its dual
+residual measures a step taken under two penalties, and stopping there let a
+run end early with a dual residual of 0.
 
 A grid of ``lambda_g`` values is solved as one path (``solve_path``; Friedman,
 Hastie & Tibshirani 2010, *Regularization paths for GLMs via coordinate
@@ -138,16 +148,22 @@ __all__ = [
 ]
 
 # Residual balancing: the imbalance that triggers a change of rho, the factor
-# of each change, the penalty every path starts at, and its bounds.
+# of each change, the penalty every path starts at, its bounds, and the most
+# changes one path point makes (27 cross the bounds once).
 _RHO_MU = 10.0
 _RHO_TAU = 2.0
 _RHO_START = 1.0
 _RHO_MIN, _RHO_MAX = 1e-4, 1e4
+_RHO_CHANGES = 30
 
 # Singular values at or below this fraction of their face's largest count as 0:
 # the ridge's cut, and pinv's rcond for theory's start B0, which must lie in the
 # span that the ridge's null-space projector keeps.
 _RCOND = 1e-12
+
+# The floor of both residual scales, per sqrt of the coefficient count: it
+# keeps the scales away from 0 where the iterate or the dual vanishes.
+_SCALE_FLOOR = 1e-2
 
 # The smallest tol_rel that runs the ADMM state in complex64.  float32 round-off
 # (eps 1.2e-7, and about sqrt(n) eps on the BLAS sums of n terms) then stays
@@ -178,21 +194,21 @@ class SolverConfig:
     ``lambda_g`` weighs fidelity, ``lambda_h`` the row group norm,
     ``affine`` switches the affine-submodule constraint on,
     ``normalize_columns`` divides each lateral slice by its Frobenius norm
-    before solving (zero slices are left alone).  The ADMM penalty is not an
-    option: it starts at 1 and adapts by residual balancing within
-    ``[1e-4, 1e4]``.
+    before solving (zero slices are left alone).  ``tol_rel`` is the one
+    stopping tolerance, on residuals scaled as the module docstring says.
+    The ADMM penalty is not an option: it starts at 1 and adapts by residual
+    balancing within ``[1e-4, 1e4]``.
     """
 
     lambda_g: float
     lambda_h: float = 0.0
     affine: bool = False
     max_iters: int = 1000
-    tol_abs: float = 1e-6
     tol_rel: float = 1e-4
     normalize_columns: bool = False
 
     def __post_init__(self):
-        for name in ("lambda_g", "lambda_h", "tol_abs", "tol_rel"):
+        for name in ("lambda_g", "lambda_h", "tol_rel"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_g > 0:
@@ -200,7 +216,7 @@ class SolverConfig:
         if self.lambda_h < 0:
             raise ValueError(f"lambda_h must be nonnegative, got {self.lambda_h}")
         _check_count("max_iters", self.max_iters)
-        if self.tol_abs < 0 or self.tol_rel < 0:
+        if self.tol_rel < 0:
             raise ValueError("tolerances must be nonnegative")
 
 
@@ -264,7 +280,9 @@ class _RidgeInverse:
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
     ``Y_f = U diag(s) V^H`` (``s <= _RCOND s_max`` taken as 0) this is
     ``x - V (g V^H x)``, where ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1
-    at ``lambda_g = inf`` (which ``SolverConfig`` refuses).  A direction cut
+    at ``lambda_g = inf`` (which ``SolverConfig`` refuses); there every kept
+    direction weighs ``inf`` with no square of ``s`` taken, so no scale of
+    ``Y`` under- or overflows its weight.  A direction cut
     as 0 has ``g = 0`` at every ``lambda_g`` and ``rho``, so the factors hold
     only the kept ones: ``rank`` is the largest numeric rank over the faces,
     and a face of lower rank carries ``g = 0`` rows up to it.  On data drawn
@@ -306,8 +324,9 @@ class _RidgeInverse:
         self.set_lambda_g(lambda_g, _RHO_START)
 
     def set_lambda_g(self, lambda_g, rho):
-        self.s2 = np.zeros_like(self.s)
-        self.s2[self.kept] = 2.0 * lambda_g * self.s[self.kept] ** 2
+        # at lambda_g = inf a kept direction weighs inf, even where s^2 underflows
+        s2 = np.inf if lambda_g == np.inf else 2.0 * lambda_g * self.s**2
+        self.s2 = np.where(self.kept, s2, 0.0)
         self.set_rho(rho)
 
     def set_rho(self, rho):
@@ -417,7 +436,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
     a = np.zeros(shape, dtype=dtype)
     u = np.zeros(shape, dtype=dtype)
     rho = _RHO_START
-    abs_floor = math.sqrt(n * k * d) * configs[0].tol_abs
+    floor = _SCALE_FLOOR * math.sqrt(n * k * d)
 
     def folded():
         """The right factor's product with ``B0`` in weighted coordinates, for
@@ -442,6 +461,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
         # the first step after a change of lambda_g or rho is not tested: its
         # dual residual measures a step taken under two programs
         changed = point > 0
+        changes = 0
         converged = False
         for iterations in range(1, cfg.max_iters + 1):
             rho_history.append(rho)
@@ -461,22 +481,23 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
             primal_history.append(r_norm)
             dual_history.append(s_norm)
 
-            eps_pri = abs_floor + cfg.tol_rel * math.sqrt(max(kernels._sq_norm(c), a_norm2))
-            eps_dual = abs_floor + cfg.tol_rel * rho * math.sqrt(u_norm2)
+            pri = floor + math.sqrt(max(kernels._sq_norm(c), a_norm2))
+            dual = floor + rho * math.sqrt(u_norm2)
             if iterations % _LOG_EVERY == 0:
                 _log.debug("iteration %d: r %.3e, s %.3e, rho %g", iterations, r_norm, s_norm, rho)
-            if not changed and r_norm <= eps_pri and s_norm <= eps_dual:
+            if not changed and r_norm <= cfg.tol_rel * pri and s_norm <= cfg.tol_rel * dual:
                 converged = True
                 break
 
-            # residual balancing, compared without dividing by a zero tolerance
+            # residual balancing of r / pri against s / dual, cross-multiplied
             new_rho = rho
-            if r_norm * eps_dual > _RHO_MU * s_norm * eps_pri:
+            if changes < _RHO_CHANGES and r_norm * dual > _RHO_MU * s_norm * pri:
                 new_rho = min(rho * _RHO_TAU, _RHO_MAX)
-            elif s_norm * eps_pri > _RHO_MU * r_norm * eps_dual:
+            elif changes < _RHO_CHANGES and s_norm * pri > _RHO_MU * r_norm * dual:
                 new_rho = max(rho / _RHO_TAU, _RHO_MIN)
             changed = new_rho != rho
             if changed:
+                changes += 1
                 u *= rho / new_rho
                 rho = new_rho
                 ridge.set_rho(rho)

@@ -24,6 +24,7 @@ from .t_algebra import (
     _as_tensor3,
     _check_count,
     _faces,
+    _rescaled,
     _tube_cos,
     bcirc_singular_values,
 )
@@ -252,15 +253,21 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     matrix; returns ``(a, report)``, the ``(m, 1, depth)`` coefficient tensor
     and its ``SolverReport``.  Non-finite input raises ``ValueError``, and so
     does a least-squares residual above ``tol`` on any Fourier face ('not in
-    generated submodule').  The program is homogeneous in ``x``, so it is
-    solved for ``x / ||B0||`` and ``a`` is scaled back, where
-    ``B0 = pinv(dictionary) x`` and ``||B0||`` is the largest modulus of its
-    face entries, which neither overflows nor underflows (a zero ``B0`` is
-    left as it is).  The solver's loop runs at ``lambda_g = inf`` from
-    ``B0 / ||B0||`` until both residuals fall below ``1e-12``, so neither the
-    target's nor the dictionary's scale changes the iterations.  The residual
-    histories are those of that normalized program; ``report.objective`` is
-    ``||a||_F1`` plus the squared constraint residual of the returned ``a``.
+    generated submodule'); that residual's norm is taken exactly at any scale.
+    The program is homogeneous in ``x``, so it is solved for ``x / ||B0||``
+    and ``a`` is scaled back, where ``B0 = pinv(dictionary) x`` and ``||B0||``
+    is the largest modulus of its face entries, which neither overflows nor
+    underflows (a zero ``B0`` is left as it is).  The solver's loop runs at
+    ``lambda_g = inf`` from ``B0 / ||B0||``, on that already normalized
+    program, with ``tol_rel = 1e-12``, so neither the target's nor the
+    dictionary's scale changes the iterations: from 1e-300 to 1e300 they are
+    those of scale 1.  The residual histories are those of the normalized
+    program; ``report.objective`` is ``||a||_F1`` plus the squared constraint
+    residual of the returned ``a``.  It is evaluated in the normalized
+    program, whose target has the dictionary's scale, so it is ``inf`` once
+    that residual's square overflows: with a dictionary scaled by 1e200 or
+    more.  When the target is scaled as well, its true value (about 1e368 at
+    1e200) is out of float64's range.
     Stopping at ``max_iters`` first is not an error: the last iterate is
     returned and a ``RuntimeWarning`` says so.  A non-finite or negative
     ``tol`` raises ``ValueError``.
@@ -269,7 +276,7 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     dictionary = _as_tensor3(dictionary, "dictionary", finite=True)
     x = _as_tensor3(x, "target", finite=True)
-    h, m, depth = dictionary.shape
+    h, _, depth = dictionary.shape
     if x.shape != (h, 1, depth):
         raise ValueError(f"target shape {x.shape} does not match ({h}, 1, {depth})")
 
@@ -278,14 +285,13 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     timings = {"fft": time.perf_counter() - start}
     start = time.perf_counter()
     a0 = np.linalg.pinv(yf, rcond=_RCOND) @ xf  # (F, m, 1)
-    if float(np.linalg.norm(xf - yf @ a0, axis=(1, 2)).max()) > tol:
+    if max(_rescaled(np.linalg.norm, f.view(np.float64)) for f in xf - yf @ a0) > tol:
         raise ValueError("not in generated submodule")
     # the program is homogeneous: solve it for x / ||B0||, then scale a back;
     # lambda_g = ||B0|| makes the objective that of x, divided by ||B0||.  Any
     # norm of degree 1 serves; the largest modulus has no squares to overflow
     scale = float(np.abs(a0).max()) or 1.0  # a zero B0 stays as it is
-    tol_abs = 1e-12 / math.sqrt(m * depth)  # sqrt(m depth) tol_abs = 1e-12
-    cfg = SolverConfig(lambda_g=scale, max_iters=max_iters, tol_abs=tol_abs, tol_rel=0.0)
+    cfg = SolverConfig(lambda_g=scale, max_iters=max_iters, tol_rel=1e-12)
     ridge = _RidgeInverse(yf, np.inf)
     timings["factor"] = time.perf_counter() - start
     path = _path(yf, xf / scale, depth, ridge, [cfg], timings, a0 / scale, ([], []))

@@ -178,7 +178,7 @@ def _ista_depth_one(y, lam_g, max_iters=200000):
 
 def test_criterion_6_depth_one_reduces_to_reference_solver():
     rng = np.random.default_rng(6)
-    cfg = SolverConfig(lambda_g=10.0, max_iters=20000, tol_abs=1e-12, tol_rel=1e-12)
+    cfg = SolverConfig(lambda_g=10.0, max_iters=20000, tol_rel=1e-12)
     worst = 0.0
     ref_iters = []
     for _ in range(5):

@@ -427,7 +427,7 @@ def test_overflowing_noise_is_refused_without_a_warning(command, noise, code, ca
 
 _SOLVER_FLAGS = [
     "--lambda-g", "2.5", "--lambda-h", "0.25", "--affine", "--normalize-columns",
-    "--max-iters", "7", "--tol-abs", "1e-5", "--tol-rel", "1e-3",
+    "--max-iters", "7", "--tol-rel", "1e-3",
 ]
 
 
@@ -445,8 +445,8 @@ def test_solver_flags_map_to_their_config_fields(command):
     defaults = cli._solver_config(parser.parse_args(command))
     cfg = cli._solver_config(parser.parse_args(command + flags))
     expected = solver.SolverConfig(
-        lambda_g=100.0 if sweep else 2.5, lambda_h=0.25, affine=True, max_iters=7, tol_abs=1e-5,
-        tol_rel=1e-3, normalize_columns=True,
+        lambda_g=100.0 if sweep else 2.5, lambda_h=0.25, affine=True, max_iters=7, tol_rel=1e-3,
+        normalize_columns=True,
     )
     assert cfg == expected
     names = {f.name for f in fields(solver.SolverConfig)}

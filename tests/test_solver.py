@@ -23,7 +23,7 @@ from ssmc.solver import (
     solve_self_representation,
 )
 
-TIGHT = dict(max_iters=20000, tol_abs=1e-12, tol_rel=1e-12)
+TIGHT = dict(max_iters=20000, tol_rel=1e-12)
 # Default-tolerance solves iterate in complex64 (tol_rel >= 1e-5); bounds on
 # them are multiples of float32's machine epsilon, 1.2e-7.
 F32 = float(np.finfo(np.float32).eps)
@@ -62,12 +62,12 @@ def _ista_depth_one(y, lam_g, iters):
         (dict(lambda_g=1.0, lambda_h=-0.1), "lambda_h"),
         (dict(lambda_g=1.0, max_iters=2.5), "max_iters"),
         (dict(lambda_g=1.0, max_iters=0), "max_iters"),
-        (dict(lambda_g=1.0, tol_abs=-1e-9), "tolerances"),
+        (dict(lambda_g=1.0, tol_rel=-1e-9), "tolerances"),
         (dict(lambda_g=float("inf")), "lambda_g"),
         (dict(lambda_g=1.0, lambda_h=float("nan")), "lambda_h"),
         (dict(lambda_g=1.0, lambda_h=float("inf")), "lambda_h"),
         (dict(lambda_g=1.0, max_iters=float("inf")), "max_iters"),
-        (dict(lambda_g=1.0, tol_abs=float("inf")), "tol_abs"),
+        (dict(lambda_g=1.0, tol_rel=float("inf")), "tol_rel"),
         (dict(lambda_g=1.0, tol_rel=float("nan")), "tol_rel"),
         (dict(lambda_g=1.0, max_iters=True), "max_iters"),
     ],
@@ -469,7 +469,7 @@ def test_max_iters_reported_not_raised():
     rng = np.random.default_rng(8)
     y = rng.standard_normal((3, 4, 2))
     w, report = solve_self_representation(
-        y, SolverConfig(lambda_g=100.0, max_iters=3, tol_abs=0.0, tol_rel=0.0)
+        y, SolverConfig(lambda_g=100.0, max_iters=3, tol_rel=0.0)
     )
     assert not report.converged
     assert report.iterations == 3
@@ -557,25 +557,30 @@ def test_depth_shift_of_a_sample_leaves_affinity_unchanged(
 @pytest.mark.parametrize(
     "affine,lambda_h,tol_rel,iterations,objective,rel",
     [
-        (True, 0.5, 1e-3, 64, 54.335036150500514, F32),
-        (False, 0.0, 1e-3, 77, 30.076338708776486, F32),
-        (True, 0.5, 1e-6, 546, 54.31529095848167, 1e-10),
-        (False, 0.0, 1e-6, 957, 30.052676413194067, 1e-10),
+        (True, 0.5, 1e-3, 58, 54.33813775092426, F32),
+        (False, 0.0, 1e-3, 71, 30.080414423298272, F32),
+        (True, 0.5, 1e-6, 614, 54.31518852860766, 1e-10),
+        (False, 0.0, 1e-6, 1146, 30.052317092667074, 1e-10),
     ],
     ids=["affine", "non-affine", "affine-complex128", "non-affine-complex128"],
 )
 def test_iterate_path_is_pinned(affine, lambda_h, tol_rel, iterations, objective, rel):
     """Iteration count and objective recorded from the one-block solver (one
-    ``a``, one ``u``) that adapts rho by residual balancing (at tol_rel 1e-3
-    rho rises 1 -> 8 on the affine path, 1 -> 16 on the other; at 1e-6 it
-    rises to 32 on both), all in complex128.  A change to the iterates (the
-    splitting, the update order, the balancing rule or its constants, the
+    ``a``, one ``u``) that stops when ``r <= tol_rel P`` and ``s <= tol_rel D``
+    and balances rho on ``r / P`` against ``s / D``, with the residual scales
+    ``P`` and ``D`` floored at ``1e-2 sqrt(N)`` (at tol_rel 1e-3 rho rises
+    1 -> 8 on the affine path, 1 -> 16 on the other; at 1e-6 it rises to 64 on
+    both), all in complex128.  A change to the iterates (the splitting, the
+    update order, the balancing rule, its scales or its constants, the
     stopping rule) moves the count; rounding alone does not.  At tol_rel 1e-3
     the iterate runs in complex64: the counts did not move, and the objectives
-    moved by 3.0e-9 and 7.3e-9 relative."""
+    moved by 5.2e-9 and 2.3e-9 relative.  The non-affine complex128 case takes
+    more than the default 1000 iterations, so every case runs with 2000."""
     spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
     y = generate_synthetic(spec).tensor
-    cfg = SolverConfig(lambda_g=1.0, lambda_h=lambda_h, affine=affine, tol_rel=tol_rel)
+    cfg = SolverConfig(
+        lambda_g=1.0, lambda_h=lambda_h, affine=affine, max_iters=2000, tol_rel=tol_rel
+    )
     _, report = solve_self_representation(y, cfg)
     assert report.converged
     assert report.iterations == iterations
@@ -651,12 +656,46 @@ def test_rho_starts_at_one_and_stays_within_its_bounds(lam_g):
     _assert_histories(report)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("lam_g", [1e-2, 1.0, 1e2])
+def test_tighter_tolerance_runs_a_longer_prefix_of_the_same_path(lam_g, seed):
+    """rho is balanced on scales that no tolerance enters, so a tighter
+    tol_rel follows the same iterates and only stops later.  Both runs are in
+    complex64.  When rho was balanced on r / eps_pri against s / eps_dual, the
+    tolerance steered rho: at lambda_g = 1 the tol_rel = 1e-5 run stopped at
+    iteration 75 on seed 2, before the 1e-4 run's 99."""
+    y = _paper_scale(seed).tensor
+    _, loose = solve_self_representation(y, SolverConfig(lambda_g=lam_g, tol_rel=1e-4))
+    _, tight = solve_self_representation(y, SolverConfig(lambda_g=lam_g, tol_rel=1e-5))
+    assert loose.converged and tight.converged
+    assert tight.iterations > loose.iterations
+    for name in ("rho_history", "primal_history", "dual_history"):
+        assert getattr(tight, name)[: loose.iterations] == getattr(loose, name)
+    assert tight.objective <= loose.objective
+
+
+@pytest.mark.parametrize("lambda_h,optimum", [(0.5, 107.0276340754), (0.0, 92.2270774497)])
+def test_rho_stops_changing_so_a_cycling_solve_converges(lambda_h, optimum):
+    """On this small affine problem the balancing swaps rho between two values
+    every ten or so iterations; uncapped, it made 800 changes in 20000
+    iterations and ended unconverged at objective 11335.5.  After
+    ``_RHO_CHANGES`` changes rho stays fixed, and the solve reaches the
+    optimum that every fixed rho reaches."""
+    y = np.random.default_rng(6).standard_normal((4, 6, 5))
+    cfg = SolverConfig(lambda_g=20.0, lambda_h=lambda_h, affine=True, **TIGHT)
+    _, report = solve_self_representation(y, cfg)
+    assert report.converged
+    rho = report.rho_history
+    assert sum(a != b for a, b in zip(rho, rho[1:])) == solver._RHO_CHANGES
+    assert report.objective == pytest.approx(optimum, rel=1e-9)
+
+
 def test_ridge_is_weighted_at_the_starting_rho(monkeypatch):
     # held at a starting rho other than 1, the loop and the ridge apply must use
     # the same penalty, or the fixed point is not the optimum: a ridge weighted
     # at 1 under a loop at 0.25 "converged" at 26.465 against 24.923
     y = np.random.default_rng(6).standard_normal((4, 6, 5))
-    cfg = SolverConfig(lambda_g=20.0, max_iters=5000, tol_abs=1e-12, tol_rel=1e-12)
+    cfg = SolverConfig(lambda_g=20.0, max_iters=5000, tol_rel=1e-12)
     monkeypatch.setattr(solver, "_RHO_MU", np.inf)  # rho never changes
     _, ref = solve_self_representation(y, cfg)
     monkeypatch.setattr(solver, "_RHO_START", 0.25)
@@ -818,9 +857,7 @@ def test_permuting_samples_permutes_the_representation(affine):
     spec = SynthSpec(h=8, d_per_cluster=[2] * 3, samples_per_cluster=[6] * 3, depth=8, seed=0)
     y = generate_synthetic(spec).tensor
     p = np.random.default_rng(13).permutation(y.shape[1])
-    cfg = SolverConfig(
-        lambda_g=1.0, lambda_h=0.5, affine=affine, max_iters=60, tol_abs=0.0, tol_rel=0.0
-    )
+    cfg = SolverConfig(lambda_g=1.0, lambda_h=0.5, affine=affine, max_iters=60, tol_rel=0.0)
     w, report = solve_self_representation(y, cfg)
     w_p, report_p = solve_self_representation(y[:, p], cfg)
     assert report_p.iterations == report.iterations == 60

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,33 @@ def test_min_f1_does_not_depend_on_scale(x_scale, d_scale):
     residual = ta.norm_fro(x - ta.tprod(dictionary, a / unit))
     objective = unit * ta.norm_f1(a / unit) + x_scale**2 * residual**2
     assert report.objective == pytest.approx(objective, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d_scale,x_scale",
+    [(1e-300, 1e-300), (1e-200, 1e-200), (1e-200, 1.0), (1e160, 1e160), (1e200, 1e200),
+     (1e300, 1e300)],
+)  # fmt: skip
+def test_min_f1_holds_at_extreme_dictionary_scales(d_scale, x_scale):
+    # the ridge weight 2 lambda_g s^2 was inf * 0 = nan once s^2 underflowed,
+    # and overflowed with a warning at 1e160; the span check's squares
+    # overflowed at 1e200 and refused an in-span target
+    spec = SynthSpec(h=4, d_per_cluster=[1, 1], samples_per_cluster=[3, 3], depth=3, seed=0)
+    dictionary = generate_submodules(spec)[0][0].points
+    x = dictionary[:, :1, :]
+    a1, base = min_f1_representation(dictionary, x, tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, report = min_f1_representation(
+            d_scale * dictionary, x_scale * x, tol=1e-10 * x_scale
+        )
+    assert report.converged
+    assert report.iterations == base.iterations == 43
+    unit = x_scale / d_scale  # the scale of a
+    assert np.abs(a / unit - a1).max() <= 1e-15 * np.abs(a1).max()
+    # the normalized program's target has the dictionary's scale: its squared
+    # residual overflows from 1e200 on
+    assert np.isinf(report.objective) == (d_scale >= 1e200)
 
 
 @pytest.mark.parametrize("rank_deficient", [False, True])
