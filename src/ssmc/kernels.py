@@ -1,5 +1,6 @@
 """Numpy helpers of the solver and of k-means: tube norms, the tube and row
-shrink, and lockstep Lloyd iterations.
+shrink, squared distances to one center per restart, and lockstep Lloyd
+iterations.
 
 Dense Fourier-face stacks are laid out ``(F, n, m)`` with the face index
 first, so per-face work hits contiguous memory.  Each reduction is one numpy
@@ -70,6 +71,19 @@ def scale_tubes(V, tau, row_tau=0.0, excluded=None):
     return _sq_norm(shrunk), _sq_norm(taken)
 
 
+def _sq_dists(X, centers, diff, out=None):
+    """``(R, n)`` squared distances of the ``(n, dim)`` points ``X`` to each
+    restart's center ``centers[r]``, written into ``out`` if it is given.
+
+    ``diff`` is an ``(R, n, dim)`` scratch buffer.  Each distance is the sum
+    over coordinates of the squared differences, the same reduction for every
+    restart and for ``kernels.lloyd`` and the k-means++ starts alike.
+    """
+    np.subtract(X, centers[:, None, :], out=diff)
+    np.square(diff, out=diff)
+    return np.sum(diff, axis=2, out=out)
+
+
 def lloyd(X, C0, max_iter):
     """Run Lloyd iterations from ``R`` sets of initial centroids at once.
 
@@ -113,9 +127,7 @@ def lloyd(X, C0, max_iter):
             break
         diff, d2 = diff_all[: live.size], d2_all[: live.size]
         for c in range(k):
-            np.subtract(X, C[live, c, None, :], out=diff)
-            np.square(diff, out=diff)
-            np.sum(diff, axis=2, out=d2[:, c])
+            _sq_dists(X, C[live, c], diff, out=d2[:, c])
         new = np.argmin(d2, axis=1)
         inertia[live] = np.take_along_axis(d2, new[:, None, :], axis=1)[:, 0].sum(axis=1)
         hist.append(inertia.copy())

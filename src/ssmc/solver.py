@@ -406,7 +406,7 @@ def solve_path(y, configs):
     _check_memory(n, d, dtype)
     if cfg.normalize_columns:
         # exact, and keeps the squares in each column's norm in range
-        y = _pow2_scaled(y, axis=(0, 2))
+        y, _ = _pow2_scaled(y, axis=(0, 2))
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
     yf = _faces(y)

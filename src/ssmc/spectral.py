@@ -48,46 +48,27 @@ class ClusterLabels:
             raise ValueError(f"labels out of range [0, {self.k})")
 
 
-def _sq_dists(points, centers):
-    """``(R, n)`` squared distances of every point to each restart's center ``centers[r]``."""
-    return ((points[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
-
-
-def _choice(rngs, weights, totals):
-    """``rngs[r].choice(n, p=weights[r] / totals[r])`` for every row ``r`` at once.
-
-    ``Generator.choice`` with ``p`` takes one uniform draw and inverts the
-    normalized cumulative sum of ``p`` by ``searchsorted(side="right")``;
-    this takes the same draw from each generator and the same cumulative
-    sums, so it returns the same indices and leaves each generator where
-    ``choice`` would.
-    """
-    cdf = (weights / totals[:, None]).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    uniform = np.array([rng.random() for rng in rngs])
-    # searchsorted(side="right") on each nondecreasing row
-    return (cdf <= uniform[:, None]).sum(axis=1)
-
-
 def _kmeanspp_init(points, k, rngs):
     """k-means++ starts, one per generator in ``rngs``, drawn in lockstep: ``(R, k, dim)``.
 
-    Each restart draws from its own generator exactly as it would alone.
+    Each restart draws from its own generator exactly as it would alone: its
+    first center by ``integers(n)``, each later one by ``choice(n, p=d2 /
+    d2.sum())`` on its squared distances to the nearest chosen center.
     """
     n, dim = points.shape
     centers = np.empty((len(rngs), k, dim), dtype=np.float64)
     centers[:, 0] = points[[int(rng.integers(n)) for rng in rngs]]
-    d2 = _sq_dists(points, centers[:, 0])
+    diff = np.empty((len(rngs), n, dim))
+    d2 = kernels._sq_dists(points, centers[:, 0], diff)
     for c in range(1, k):
         total = d2.sum(axis=1)
         # a restart whose points all coincide with chosen centers takes point
         # argmax(d2) = 0 again; duplicates are permitted
         idx = np.argmax(d2, axis=1)
-        drawn = np.flatnonzero(total > 0)
-        if drawn.size:
-            idx[drawn] = _choice([rngs[r] for r in drawn], d2[drawn], total[drawn])
+        for r in np.flatnonzero(total > 0):
+            idx[r] = rngs[r].choice(n, p=d2[r] / total[r])
         centers[:, c] = points[idx]
-        np.minimum(d2, _sq_dists(points, centers[:, c]), out=d2)
+        np.minimum(d2, kernels._sq_dists(points, centers[:, c], diff), out=d2)
     return centers
 
 
@@ -95,15 +76,16 @@ def kmeans(points, k, seed):
     """k-means with seeded k-means++ starts.
 
     Runs 20 restarts of at most 300 Lloyd iterations each and keeps the
-    lowest final inertia; restart ``r`` draws from
-    ``default_rng([seed, r])``, and inertia ties keep the lowest restart
-    index.  The restarts run in lockstep (``kernels.lloyd``), and the result
-    is identical to running them one at a time: each restart draws and
-    computes as it would alone (for 1-d points up to the last bit of the
-    centroids; see ``kernels.lloyd``).  ``k`` must be an integer in ``1..n``
-    (a bool or a float is refused).  Points so spread out that ``n`` times
-    their bounding box's squared diagonal overflows float64 raise
-    ``ValueError``: that bounds every squared distance and inertia.
+    lowest final inertia; restart ``r`` draws its k-means++ start with
+    ``default_rng([seed, r])``'s ``integers`` and ``choice``, and inertia
+    ties keep the lowest restart index.  The restarts run in lockstep
+    (``kernels.lloyd``), and the result is identical to running them one at
+    a time: each restart draws and computes as it would alone (for 1-d
+    points up to the last bit of the centroids; see ``kernels.lloyd``).
+    ``k`` must be an integer in ``1..n`` (a bool or a float is refused).
+    Points so spread out that ``n`` times their bounding box's squared
+    diagonal overflows float64 raise ``ValueError``: that bounds every
+    squared distance and inertia.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:

@@ -18,8 +18,8 @@ which first divides each operand by the power of two of its largest entry
 (``_pow2_scaled``).  That division is exact, so the cosine is the same at any
 scale: no square in its norms overflows or underflows.  The solver's column
 normalization uses the same helper, and ``norm_fro``, ``norm_f1`` and
-``norm_ff1`` divide by one such power of two over the whole tensor and multiply
-their result back by it, so they too are exact at any scale.
+``norm_ff1`` take it over the whole tensor and multiply their result back by
+the power of two it returns, so they too are exact at any scale.
 """
 
 import math
@@ -111,13 +111,12 @@ def tprod(a, b):
 def _rescaled(norm, a):
     """``norm(a)`` for a norm of degree 1, exact at any scale of ``a``.
 
-    The norm is taken of ``a`` divided by the power of two of its largest
-    magnitude, as ``_pow2_scaled`` divides, and multiplied back by
+    The norm is taken of ``_pow2_scaled(a)`` and multiplied back by
     ``math.ldexp``, so no square in it overflows or underflows.  A result
     beyond float64's range raises ``OverflowError``.
     """
-    _, exponent = np.frexp(np.abs(a).max(initial=0.0))
-    return math.ldexp(float(norm(np.ldexp(a, -exponent))), int(exponent))
+    scaled, exponent = _pow2_scaled(a)
+    return math.ldexp(float(norm(scaled)), exponent.item())
 
 
 def norm_fro(a):
@@ -142,15 +141,16 @@ def _as_oriented(a, name):
     return a
 
 
-def _pow2_scaled(a, axis):
-    """``a`` divided by the power of two of its largest magnitude over ``axis``.
+def _pow2_scaled(a, axis=None):
+    """``a`` divided by the power of two of its largest magnitude over ``axis``,
+    and that power's exponent, kept broadcastable against ``a``.
 
     Only exponents change, so the division is exact wherever the result stays
-    normal; each part's largest entry lands in ``[0.5, 1)``, and an all-zero
-    part stays zero.
+    normal; each part's largest entry lands in ``[0.5, 1)``.  An all-zero or
+    empty part has exponent 0 and stays as it is.
     """
-    _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
-    return np.ldexp(a, -exponent)
+    _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))
+    return np.ldexp(a, -exponent), exponent
 
 
 def _tube_cos(a, b, what="operand"):
@@ -164,7 +164,7 @@ def _tube_cos(a, b, what="operand"):
     """
     if a.shape != b.shape:
         raise ValueError(f"operand shape mismatch: {a.shape} vs {b.shape}")
-    a, b = (_pow2_scaled(x, axis=(-3, -2, -1)) for x in (a, b))
+    a, b = (_pow2_scaled(x, axis=(-3, -2, -1))[0] for x in (a, b))
     na, nb = (np.sqrt((x * x).sum(axis=(-3, -2, -1))) for x in (a, b))
     if not (na.all() and nb.all()):
         raise ValueError(f"tubal angle undefined for a zero-norm {what}")

@@ -27,6 +27,9 @@ from .t_algebra import (
     _rescaled,
     _tube_cos,
     bcirc_singular_values,
+    norm_f1,
+    norm_fro,
+    tprod,
 )
 
 __all__ = [
@@ -262,12 +265,8 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     program, with ``tol_rel = 1e-12``, so neither the target's nor the
     dictionary's scale changes the iterations: from 1e-300 to 1e300 they are
     those of scale 1.  The residual histories are those of the normalized
-    program; ``report.objective`` is ``||a||_F1`` plus the squared constraint
-    residual of the returned ``a``.  It is evaluated in the normalized
-    program, whose target has the dictionary's scale, so it is ``inf`` once
-    that residual's square overflows: with a dictionary scaled by 1e200 or
-    more.  When the target is scaled as well, its true value (about 1e368 at
-    1e200) is out of float64's range.
+    program; ``report.objective`` is ``||a||_F1 + ||x - dictionary * a||_F^2``
+    of the returned ``a``, in the caller's units, each norm exact at any scale.
     Stopping at ``max_iters`` first is not an error: the last iterate is
     returned and a ``RuntimeWarning`` says so.  A non-finite or negative
     ``tol`` raises ``ValueError``.
@@ -287,17 +286,19 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     a0 = np.linalg.pinv(yf, rcond=_RCOND) @ xf  # (F, m, 1)
     if max(_rescaled(np.linalg.norm, f.view(np.float64)) for f in xf - yf @ a0) > tol:
         raise ValueError("not in generated submodule")
-    # the program is homogeneous: solve it for x / ||B0||, then scale a back;
-    # lambda_g = ||B0|| makes the objective that of x, divided by ||B0||.  Any
-    # norm of degree 1 serves; the largest modulus has no squares to overflow
+    # the program is homogeneous: solve it for x / ||B0||, then scale a back.
+    # Any norm of degree 1 serves; the largest modulus has no squares to overflow
     scale = float(np.abs(a0).max()) or 1.0  # a zero B0 stays as it is
-    cfg = SolverConfig(lambda_g=scale, max_iters=max_iters, tol_rel=1e-12)
+    # the ridge holds lambda_g = inf; cfg's lambda_g weighs only the path's own
+    # objective, which the caller's replaces below
+    cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_rel=1e-12)
     ridge = _RidgeInverse(yf, np.inf)
     timings["factor"] = time.perf_counter() - start
     path = _path(yf, xf / scale, depth, ridge, [cfg], timings, a0 / scale, ([], []))
     a, report = next(path)
     a *= scale
-    report.objective *= scale
+    resid = norm_fro(x - tprod(dictionary, a))
+    report.objective = norm_f1(a) + resid * resid
     if not report.converged:
         warnings.warn(
             f"min_f1_representation stopped at max_iters={max_iters} without converging",

@@ -248,29 +248,6 @@ def test_lockstep_kmeans_on_one_coordinate_matches_up_to_the_last_bit():
         assert np.array_equal(kmeans(pts, k, seed).labels, want_labels), case
 
 
-def test_choice_by_inverse_cdf_is_generator_choice():
-    """``_choice`` returns what ``Generator.choice(n, p=w / w.sum())`` returns on
-    an identically seeded generator, with zero weights, a single nonzero
-    weight and ties among the rows, and leaves the generator at the same
-    point of its stream."""
-    rng = np.random.default_rng(5)
-    for case in range(60):
-        n = int(rng.integers(1, 40))
-        weights = rng.exponential(size=(8, n)) * (rng.random((8, n)) < 0.7)
-        weights[0] = 0.0
-        weights[0, rng.integers(n)] = 3.0
-        weights[1] = 1.0
-        weights = weights[weights.sum(axis=1) > 0]
-        totals = weights.sum(axis=1)
-        seeds = [[case, r] for r in range(len(weights))]
-        mine = [np.random.default_rng(s) for s in seeds]
-        got = spectral._choice(mine, weights, totals)
-        for r, s in enumerate(seeds):
-            theirs = np.random.default_rng(s)
-            assert got[r] == theirs.choice(n, p=weights[r] / totals[r]), (case, r)
-            assert mine[r].random() == theirs.random(), (case, r)
-
-
 def test_kmeans_refuses_points_whose_squared_distances_overflow():
     pts = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
     with pytest.raises(ValueError, match="overflow float64"):

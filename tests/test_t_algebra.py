@@ -201,6 +201,16 @@ def test_norms_are_exact_at_any_scale(scale):
         assert ta.norm_ff1(ones) == pytest.approx(2 * np.sqrt(6) * scale, rel=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 3, 4)])
+def test_norms_of_zero_and_empty_tensors_are_zero(shape):
+    # an empty or all-zero tensor has no largest magnitude to scale by: the
+    # exponent is 0, and each norm is exactly 0 with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (ta.norm_fro, ta.norm_f1, ta.norm_ff1):
+            assert norm(np.zeros(shape)) == 0.0
+
+
 def test_norm_beyond_float64_range_raises():
     with pytest.raises(OverflowError):
         ta.norm_f1(1e308 * np.ones((2, 2, 3)))

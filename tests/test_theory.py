@@ -585,7 +585,7 @@ def test_min_f1_does_not_depend_on_scale(x_scale, d_scale):
 @pytest.mark.parametrize(
     "d_scale,x_scale",
     [(1e-300, 1e-300), (1e-200, 1e-200), (1e-200, 1.0), (1e160, 1e160), (1e200, 1e200),
-     (1e300, 1e300)],
+     (1e200, 1.0), (1e300, 1e300)],
 )  # fmt: skip
 def test_min_f1_holds_at_extreme_dictionary_scales(d_scale, x_scale):
     # the ridge weight 2 lambda_g s^2 was inf * 0 = nan once s^2 underflowed,
@@ -604,9 +604,12 @@ def test_min_f1_holds_at_extreme_dictionary_scales(d_scale, x_scale):
     assert report.iterations == base.iterations == 43
     unit = x_scale / d_scale  # the scale of a
     assert np.abs(a / unit - a1).max() <= 1e-15 * np.abs(a1).max()
-    # the normalized program's target has the dictionary's scale: its squared
-    # residual overflows from 1e200 on
-    assert np.isinf(report.objective) == (d_scale >= 1e200)
+    # the objective is the caller's, at exact scale: finite (about 1e-29) for
+    # a dictionary at 1e200 and a target at 1, and inf only where its true
+    # value (about 1e370 at 1e200 for both) is out of float64's range
+    resid = ta.norm_fro(x_scale * x - ta.tprod(d_scale * dictionary, a))
+    assert report.objective == pytest.approx(ta.norm_f1(a) + resid * resid, rel=1e-12)
+    assert np.isinf(report.objective) == (x_scale >= 1e200)
 
 
 @pytest.mark.parametrize("rank_deficient", [False, True])
