@@ -28,9 +28,10 @@ The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
 ``Y = U diag(s) V^H`` per face, taken once per path, gives ``rho`` times its
 inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
 ``g = 1 - rho / (2 lambda_g s^2 + rho)``, so every iteration costs two thin
-matmuls per face.  Singular values at or below ``pinv``'s cut ``_RCOND s_max``
-count as 0, so at ``lambda_g = inf`` ``g`` is 0 or 1 and the apply projects
-onto each face's null space.  Their directions have ``g = 0`` at every
+matmuls per face.  Singular values at or below ``RANK_TOL = 1e-10`` times the
+largest over all faces count as 0 (``_nonzero``, the package's one rank rule),
+so at ``lambda_g = inf`` ``g`` is 0 or 1 and the apply projects onto each
+face's null space.  Their directions have ``g = 0`` at every
 ``lambda_g`` and ``rho``, so the factors hold only the kept ones, and the
 matmuls' inner dimension is the largest numeric rank over the faces.  On data
 from a union of free submodules that is ``sum d_i``, not ``min(h, n)``: 8
@@ -38,7 +39,8 @@ rather than 28 at 28x40x28 with four 2-dimensional submodules, and 12 (11 plus
 the affine column below) rather than 29 at 28x160x28 affine.  Full-rank faces
 keep all ``min(h, n)``.  The ``c`` update is that apply ``R`` of
 ``a - u`` plus ``B0 - R(B0)``, where ``Y B0`` is ``X`` projected on the range
-of ``Y`` (``B0 = pinv(Y) X``, or ``I`` when ``X = Y``): it is
+of ``Y`` (``B0 = pinv(Y) X`` over the kept directions, from the same SVD, or
+``I`` when ``X = Y``): it is
 ``c = R(a - u - B0) + B0 = (a - u) - V (g V^H (a - u) - g V^H B0)``.  So ``B0``
 enters only through the small ``(inner, k)`` product ``g V^H B0`` of each
 face, which is refreshed whenever ``rho`` or ``lambda_g`` re-weights ``g``,
@@ -156,10 +158,10 @@ _RHO_START = 1.0
 _RHO_MIN, _RHO_MAX = 1e-4, 1e4
 _RHO_CHANGES = 30
 
-# Singular values at or below this fraction of their face's largest count as 0:
-# the ridge's cut, and pinv's rcond for theory's start B0, which must lie in the
-# span that the ridge's null-space projector keeps.
-_RCOND = 1e-12
+# Singular values of a face stack at or below this fraction of the largest over
+# all its faces count as 0 (_nonzero): the one rank rule of the ridge, the
+# min-F1 start and theory's full-rank verdicts.
+RANK_TOL = 1e-10
 
 # The floor of both residual scales, per sqrt of the coefficient count: it
 # keeps the scales away from 0 where the iterate or the dual vanishes.
@@ -274,11 +276,24 @@ def _check_scale(y, s, lambda_g):
         )
 
 
+def _nonzero(s):
+    """Which of the singular values ``s`` of a face stack count as nonzero.
+
+    A value counts when it exceeds ``RANK_TOL`` times the largest over all
+    faces.  The rule is global, not per face, since the rFFT of spatial data
+    carries round-off relative to the whole tensor's norm, so a face whose
+    values all lie at that level is numerically zero however well conditioned
+    it is on its own.  It has no absolute floor, so scaling the data changes
+    no verdict.
+    """
+    return s > RANK_TOL * s.max(initial=0.0)
+
+
 class _RidgeInverse:
     """Applies ``rho (2 lambda_g Y_f^H Y_f + rho I)^-1`` on every Fourier face.
 
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
-    ``Y_f = U diag(s) V^H`` (``s <= _RCOND s_max`` taken as 0) this is
+    ``Y_f = U diag(s) V^H`` (``s`` that ``_nonzero`` refuses taken as 0) this is
     ``x - V (g V^H x)``, where ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1
     at ``lambda_g = inf`` (which ``SolverConfig`` refuses); there every kept
     direction weighs ``inf`` with no square of ``s`` taken, so no scale of
@@ -298,7 +313,11 @@ class _RidgeInverse:
     dimension, is ``rank``, plus 1 under ``affine``.  ``set_rho`` re-weights
     ``g`` for a new ``rho`` from the stored SVD, and ``set_lambda_g`` for a new
     ``lambda_g``; a new instance is weighted at ``_RHO_START``, where every
-    path starts.
+    path starts.  ``lstsq`` applies ``pinv(Y_f)`` over the kept directions,
+    from the same SVD (``uh`` holds the rows of ``U^H`` for them), so a start
+    ``B0`` taken from it lies in the span that the apply keeps by
+    construction; at ``lambda_g = inf`` the apply is the projector
+    ``I - pinv(Y_f) Y_f`` of that same rule.
 
     The SVD, ``s`` and ``g`` stay in complex128 and float64; the two factors
     are held in ``dtype``, the precision of the ADMM state that the apply
@@ -310,12 +329,12 @@ class _RidgeInverse:
         faces, _, n = yf.shape
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
-        _, s, vh = np.linalg.svd(yf, full_matrices=False)
-        kept = s > _RCOND * s[:, :1]  # the cut of pinv(rcond=_RCOND)
-        # s is sorted, so each face's kept values lead it
+        u, s, vh = np.linalg.svd(yf, full_matrices=False)
+        kept = _nonzero(s)  # s is sorted, so each face's kept values lead it
         self.rank = r = int(kept.sum(axis=1).max())
         self.inner = inner = r + 1 if affine else r
         self.s, self.kept, self.vh = s[:, :r], kept[:, :r], vh[:, :r]
+        self.uh = np.conj(np.swapaxes(u[:, :, :r], 1, 2))
         self.dtype = np.dtype(dtype)
         self.left = np.empty((faces, n, inner), dtype=dtype)  # [V | 1/sqrt(n)]
         self.right = np.empty((faces, inner, n), dtype=dtype)  # [g V^H ; 1^T/sqrt(n)]
@@ -332,6 +351,11 @@ class _RidgeInverse:
     def set_rho(self, rho):
         g = 1.0 - rho / (self.s2 + rho)  # 1 at s2 = inf, where s2 / (s2 + rho) is nan
         np.multiply(g[:, :, None], self.vh, out=self.right[:, : self.rank])
+
+    def lstsq(self, x):
+        """``pinv(Y_f) x_f`` on every face, over the kept directions only."""
+        t = (self.uh @ x) / np.where(self.kept, self.s, np.inf)[:, :, None]
+        return np.conj(np.swapaxes(self.vh, 1, 2)) @ t
 
     def __call__(self, x, out=None, rb0=None):
         """The apply ``x - V (g V^H x)``; with ``rb0``, the right factor's

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import _RCOND, SolverConfig, _path, _RidgeInverse
+# RANK_TOL is re-exported: theory.RANK_TOL names the rank rule's tolerance
+from .solver import RANK_TOL, SolverConfig, _nonzero, _path, _RidgeInverse
 from .t_algebra import (
     _as_tensor3,
     _check_count,
@@ -41,7 +42,6 @@ __all__ = [
     "min_f1_representation",
 ]
 
-RANK_TOL = 1e-10
 SUBTENSOR_BUDGET = 200
 # combination entries (trials x h x depth) that coherence scores at once:
 # about 10 MB of working arrays at any image size
@@ -99,22 +99,17 @@ class TheoremReport:
     rank_deficient: bool = False
 
 
-def _full_rank(s):
-    """The rank rule of ``is_generating_set`` and ``theorem3_check`` on the
-    ``(F, r)`` face singular values ``s``, each face's sorted descending."""
-    return bool(s[:, -1].min() > RANK_TOL * s[:, 0].max())
-
-
 def is_generating_set(y):
     """True iff the ``(h, d, depth)`` slices generate a ``d``-dim submodule.
 
     Holds exactly when no Fourier face of ``y`` has a zero singular value;
-    numerically, the smallest singular value over all faces must exceed
-    ``RANK_TOL = 1e-10`` times the largest over all faces (conjugate faces
-    are twins).  The rule is global, not per face, since each face's
-    round-off is relative to the whole tensor's norm, and it has no absolute
-    floor, so scaling ``y`` does not change the verdict.  No generators, or
-    more generators than rows, raise ``ValueError``.
+    numerically, every singular value must be nonzero by the package's one
+    rank rule, ``solver._nonzero``, which the ridge and the min-F1 start also
+    apply: it must exceed ``RANK_TOL = 1e-10`` times the largest over all
+    faces (conjugate faces are twins).  The rule is global, not per face,
+    since each face's round-off is relative to the whole tensor's norm, and it
+    has no absolute floor, so scaling ``y`` does not change the verdict.  No
+    generators, or more generators than rows, raise ``ValueError``.
     """
     y = _as_tensor3(y, "generators")
     h, d, _ = y.shape
@@ -122,7 +117,7 @@ def is_generating_set(y):
         raise ValueError(f"generators {y.shape} hold no lateral slice")
     if d > h:
         raise ValueError(f"more generators ({d}) than rows ({h})")
-    return _full_rank(np.linalg.svd(_faces(y), compute_uv=False))
+    return bool(_nonzero(np.linalg.svd(_faces(y), compute_uv=False)).all())
 
 
 def coherence(si, sj, trials, seed):
@@ -185,12 +180,12 @@ def theorem3_check(
     points, so that the coherence (taken of the generators), the subtensor
     search and ``sigma_max_rest`` all describe the same linear submodules.
     The points take one rFFT, and each candidate one SVD of its columns of those
-    faces.  A candidate is full rank by ``is_generating_set``'s rule: its
-    smallest singular value over all faces exceeds ``RANK_TOL`` times its
-    largest over all faces, global because each face's round-off is relative
-    to the whole tensor's norm, and with no absolute floor, so scaling the
-    points scales ``rhs`` and changes no verdict.  ``holds`` means
-    ``lhs < rhs``.  When no full-rank subtensor exists the
+    faces.  A candidate is full rank by ``is_generating_set``'s rule,
+    ``solver._nonzero``: its smallest singular value over all faces exceeds
+    ``RANK_TOL`` times its largest over all faces, global because each face's
+    round-off is relative to the whole tensor's norm, and with no absolute
+    floor, so scaling the points scales ``rhs`` and changes no verdict.
+    ``holds`` means ``lhs < rhs``.  When no full-rank subtensor exists the
     report carries ``rhs = 0``, ``holds = False`` and
     ``rank_deficient = True``.  ``ValueError`` is raised for empty ``data``,
     an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials`` that
@@ -234,7 +229,7 @@ def theorem3_check(
             subsets[tuple(np.sort(rng.choice(m_i, size=d_i, replace=False)))] = None
     faces = _faces(_linear_points(si))
     spectra = [np.linalg.svd(faces[:, :, list(idx)], compute_uv=False) for idx in subsets]
-    full_rank = [float(s[:, -1].min()) for s in spectra if _full_rank(s)]
+    full_rank = [float(s[:, -1].min()) for s in spectra if _nonzero(s).all()]
     rhs = max(full_rank, default=0.0)
     return TheoremReport(
         lhs=lhs,
@@ -257,16 +252,21 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     and its ``SolverReport``.  Non-finite input raises ``ValueError``, and so
     does a least-squares residual above ``tol`` on any Fourier face ('not in
     generated submodule'); that residual's norm is taken exactly at any scale.
-    The program is homogeneous in ``x``, so it is solved for ``x / ||B0||``
-    and ``a`` is scaled back, where ``B0 = pinv(dictionary) x`` and ``||B0||``
-    is the largest modulus of its face entries, which neither overflows nor
-    underflows (a zero ``B0`` is left as it is).  The solver's loop runs at
-    ``lambda_g = inf`` from ``B0 / ||B0||``, on that already normalized
-    program, with ``tol_rel = 1e-12``, so neither the target's nor the
-    dictionary's scale changes the iterations: from 1e-300 to 1e300 they are
-    those of scale 1.  The residual histories are those of the normalized
-    program; ``report.objective`` is ``||a||_F1 + ||x - dictionary * a||_F^2``
-    of the returned ``a``, in the caller's units, each norm exact at any scale.
+    The dictionary's faces take one SVD, which serves both the start and the
+    loop.  The start ``B0`` is ``pinv(dictionary) x`` face by face over the
+    directions that the package's one rank rule (``solver._nonzero``) keeps,
+    the same ones the loop's null-space projector keeps, so a face at
+    round-off relative to the whole dictionary adds nothing to ``B0``.  The
+    program is homogeneous in ``x``, so it is solved for ``x / ||B0||`` and
+    ``a`` is scaled back, where ``||B0||`` is the largest modulus of its face
+    entries, which neither overflows nor underflows (a zero ``B0`` is left as
+    it is).  The solver's loop runs at ``lambda_g = inf`` from
+    ``B0 / ||B0||``, on that already normalized program, with
+    ``tol_rel = 1e-12``, so neither the target's nor the dictionary's scale
+    changes the iterations: from 1e-300 to 1e300 they are those of scale 1.
+    The residual histories are those of the normalized program;
+    ``report.objective`` is ``||a||_F1 + ||x - dictionary * a||_F^2`` of the
+    returned ``a``, in the caller's units, each norm exact at any scale.
     Stopping at ``max_iters`` first is not an error: the last iterate is
     returned and a ``RuntimeWarning`` says so.  A non-finite or negative
     ``tol`` raises ``ValueError``.
@@ -283,7 +283,8 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     yf, xf = _faces(dictionary), _faces(x)  # (F, h, m), (F, h, 1)
     timings = {"fft": time.perf_counter() - start}
     start = time.perf_counter()
-    a0 = np.linalg.pinv(yf, rcond=_RCOND) @ xf  # (F, m, 1)
+    ridge = _RidgeInverse(yf, np.inf)
+    a0 = ridge.lstsq(xf)  # (F, m, 1)
     if max(_rescaled(np.linalg.norm, f.view(np.float64)) for f in xf - yf @ a0) > tol:
         raise ValueError("not in generated submodule")
     # the program is homogeneous: solve it for x / ||B0||, then scale a back.
@@ -292,7 +293,6 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     # the ridge holds lambda_g = inf; cfg's lambda_g weighs only the path's own
     # objective, which the caller's replaces below
     cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_rel=1e-12)
-    ridge = _RidgeInverse(yf, np.inf)
     timings["factor"] = time.perf_counter() - start
     path = _path(yf, xf / scale, depth, ridge, [cfg], timings, a0 / scale, ([], []))
     a, report = next(path)

@@ -16,6 +16,7 @@ from ssmc import t_algebra as ta
 from ssmc.spectral import spectral_cluster
 from ssmc.data import SynthSpec, clustering_error, generate_synthetic
 from ssmc.solver import (
+    RANK_TOL,
     SolverConfig,
     _RidgeInverse,
     affinity_from_tensor,
@@ -243,7 +244,10 @@ def test_ridge_inverse_holds_only_the_kept_directions(affine):
     # zero-weight row; the apply is still the dense solve after set_lambda_g
     # and set_rho, and at lambda_g = inf the projector onto the null space of
     # the (centred) face, less the ones direction under affine; the 1/4 keeps
-    # s_max near 6, where the dense solves at lam_g = 1e2 hold 12 digits
+    # s_max near 6, where the dense solves at lam_g = 1e2 hold 12 digits.  The
+    # last face is the second scaled to round-off of the whole stack: it keeps
+    # no direction, so its apply at lambda_g = inf is the identity (less the
+    # ones direction under affine), though a per-face cut kept all 3
     rng = np.random.default_rng(16)
     h, n, ranks = 6, 9, [2, 3, 2, 3]
     yf = 0.25 * np.stack(
@@ -253,6 +257,8 @@ def test_ridge_inverse_holds_only_the_kept_directions(affine):
             for r in ranks
         ]
     )
+    yf = np.concatenate([yf, 1e-16 * yf[1:2]])
+    ranks.append(0)
     f = len(ranks)
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
@@ -268,7 +274,12 @@ def test_ridge_inverse_holds_only_the_kept_directions(affine):
             want = _dense_ridge_update(yf, x, lam_g, rho, affine)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     yc = yf - yf.mean(axis=2, keepdims=True) if affine else yf
-    null = eye - np.linalg.pinv(yc, rcond=1e-12) @ yc - affine * np.ones((n, n)) / n
+    # pinv's cut is relative to each face's largest value; the ridge's rule is
+    # RANK_TOL times the largest over all faces
+    s_max = np.linalg.norm(yc, 2, axis=(1, 2))
+    pinv = np.linalg.pinv(yc, rcond=RANK_TOL * s_max.max() / s_max)
+    null = eye - pinv @ yc - affine * np.ones((n, n)) / n
+    assert (null[-1] == eye[0] - affine * np.ones((n, n)) / n).all()
     ridge.set_lambda_g(np.inf, 1.0)
     for rho in [1.0, 8.0]:
         ridge.set_rho(rho)

@@ -109,13 +109,23 @@ def test_both_checkers_apply_one_rank_rule(scale):
     # is well conditioned, but the second face's sigma_min lies below RANK_TOL
     # times the tensor's sigma_max, inside the round-off of its rFFT.  The two
     # checkers used to disagree here: a per-face rule called these generators
-    # generating, while theorem3_check found them rank-deficient
+    # generating, while theorem3_check found them rank-deficient.  Depth 1,
+    # singular values (1, 1, 1e-11): the ridge's per-face cut at 1e-12 kept
+    # the third direction (rank 3) that both checkers call zero.  The ridge
+    # keeps 2 directions in both
     f0, f1 = np.diag([1e12, 1e3]), np.diag([1.0, 1e-5])
-    y = scale * np.stack([(f0 + f1) / 2, (f0 - f1) / 2], axis=2)
-    assert not is_generating_set(y)
-    report = theorem3_check([SubmoduleSample(generators=y, points=y)], 0)
-    assert report.rank_deficient
-    assert report.rhs == 0.0
+    rng = np.random.default_rng(3)
+    q_left, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    for y in [
+        scale * np.stack([(f0 + f1) / 2, (f0 - f1) / 2], axis=2),
+        scale * ((q_left * [1.0, 1.0, 1e-11]) @ q_right.T)[:, :, None],
+    ]:
+        assert not is_generating_set(y)
+        report = theorem3_check([SubmoduleSample(generators=y, points=y)], 0)
+        assert report.rank_deficient
+        assert report.rhs == 0.0
+        assert _RidgeInverse(ta._faces(y), 1.0).rank == 2
 
 
 def test_generating_set_shape_guard():
@@ -629,6 +639,19 @@ def test_exact_fit_ridge_apply_is_the_null_space_projector(rank_deficient):
         ridge.set_rho(rho)
         applied = ridge(eye.copy())
         assert np.abs(applied - (eye - np.linalg.pinv(yf, rcond=1e-12) @ yf)).max() <= 1e-12
+
+
+def test_min_f1_ignores_faces_at_round_off():
+    # a depth-constant dictionary: every face after face 0 is round-off of the
+    # rFFT, about 2e-16.  A per-face cut kept those directions, and the start
+    # B0 inverted them into O(1) coefficients: the solve reported 15.641.  The
+    # optimum is the one tube c[0, 0, :] = 1, whose F1 norm is sqrt(5)
+    dictionary = np.repeat(np.random.default_rng(0).standard_normal((6, 4, 1)), 5, axis=2)
+    c = np.zeros((4, 1, 5))
+    c[0, 0, :] = 1.0
+    _, report = min_f1_representation(dictionary, ta.tprod(dictionary, c), tol=1e-10)
+    assert report.converged
+    assert report.objective == pytest.approx(math.sqrt(5), rel=1e-9)
 
 
 def test_min_f1_warns_when_it_stops_unconverged():
