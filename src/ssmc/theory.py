@@ -46,6 +46,20 @@ SUBTENSOR_BUDGET = 200
 # combination entries (trials x h x depth) that coherence scores at once:
 # about 10 MB of working arrays at any image size
 _BLOCK_ENTRIES = 2**18
+# min_f1_representation's loop: the ridge holds lambda_g = inf, so lambda_g
+# here weighs only the path's own objective, which the caller's replaces
+_MIN_F1 = SolverConfig(lambda_g=1.0, max_iters=100000, tol_rel=1e-12)
+
+
+def _as_generators(y, finite=False):
+    """``y`` as an ``(h, d, depth)`` generator stack with ``1 <= d <= h``."""
+    y = _as_tensor3(y, "generators", finite=finite)
+    h, d, _ = y.shape
+    if d < 1:
+        raise ValueError(f"generators {y.shape} hold no lateral slice")
+    if d > h:
+        raise ValueError(f"submodular dimension {d} exceeds height {h}")
+    return y
 
 
 @dataclass
@@ -65,13 +79,9 @@ class SubmoduleSample:
     affine_offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.generators = _as_tensor3(self.generators, "generators", finite=True)
+        self.generators = _as_generators(self.generators, finite=True)
         self.points = _as_tensor3(self.points, "points", finite=True)
-        h, d, depth = self.generators.shape
-        if d < 1:
-            raise ValueError(f"generators {self.generators.shape} hold no lateral slice")
-        if d > h:
-            raise ValueError(f"submodular dimension {d} exceeds height {h}")
+        h, _, depth = self.generators.shape
         if self.points.shape[::2] != (h, depth):
             raise ValueError(f"points {self.points.shape} do not match ({h}, m, {depth})")
         if self.affine_offset is not None:
@@ -111,12 +121,7 @@ def is_generating_set(y):
     has no absolute floor, so scaling ``y`` does not change the verdict.  No
     generators, or more generators than rows, raise ``ValueError``.
     """
-    y = _as_tensor3(y, "generators")
-    h, d, _ = y.shape
-    if d < 1:
-        raise ValueError(f"generators {y.shape} hold no lateral slice")
-    if d > h:
-        raise ValueError(f"more generators ({d}) than rows ({h})")
+    y = _as_generators(y)
     return bool(_nonzero(np.linalg.svd(_faces(y), compute_uv=False)).all())
 
 
@@ -244,35 +249,36 @@ def theorem3_check(
     )
 
 
-def min_f1_representation(dictionary, x, tol, max_iters=100000):
+def min_f1_representation(dictionary, x):
     """Minimize ``||a||_F1`` subject to ``dictionary * a = x``.
 
     ``dictionary`` is ``(h, m, depth)``, ``x`` an ``(h, 1, depth)`` oriented
     matrix; returns ``(a, report)``, the ``(m, 1, depth)`` coefficient tensor
-    and its ``SolverReport``.  Non-finite input raises ``ValueError``, and so
-    does a least-squares residual above ``tol`` on any Fourier face ('not in
-    generated submodule'); that residual's norm is taken exactly at any scale.
-    The dictionary's faces take one SVD, which serves both the start and the
+    and its ``SolverReport``.  Non-finite input raises ``ValueError``.  The
+    dictionary's faces take one SVD, which serves both the start and the
     loop.  The start ``B0`` is ``pinv(dictionary) x`` face by face over the
     directions that the package's one rank rule (``solver._nonzero``) keeps,
     the same ones the loop's null-space projector keeps, so a face at
     round-off relative to the whole dictionary adds nothing to ``B0``.  The
-    program is homogeneous in ``x``, so it is solved for ``x / ||B0||`` and
-    ``a`` is scaled back, where ``||B0||`` is the largest modulus of its face
-    entries, which neither overflows nor underflows (a zero ``B0`` is left as
-    it is).  The solver's loop runs at ``lambda_g = inf`` from
-    ``B0 / ||B0||``, on that already normalized program, with
-    ``tol_rel = 1e-12``, so neither the target's nor the dictionary's scale
-    changes the iterations: from 1e-300 to 1e300 they are those of scale 1.
-    The residual histories are those of the normalized program;
-    ``report.objective`` is ``||a||_F1 + ||x - dictionary * a||_F^2`` of the
-    returned ``a``, in the caller's units, each norm exact at any scale.
-    Stopping at ``max_iters`` first is not an error: the last iterate is
-    returned and a ``RuntimeWarning`` says so.  A non-finite or negative
-    ``tol`` raises ``ValueError``.
+    same rule decides span membership: ``x`` is refused with ``ValueError``
+    ('not in generated submodule') when the residual off those directions,
+    ``||x_f - Y_f B0||`` over all faces, exceeds ``RANK_TOL`` times ``||x_f||``
+    over all faces.  Both norms are taken exactly at any scale, so scaling the
+    dictionary or the target changes no verdict.  The program is homogeneous
+    in ``x``, so it is solved for ``x / ||B0||`` and ``a`` is scaled back,
+    where ``||B0||`` is the largest modulus of its face entries, which neither
+    overflows nor underflows (a zero ``B0`` is left as it is).  The solver's
+    loop runs at ``lambda_g = inf`` from ``B0 / ||B0||``, on that already
+    normalized program, under the module's one ``_MIN_F1`` config
+    (``tol_rel = 1e-12``, at most 100000 iterations), so neither the target's
+    nor the dictionary's scale changes the iterations: from 1e-300 to 1e300
+    they are those of scale 1.  The residual histories are those of the
+    normalized program; ``report.objective`` is
+    ``||a||_F1 + ||x - dictionary * a||_F^2`` of the returned ``a``, in the
+    caller's units, each norm exact at any scale.  Stopping at ``max_iters``
+    first is not an error: the last iterate is returned and a
+    ``RuntimeWarning`` says so.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     dictionary = _as_tensor3(dictionary, "dictionary", finite=True)
     x = _as_tensor3(x, "target", finite=True)
     h, _, depth = dictionary.shape
@@ -285,23 +291,21 @@ def min_f1_representation(dictionary, x, tol, max_iters=100000):
     start = time.perf_counter()
     ridge = _RidgeInverse(yf, np.inf)
     a0 = ridge.lstsq(xf)  # (F, m, 1)
-    if max(_rescaled(np.linalg.norm, f.view(np.float64)) for f in xf - yf @ a0) > tol:
+    off_span, norm_x = (_rescaled(np.linalg.norm, f.view(np.float64)) for f in (xf - yf @ a0, xf))
+    if off_span > RANK_TOL * norm_x:
         raise ValueError("not in generated submodule")
     # the program is homogeneous: solve it for x / ||B0||, then scale a back.
     # Any norm of degree 1 serves; the largest modulus has no squares to overflow
     scale = float(np.abs(a0).max()) or 1.0  # a zero B0 stays as it is
-    # the ridge holds lambda_g = inf; cfg's lambda_g weighs only the path's own
-    # objective, which the caller's replaces below
-    cfg = SolverConfig(lambda_g=1.0, max_iters=max_iters, tol_rel=1e-12)
     timings["factor"] = time.perf_counter() - start
-    path = _path(yf, xf / scale, depth, ridge, [cfg], timings, a0 / scale, ([], []))
+    path = _path(yf, xf / scale, depth, ridge, [_MIN_F1], timings, a0 / scale, ([], []))
     a, report = next(path)
     a *= scale
     resid = norm_fro(x - tprod(dictionary, a))
     report.objective = norm_f1(a) + resid * resid
     if not report.converged:
         warnings.warn(
-            f"min_f1_representation stopped at max_iters={max_iters} without converging",
+            f"min_f1_representation stopped at max_iters={_MIN_F1.max_iters} without converging",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -1,5 +1,6 @@
 """Theory-checker tests: generating sets, coherence, recovery condition, min-F1."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -129,11 +130,15 @@ def test_both_checkers_apply_one_rank_rule(scale):
 
 
 def test_generating_set_shape_guard():
-    with pytest.raises(ValueError, match="more generators"):
-        is_generating_set(np.ones((2, 3, 2)))
-    # zero generators used to fail with an IndexError
-    with pytest.raises(ValueError, match="hold no lateral slice"):
-        is_generating_set(np.zeros((3, 0, 2)))
+    # the sample and the checker refuse a generator stack with one message
+    for gens, message in [
+        (np.ones((2, 3, 2)), "exceeds height"),
+        (np.zeros((3, 0, 2)), "hold no lateral slice"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            is_generating_set(gens)  # zero generators used to fail with an IndexError
+        with pytest.raises(ValueError, match=message):
+            SubmoduleSample(generators=gens, points=np.zeros((gens.shape[0], 1, 2)))
 
 
 # -- coherence ---------------------------------------------------------------
@@ -496,7 +501,7 @@ def test_dictionary_member_has_cheap_representation():
     rng = np.random.default_rng(11)
     dictionary = rng.standard_normal((4, 3, 5))
     x = dictionary[:, :1, :].copy()
-    a, _ = min_f1_representation(dictionary, x, tol=1e-8)
+    a, _ = min_f1_representation(dictionary, x)
     assert a.shape == (3, 1, 5)
     assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8
     assert ta.norm_f1(a) <= 1.0 + 1e-6  # the unit tube at position 1 is feasible
@@ -505,7 +510,7 @@ def test_dictionary_member_has_cheap_representation():
 def test_zero_target_gives_zero_coefficients():
     rng = np.random.default_rng(12)
     dictionary = rng.standard_normal((4, 3, 5))
-    a, _ = min_f1_representation(dictionary, np.zeros((4, 1, 5)), tol=1e-10)
+    a, _ = min_f1_representation(dictionary, np.zeros((4, 1, 5)))
     assert np.abs(a).max() < 1e-12
 
 
@@ -514,27 +519,57 @@ def test_infeasible_target_is_rejected():
     x = np.zeros((4, 1, 3))
     x[3, 0, 0] = 1.0  # outside the generated rows
     with pytest.raises(ValueError, match="not in generated submodule"):
-        min_f1_representation(gens, x, tol=1e-8)
+        min_f1_representation(gens, x)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-def test_min_f1_refuses_a_non_finite_or_negative_tol(tol):
-    # a target outside the span of a 4x2x5 dictionary: a nan or infinite tol
-    # let it through to a "converged" solve that does not represent it
+@pytest.mark.parametrize(
+    "d_scale,x_scale",
+    [(1.0, 1.0), (1.0, 1e-6), (1.0, 1e-10), (1.0, 1e-200), (1.0, 1e-300), (1.0, 1e300),
+     (1e-300, 1e-300), (1e-300, 1.0), (1e-200, 1e-10), (1e200, 1e-10), (1e300, 1.0),
+     (1e300, 1e300)],
+)  # fmt: skip
+def test_span_membership_does_not_depend_on_scale(d_scale, x_scale):
+    # 68% of this target lies outside the span of the 4x2x5 dictionary.  An
+    # absolute tol of 1e-8 accepted it at scales 1e-10 and 1e-200, and the
+    # solve came back converged at relative residual 0.684
     rng = np.random.default_rng(0)
     dictionary = rng.standard_normal((4, 2, 5))
-    x = rng.standard_normal((4, 1, 5))
+    outside = rng.standard_normal((4, 1, 5))
+    inside = ta.tprod(dictionary, rng.standard_normal((2, 1, 5)))
+    y = d_scale * dictionary
     with pytest.raises(ValueError, match="not in generated submodule"):
-        min_f1_representation(dictionary, x, tol=1e-8)
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        min_f1_representation(dictionary, x, tol=tol)
+        min_f1_representation(y, x_scale * outside)
+    a, report = min_f1_representation(y, x_scale * inside)
+    assert report.converged
+    unit = x_scale / d_scale  # the scale of a
+    assert ta.norm_fro(ta.tprod(dictionary, a / unit) - inside) <= 1e-12 * ta.norm_fro(inside)
+
+
+@pytest.mark.parametrize("off_span,accepted", [(1e-12, True), (1e-8, False)])
+def test_span_membership_follows_the_rank_rule(off_span, accepted):
+    # the dictionary spans the tensors on rows 0 and 1, so a part on rows 2
+    # and 3 lies off the span; RANK_TOL = 1e-10 of the target's norm divides
+    # the accepted parts from the refused ones
+    rng = np.random.default_rng(5)
+    dictionary = np.zeros((4, 2, 5))
+    dictionary[:2] = rng.standard_normal((2, 2, 5))
+    inside = ta.tprod(dictionary, rng.standard_normal((2, 1, 5)))
+    part = np.zeros((4, 1, 5))
+    part[2:] = rng.standard_normal((2, 1, 5))
+    x = inside + off_span * ta.norm_fro(inside) / ta.norm_fro(part) * part
+    assert theory.RANK_TOL == 1e-10
+    if accepted:
+        assert min_f1_representation(dictionary, x)[1].converged
+    else:
+        with pytest.raises(ValueError, match="not in generated submodule"):
+            min_f1_representation(dictionary, x)
 
 
 def test_target_shape_is_validated():
     rng = np.random.default_rng(13)
     dictionary = rng.standard_normal((4, 3, 5))
     with pytest.raises(ValueError, match="does not match"):
-        min_f1_representation(dictionary, np.zeros((4, 1, 4)), tol=1e-8)
+        min_f1_representation(dictionary, np.zeros((4, 1, 4)))
 
 
 def test_repeated_slice_dictionary_gives_feasible_representation():
@@ -545,7 +580,7 @@ def test_repeated_slice_dictionary_gives_feasible_representation():
     dictionary = np.concatenate([base, base[:, :1, :]], axis=1)
     coeffs = rng.standard_normal((3, 1, 4))
     x = ta.tprod(base, coeffs)
-    a, _ = min_f1_representation(dictionary, x, tol=1e-8)
+    a, _ = min_f1_representation(dictionary, x)
     assert a.shape == (4, 1, 4)
     assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8 * ta.norm_fro(x)
     known = np.concatenate([coeffs, np.zeros((1, 1, 4))], axis=0)
@@ -558,10 +593,10 @@ def test_min_f1_rejects_non_finite_input():
     x = ta.tprod(dictionary, rng.standard_normal((3, 1, 5)))
     x[1, 0, 2] = np.nan
     with pytest.raises(ValueError, match="target contains non-finite values"):
-        min_f1_representation(dictionary, x, tol=1e-8, max_iters=10)
+        min_f1_representation(dictionary, x)
     dictionary[0, 1, 0] = np.inf
     with pytest.raises(ValueError, match="dictionary contains non-finite values"):
-        min_f1_representation(dictionary, np.zeros((4, 1, 5)), tol=1e-8, max_iters=10)
+        min_f1_representation(dictionary, np.zeros((4, 1, 5)))
 
 
 @pytest.mark.parametrize(
@@ -577,9 +612,9 @@ def test_min_f1_does_not_depend_on_scale(x_scale, d_scale):
     coef = np.zeros((8, 1, 5))
     coef[[1, 5]] = np.random.default_rng(4).standard_normal((2, 1, 5))
     x = ta.tprod(dictionary, coef)
-    a1, base = min_f1_representation(dictionary, x, tol=1e-8)
+    a1, base = min_f1_representation(dictionary, x)
     y, target = d_scale * dictionary, x_scale * x
-    a, report = min_f1_representation(y, target, tol=1e-8 * x_scale)
+    a, report = min_f1_representation(y, target)
     assert report.converged
     assert report.iterations == base.iterations
     unit = x_scale / d_scale  # the scale of a
@@ -604,12 +639,10 @@ def test_min_f1_holds_at_extreme_dictionary_scales(d_scale, x_scale):
     spec = SynthSpec(h=4, d_per_cluster=[1, 1], samples_per_cluster=[3, 3], depth=3, seed=0)
     dictionary = generate_submodules(spec)[0][0].points
     x = dictionary[:, :1, :]
-    a1, base = min_f1_representation(dictionary, x, tol=1e-10)
+    a1, base = min_f1_representation(dictionary, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, report = min_f1_representation(
-            d_scale * dictionary, x_scale * x, tol=1e-10 * x_scale
-        )
+        a, report = min_f1_representation(d_scale * dictionary, x_scale * x)
     assert report.converged
     assert report.iterations == base.iterations == 43
     unit = x_scale / d_scale  # the scale of a
@@ -649,17 +682,18 @@ def test_min_f1_ignores_faces_at_round_off():
     dictionary = np.repeat(np.random.default_rng(0).standard_normal((6, 4, 1)), 5, axis=2)
     c = np.zeros((4, 1, 5))
     c[0, 0, :] = 1.0
-    _, report = min_f1_representation(dictionary, ta.tprod(dictionary, c), tol=1e-10)
+    _, report = min_f1_representation(dictionary, ta.tprod(dictionary, c))
     assert report.converged
     assert report.objective == pytest.approx(math.sqrt(5), rel=1e-9)
 
 
-def test_min_f1_warns_when_it_stops_unconverged():
+def test_min_f1_warns_when_it_stops_unconverged(monkeypatch):
     rng = np.random.default_rng(15)
     dictionary = rng.standard_normal((4, 6, 5))
     x = ta.tprod(dictionary, rng.standard_normal((6, 1, 5)))
+    monkeypatch.setattr(theory, "_MIN_F1", dataclasses.replace(theory._MIN_F1, max_iters=1))
     with pytest.warns(RuntimeWarning, match="stopped at max_iters=1 without converging"):
-        a, _ = min_f1_representation(dictionary, x, tol=1e-8, max_iters=1)
+        a, _ = min_f1_representation(dictionary, x)
     assert a.shape == (6, 1, 5)
     assert ta.norm_fro(ta.tprod(dictionary, a) - x) <= 1e-8 * ta.norm_fro(x)
 
@@ -674,7 +708,7 @@ def test_min_f1_matches_douglas_rachford_reference(seed):
         [ta.tprod(g, tubes[i][None, None, :]) for i in range(m)], axis=1
     )
     x = ta.tprod(g, rng.standard_normal((1, 1, depth)))
-    a, report = min_f1_representation(dictionary, x, tol=1e-8)
+    a, report = min_f1_representation(dictionary, x)
     assert report.converged
     f1 = ta.norm_f1(a)
 
