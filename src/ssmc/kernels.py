@@ -20,55 +20,79 @@ def tube_sq_norms(x):
     view, say) is copied first.
     """
     x = np.asarray(x)
-    x = np.ascontiguousarray(x, dtype=np.result_type(x.dtype, np.complex64))
+    parts = _part_sq_sums(np.ascontiguousarray(x, dtype=np.result_type(x.dtype, np.complex64)))
+    return parts[..., 0] + parts[..., 1]
+
+
+def _part_sq_sums(x):
+    """The sums over the faces of the squared real and imaginary parts of a
+    contiguous complex stack, shape ``x.shape[1:] + (2,)``, in its real precision."""
     xr = x.view(x.real.dtype).reshape(x.shape[0], -1)  # re, im alternate
-    t = np.einsum("fi,fi->i", xr, xr)
-    return (t[0::2] + t[1::2]).reshape(x.shape[1:])
+    return np.einsum("fi,fi->i", xr, xr).reshape(x.shape[1:] + (2,))
+
+
+def _re_dot(x, y):
+    """``Re <x, y>`` of two contiguous arrays of one shape: one BLAS dot on their real views."""
+    return float(np.vdot(x.view(x.real.dtype), y.view(y.real.dtype)))
 
 
 def _sq_norm(z):
     """The squared Frobenius norm of a contiguous array: one BLAS dot on its real view."""
-    v = z.view(z.real.dtype)
-    return float(np.vdot(v, v))
+    return _re_dot(z, z)
 
 
 def _shrink_factor(nrm, tau):
     """``max(0, 1 - tau / nrm)``, with 0 at ``nrm = 0`` (where ``fmax`` drops the nan of 0/0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmax(1.0 - tau / nrm, 0.0)
+        factor = np.divide(tau, nrm)
+        np.subtract(1.0, factor, out=factor)
+        return np.fmax(factor, 0.0, out=factor)
 
 
-def scale_tubes(V, tau, row_tau=0.0, excluded=None):
-    """Shrink each tube (fixed ``(i, j)``, all faces), then each row, of a face stack, in place.
+def scale_tubes(V, kept, tau, row_tau=0.0, excluded=None):
+    """Split a contiguous face stack into its tube-then-row shrink and the rest.
 
-    Applies ``v <- max(0, 1 - tau / ||v||) v`` per tube, with the plain norm
-    over the tube's faces.  ``tau = 0`` keeps nonzero tubes unchanged.
-    With ``row_tau > 0`` the tube-shrunk result is then shrunk per horizontal
-    slice (fixed ``i``, all faces and columns) by ``row_tau``.  Tubes nest in
-    rows, so the composition is the exact prox of ``tau sum ||v_ij|| + row_tau
-    sum ||v_i||`` (Jenatton et al. 2011).  ``excluded`` indexes tubes of the
-    ``(n, k)`` tube grid that are set to 0, the prox of their indicator, a leaf
-    of the same tree: their factor is 0 before the row stage.  The row norms
-    come from the shrunk tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so
-    ``V`` is read once for the norms and once for the single multiply.
+    With ``t`` the combined shrink factor of each tube (fixed ``(i, j)``, all
+    faces), writes ``t V`` into ``kept``, a stack of ``V``'s shape and dtype,
+    and leaves ``(1 - t) V``, the part taken away, in ``V``.  The tube stage
+    is ``v <- max(0, 1 - tau / ||v||) v``, with the plain norm over the tube's
+    faces; ``tau = 0`` keeps nonzero tubes unchanged.  With ``row_tau > 0``
+    the tube-shrunk result is then shrunk per horizontal slice (fixed ``i``,
+    all faces and columns) by ``row_tau``.  Tubes nest in rows, so the
+    composition is the exact prox of ``tau sum ||v_ij|| + row_tau sum ||v_i||``
+    (Jenatton et al. 2011).  ``excluded`` indexes tubes of the ``(n, k)`` tube
+    grid that are set to 0, the prox of their indicator, a leaf of the same
+    tree: their factor is 0 before the row stage.  The row norms come from the
+    shrunk tube norms, ``||t_ij v_ij|| = t_ij ||v_ij||``, so ``V`` is read once
+    for the norms, and each part is one multiply of a real view by its factor,
+    both in the stack's own precision.
 
-    Returns the squared Frobenius norms of the shrunk stack and of the
-    part taken away, ``(1 - t) V`` with ``t`` the combined shrink factor, as
-    ``sum((t ||v_ij||)^2)`` and ``sum(((1 - t) ||v_ij||)^2)``: from the tube
-    norms, without another pass over the stack.
+    Returns the squared Frobenius norms of the two parts, ``sum((t
+    ||v_ij||)^2)`` and ``sum(((1 - t) ||v_ij||)^2)``: from the tube norms,
+    without another pass over the stack.
     """
-    nrm = np.sqrt(tube_sq_norms(V))
+    parts = _part_sq_sums(V)
+    nrm = np.add(parts[..., 0], parts[..., 1])
+    np.sqrt(nrm, out=nrm)
     factor = _shrink_factor(nrm, tau)
     if excluded is not None:
         factor[excluded] = 0.0
+    # the part sums are spent: their buffer takes the shrunk tube norms, and
+    # then one factor per real and imaginary part, which alternate in the
+    # real view
+    spare = parts.reshape(2, -1)[0].reshape(nrm.shape)
     if row_tau > 0:
-        shrunk = factor * nrm
+        shrunk = np.multiply(factor, nrm, out=spare)
         rows = np.sqrt(np.einsum("ij,ij->i", shrunk, shrunk))
         factor *= _shrink_factor(rows, row_tau)[:, None]
-    V *= factor
-    shrunk = np.multiply(factor, nrm, out=factor)
-    taken = np.subtract(nrm, shrunk, out=nrm)
-    return _sq_norm(shrunk), _sq_norm(taken)
+    shrunk = np.multiply(factor, nrm, out=spare)
+    squares = _sq_norm(shrunk), _sq_norm(np.subtract(nrm, shrunk, out=nrm))
+    np.stack((factor, factor), axis=-1, out=parts)
+    pair = parts.reshape(V.shape[1], -1)
+    vr = V.view(V.real.dtype)
+    np.multiply(vr, pair, out=kept.view(vr.dtype))
+    vr *= np.subtract(1.0, pair, out=pair)
+    return squares
 
 
 def _sq_dists(X, centers, diff, out=None):

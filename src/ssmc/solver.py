@@ -20,9 +20,9 @@ group ``(i, j)`` lies inside row group ``i``, and for tree-structured groups
 the prox of the sum of group norms is the composition of the group proxes,
 leaves first (Jenatton et al. 2011, *Proximal methods for hierarchical sparse
 coding*).  Zeroing a tube is the prox of its indicator, a leaf of the same
-tree.  ``kernels.scale_tubes`` applies all three in one multiply: the
-excluded tubes get a shrink factor of 0 in its ``(n, k)`` factor, so no pass
-over the stack zeroes them.
+tree.  ``kernels.scale_tubes`` applies all three with one ``(n, k)``
+factor: the excluded tubes get a shrink factor of 0 in it, so no pass over
+the stack zeroes them.
 
 The ridge system ``2 lambda_g Y^H Y + rho I`` is never formed: one thin SVD
 ``Y = U diag(s) V^H`` per face, taken once per path, gives ``rho`` times its
@@ -31,31 +31,35 @@ inverse by the matrix inversion lemma as ``I - V diag(g) V^H`` with
 matmuls per face.  Singular values at or below ``RANK_TOL = 1e-10`` times the
 largest over all faces count as 0 (``_nonzero``, the package's one rank rule),
 so at ``lambda_g = inf`` ``g`` is 0 or 1 and the apply projects onto each
-face's null space.  Their directions have ``g = 0`` at every
-``lambda_g`` and ``rho``, so the factors hold only the kept ones, and the
-matmuls' inner dimension is the largest numeric rank over the faces.  On data
+face's null space.  Their directions have ``g = 0`` at every ``lambda_g``
+and ``rho``, so the factors hold only the kept ones, and the matmuls' inner
+dimension is the largest numeric rank over the faces.  On data
 from a union of free submodules that is ``sum d_i``, not ``min(h, n)``: 8
 rather than 28 at 28x40x28 with four 2-dimensional submodules, and 12 (11 plus
 the affine column below) rather than 29 at 28x160x28 affine.  Full-rank faces
 keep all ``min(h, n)``.  The ``c`` update is that apply ``R`` of
 ``a - u`` plus ``B0 - R(B0)``, where ``Y B0`` is ``X`` projected on the range
 of ``Y`` (``B0 = pinv(Y) X`` over the kept directions, from the same SVD, or
-``I`` when ``X = Y``): it is
-``c = R(a - u - B0) + B0 = (a - u) - V (g V^H (a - u) - g V^H B0)``.  So ``B0``
-enters only through the small ``(inner, k)`` product ``g V^H B0`` of each
-face, which is refreshed whenever ``rho`` or ``lambda_g`` re-weights ``g``,
-and the stack sees no pass for it.  The affine
+``I`` when ``X = Y``): it is ``c = R(a - u - B0) + B0 = (a - u) - L w`` with
+``w = g (L^H a - L^H u - L^H B0)``, where ``L`` is ``V`` (and the affine
+column below).  Its nonzero columns are orthonormal, so the loop never forms
+``a - u`` or ``c``: it carries the small ``(inner, k)`` products ``L^H a``
+and ``L^H u`` of each face next to the state, and ``L^H B0`` is taken once
+per path.  The shrink's input ``v = c + u = a - L w`` is one matmul and one
+in-place subtract, the shrink splits ``v`` into the new ``a' = t v`` and the
+new ``u' = (1 - t) v = u + c - a'``, and the new ``L^H u'`` is
+``L^H a - w - L^H a'``, with ``L^H a'`` the iteration's second matmul
+(``_step``).  No pass over the stack allocates a stack.  The affine
 constraint costs one fixed inner column.  Under ``1^T C = 1^T`` the fit
 ``Y (I - C)`` equals ``Yc (I - C)``, where ``Yc = Y - ybar 1^T`` is the data
 less its mean sample, and the rows of ``Yc`` are orthogonal to ``1``.  So
 ``2 lambda_g Yc^H Yc + rho I`` has ``1`` as an eigenvector, and the
 constrained ridge solve is the plain one on ``Yc`` with ``1`` projected out.
 The SVD is taken of the centred faces, and the apply gains one fixed inner
-column: the left factor is ``[V | 1/sqrt(n)]`` and the right one
-``[g V^H ; 1^T/sqrt(n)]``.  That apply keeps every column face-sum of
-``R(x - I)`` at 0, so those of ``c`` are 1.  The uncentred faces still define
-the objective, which is evaluated once, on the returned coefficients, after
-the loop.
+column of weight 1: ``L = [V | 1/sqrt(n)]``.  That apply keeps every column
+face-sum of ``R(x - I)`` at 0, so those of ``c`` are 1.  The uncentred faces
+still define the objective, which is evaluated once, on the returned
+coefficients, after the loop.
 
 Stopping rule (Boyd et al. 2011, *ADMM*, section 3.3), with every norm the
 spatial Frobenius norm and ``N = n k d`` the number of coefficients.  Each
@@ -68,8 +72,11 @@ the part of Boyd et al.'s absolute tolerance, so a tighter ``tol_rel`` only
 ever asks for more.  ``||a||`` and ``||u||`` come from the tube norms that
 ``kernels.scale_tubes`` takes of ``v = c + u``: the new ``a`` is ``t v`` and
 the new ``u`` is ``v - a = (1 - t) v`` tube by tube, with ``t`` the shrink
-factor, so their norms need no pass over the stack.  ``r``, ``s`` and ``||c||``
-are each one BLAS dot on the flat real view of a stack.
+factor, so their norms need no pass over the stack.  ``s`` and ``r`` are each
+one BLAS dot on the flat real view of a stack: the old ``a``'s buffer takes
+the step ``a - a'`` and the old ``u``'s the primal gap ``u' - u = c - a'``,
+each in place.  ``||c||^2`` is ``r^2 + 2 Re <c - a', a'> + ||a'||^2``, one
+more dot, and the finish rebuilds ``c`` once, as ``(c - a') + a'``.
 
 The penalty ``rho`` adapts by residual balancing (Boyd et al. 2011,
 section 3.4.1) on the same scales (Wohlberg 2017, *ADMM penalty parameter
@@ -115,11 +122,11 @@ the targets, and unweights ``c`` once, right before the inverse rFFT; the
 affine rebalance aims each face's column sums at ``sqrt(w_f)``, the unit
 tube's weighted faces.
 
-Precision: the ADMM state (``a``, ``u``, the ``x`` and ``c`` buffers and the
-ridge factors) runs in complex64 when ``tol_rel >= 1e-5`` and in complex128
-otherwise; the loop is bound by memory traffic and by the ridge matmuls, and
-both halve in single precision.  The SVD is taken in complex128 and cast once
-into the factors, and the finish (zeroing the excluded tubes, the affine
+Precision: the ADMM state (``a``, ``u``, the two work stacks, the small
+products and the ridge factors) runs in complex64 when ``tol_rel >= 1e-5``
+and in complex128 otherwise; the loop is bound by memory traffic and by the
+ridge matmuls, and both halve in single precision.  The SVD is taken in
+complex128 and cast once into the factors, and the finish (zeroing the excluded tubes, the affine
 rebalance, the objective and the inverse rFFT) runs on a complex128 copy of
 ``c``, so ``W`` has an exactly zero diagonal and, under the affine constraint,
 column tube-sums within round-off of the unit tube at either precision.
@@ -179,13 +186,14 @@ _log = logging.getLogger(__name__)
 
 # Peak memory of a solve in complex128 (d // 2 + 1, n, n) arrays, by the dtype
 # of the ADMM state, for a path whose caller drops each W before the next.
-# complex128 peaks in the loop (a, u, x and c, plus the faces, the ridge
-# factors, the folded (inner, n) product g V^H B0 and the (n, n) tube norms
-# inside kernels.scale_tubes); complex64 in the complex128 finish (c and W,
-# plus the a and u the next point starts from).  tracemalloc, one solve and
-# three points: 4.80 and 4.80 (complex128), 2.58 and 3.40 (complex64) at
-# 28x160x28 affine; 4.38 and 4.38, 2.28 and 3.15 at 28x320x28; 4.62 and 4.62,
-# 2.35 and 2.95 at 8x200x8.
+# complex128 peaks in the loop (a, u and the two work stacks, plus the faces,
+# the ridge factors, the (inner, n) products L^H a, L^H u and L^H B0 and the
+# (n, n) tube norms inside kernels.scale_tubes).  complex64 peaks there too for
+# one solve, a few hundredths above its complex128 finish, and in the finish
+# for a path (c and W, plus the a and u the next point starts from).
+# tracemalloc, one solve and three points: 4.70 and 4.70 (complex128), 2.44
+# and 3.31 (complex64) at 28x160x28 affine; 4.41 and 4.41, 2.25 and 3.12 at
+# 28x320x28; 4.67 and 4.67, 2.36 and 2.96 at 8x200x8.
 _PEAK_ARRAYS = {np.dtype(np.complex64): 3.5, np.dtype(np.complex128): 5.0}
 
 
@@ -297,20 +305,27 @@ class _RidgeInverse:
     ``x - V (g V^H x)``, where ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1
     at ``lambda_g = inf`` (which ``SolverConfig`` refuses); there every kept
     direction weighs ``inf`` with no square of ``s`` taken, so no scale of
-    ``Y`` under- or overflows its weight.  A direction cut
-    as 0 has ``g = 0`` at every ``lambda_g`` and ``rho``, so the factors hold
-    only the kept ones: ``rank`` is the largest numeric rank over the faces,
-    and a face of lower rank carries ``g = 0`` rows up to it.  On data drawn
-    from a union of free submodules that is ``sum d_i``, far below
-    ``min(h, n)``: 8 at 28x40x28 with four 2-dimensional submodules, and 11 on
-    the centred faces at 28x160x28 affine, for an ``inner`` of 12.  On
-    full-rank faces it is ``min(h, n)``.  With ``affine`` the SVD is that of
+    ``Y`` under- or overflows its weight.  A direction cut as 0 has ``g = 0``
+    at every ``lambda_g`` and ``rho``, so the factors hold only the kept ones:
+    ``rank`` is the largest numeric rank over the faces, and a face of lower
+    rank carries zero columns, with ``g = 0``, up to it.  On data drawn from a
+    union of free submodules that is ``sum d_i``, far below ``min(h, n)``: 8
+    at 28x40x28 with four 2-dimensional submodules, and 11 on the centred
+    faces at 28x160x28 affine, for an ``inner`` of 12.  On full-rank faces it
+    is ``min(h, n)``.  With ``affine`` the SVD is that of
     the centred faces ``Y_f - mean(Y_f) 1^T``, whose rows are orthogonal to
-    ``1``, and the apply also projects out ``1``: it is one pair of matmuls,
-    by ``[V | 1/sqrt(n)]`` on the left and ``[g V^H ; 1^T/sqrt(n)]`` on the
-    right, whose fixed last column and row carry weight 1.  So every
-    column face-sum of the apply is 0.  ``inner``, the matmuls' inner
-    dimension, is ``rank``, plus 1 under ``affine``.  ``set_rho`` re-weights
+    ``1``, and the apply also projects out ``1``: the left factor is
+    ``L = [V | 1/sqrt(n)]``, and its fixed last column carries weight 1.  So
+    every column face-sum of the apply is 0.  ``inner``, the width of ``L``,
+    is ``rank``, plus 1 under ``affine``.
+
+    The apply is ``x - L w`` with ``w = g L^H x``, and it is held as those
+    pieces: ``left`` (``L``), ``lh`` (``L^H``), the weights ``g`` as an
+    ``(F, inner, 1)`` column, and ``expand``, which takes ``w`` back to the
+    stack.  The nonzero columns of ``L`` are orthonormal, so ``L^H L w = w``
+    for every ``w`` that is 0 where they are, and the ADMM loop carries the
+    small products ``L^H a`` and ``L^H u`` of its state in place of the
+    differences ``a - u`` and ``c`` (``_step``).  ``set_rho`` re-weights
     ``g`` for a new ``rho`` from the stored SVD, and ``set_lambda_g`` for a new
     ``lambda_g``; a new instance is weighted at ``_RHO_START``, where every
     path starts.  ``lstsq`` applies ``pinv(Y_f)`` over the kept directions,
@@ -319,10 +334,10 @@ class _RidgeInverse:
     construction; at ``lambda_g = inf`` the apply is the projector
     ``I - pinv(Y_f) Y_f`` of that same rule.
 
-    The SVD, ``s`` and ``g`` stay in complex128 and float64; the two factors
-    are held in ``dtype``, the precision of the ADMM state that the apply
-    serves (``_state_dtype``), and ``g V^H`` is cast into ``right`` on every
-    re-weighting.
+    The SVD is taken in complex128, and ``s`` and ``U^H`` are kept in it;
+    ``L``, ``L^H`` and ``g`` are held in ``dtype``, the precision of the ADMM
+    state that the apply serves (``_state_dtype``), and its real counterpart,
+    and ``g`` is cast on every re-weighting.  ``lstsq`` runs in ``dtype``.
     """
 
     def __init__(self, yf, lambda_g, affine=False, dtype=np.complex128):
@@ -333,13 +348,14 @@ class _RidgeInverse:
         kept = _nonzero(s)  # s is sorted, so each face's kept values lead it
         self.rank = r = int(kept.sum(axis=1).max())
         self.inner = inner = r + 1 if affine else r
-        self.s, self.kept, self.vh = s[:, :r], kept[:, :r], vh[:, :r]
+        self.s, self.kept = s[:, :r], kept[:, :r]
         self.uh = np.conj(np.swapaxes(u[:, :, :r], 1, 2))
         self.dtype = np.dtype(dtype)
-        self.left = np.empty((faces, n, inner), dtype=dtype)  # [V | 1/sqrt(n)]
-        self.right = np.empty((faces, inner, n), dtype=dtype)  # [g V^H ; 1^T/sqrt(n)]
-        self.left[:, :, :r] = np.conj(np.swapaxes(self.vh, 1, 2))
-        self.left[:, :, r:] = self.right[:, r:] = 1.0 / np.sqrt(n)
+        self.lh = np.empty((faces, inner, n), dtype=dtype)  # [V | 1/sqrt(n)]^H
+        self.lh[:, :r] = vh[:, :r] * kept[:, :r, None]  # a cut direction is a 0 column
+        self.lh[:, r:] = 1.0 / np.sqrt(n)
+        self.left = np.ascontiguousarray(np.conj(np.swapaxes(self.lh, 1, 2)))
+        self.g = np.ones((faces, inner, 1), dtype=np.finfo(self.dtype).dtype)
         self.set_lambda_g(lambda_g, _RHO_START)
 
     def set_lambda_g(self, lambda_g, rho):
@@ -349,22 +365,27 @@ class _RidgeInverse:
         self.set_rho(rho)
 
     def set_rho(self, rho):
-        g = 1.0 - rho / (self.s2 + rho)  # 1 at s2 = inf, where s2 / (s2 + rho) is nan
-        np.multiply(g[:, :, None], self.vh, out=self.right[:, : self.rank])
+        # 1 at s2 = inf, where s2 / (s2 + rho) is nan; the affine column keeps 1
+        self.g[:, : self.rank, 0] = 1.0 - rho / (self.s2 + rho)
 
     def lstsq(self, x):
         """``pinv(Y_f) x_f`` on every face, over the kept directions only."""
         t = (self.uh @ x) / np.where(self.kept, self.s, np.inf)[:, :, None]
-        return np.conj(np.swapaxes(self.vh, 1, 2)) @ t
+        return self.left[:, :, : self.rank] @ t
 
-    def __call__(self, x, out=None, rb0=None):
-        """The apply ``x - V (g V^H x)``; with ``rb0``, the right factor's
-        product with ``B0``, it is ``R(x - B0) + B0 = x - V (g V^H x - rb0)``."""
-        t = self.right @ x
-        if rb0 is not None:
-            t -= rb0
-        out = np.matmul(self.left, t, out=out)
+    def expand(self, x, w, out=None):
+        """``x - L w`` for a small ``(F, inner, k)`` product ``w``."""
+        out = np.matmul(self.left, w, out=out)
         return np.subtract(x, out, out=out)
+
+    def __call__(self, x, out=None, lb0=None):
+        """The apply ``x - L (g L^H x)``; with ``lb0 = L^H B0`` it is
+        ``R(x - B0) + B0 = x - L (g (L^H x - lb0))``."""
+        w = self.lh @ x
+        if lb0 is not None:
+            w -= lb0
+        w *= self.g
+        return self.expand(x, w, out)
 
 
 def _feasible(c, excluded, sums):
@@ -444,6 +465,44 @@ def solve_path(y, configs):
     return _path(yf, yf, d, ridge, configs, timings, None, (np.arange(n), np.arange(n)))
 
 
+def _step(ridge, a, u, la, lu, lb0, free, tau, row_tau, excluded):
+    """One ADMM iteration, with the ridge apply taken on its small side.
+
+    ``a`` is the iterate and ``u`` the scaled dual, ``la`` and ``lu`` their
+    ``(F, inner, k)`` products with ``L^H`` (``_RidgeInverse``), ``lb0`` that
+    of ``B0``, and ``free`` a pair of stacks that the step overwrites.  The
+    ridge update ``c = R(a - u - B0) + B0`` is ``(a - u) - L w`` with
+    ``w = g (la - lu - lb0)``, so ``v = c + u = a - L w`` takes one matmul and
+    one in-place subtract, and neither ``a - u`` nor ``c`` is formed.
+    ``kernels.scale_tubes`` splits ``v`` into the new iterate ``a' = t v`` and
+    the new dual ``u' = (1 - t) v = u + c - a'``.  The old ``a``'s buffer then
+    takes the step ``a - a'``, and the old ``u``'s the primal gap
+    ``u' - u = c - a'``, each in place; ``||c||^2`` is
+    ``||c - a'||^2 + 2 Re <c - a', a'> + ||a'||^2``, and ``L^H u'`` is
+    ``la - w - L^H a'``, since ``L^H L w = w``.
+
+    Returns ``(a', u', la', lu', free, squares)``: ``free`` is the old
+    ``(a, u)`` pair of buffers, the second holding ``c - a'``, and
+    ``squares`` is ``||a - a'||^2``, ``||c - a'||^2``, ``||c||^2``,
+    ``||a'||^2`` and ``||u'||^2``.
+    """
+    v, a_new = free
+    w = np.subtract(la, lu, out=lu)  # lu's buffer takes w, then L^H a'
+    w -= lb0
+    w *= ridge.g
+    ridge.expand(a, w, out=v)
+    a_sq, u_sq = kernels.scale_tubes(v, a_new, tau, row_tau, excluded)
+    step = np.subtract(a, a_new, out=a)
+    step_sq = kernels._sq_norm(step)
+    gap = np.subtract(v, u, out=u)
+    gap_sq = kernels._sq_norm(gap)
+    c_sq = gap_sq + 2.0 * kernels._re_dot(gap, a_new) + a_sq
+    lu_new = np.subtract(la, w, out=la)  # la's buffer takes L^H u'
+    la_new = np.matmul(ridge.lh, a_new, out=w)
+    lu_new -= la_new
+    return a_new, v, la_new, lu_new, (step, gap), (step_sq, gap_sq, c_sq, a_sq, u_sq)
+
+
 def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
     """The ADMM loop for the targets ``xf`` over ``yf``, run once per config on
     carried state.  ``B0`` is ``b0``, or the identity when ``b0`` is None; the
@@ -459,14 +518,13 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
     dtype = ridge.dtype
     a = np.zeros(shape, dtype=dtype)
     u = np.zeros(shape, dtype=dtype)
+    la = np.zeros((shape[0], ridge.inner, k), dtype=dtype)  # L^H a
+    lu = np.zeros_like(la)  # L^H u
+    # L^H B0 in weighted coordinates: the ridge's weights do not enter it
+    lb0 = ridge.lh * root_w if b0 is None else ridge.lh @ (root_w * b0)
+    lb0 = lb0.astype(dtype, copy=False)
     rho = _RHO_START
     floor = _SCALE_FLOOR * math.sqrt(n * k * d)
-
-    def folded():
-        """The right factor's product with ``B0`` in weighted coordinates, for
-        the ridge's current weights."""
-        rb0 = ridge.right * root_w if b0 is None else ridge.right @ (root_w * b0)
-        return rb0.astype(dtype, copy=False)
 
     for point, cfg in enumerate(configs):
         lam_g, lam_h = cfg.lambda_g, cfg.lambda_h
@@ -476,9 +534,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
             timings = {"fft": 0.0, "factor": time.perf_counter() - start}
 
         start = time.perf_counter()
-        rb0 = folded()
-        x = np.empty(shape, dtype=dtype)
-        c = np.empty(shape, dtype=dtype)
+        free = (np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype))
         rho_history = []
         primal_history = []
         dual_history = []
@@ -489,24 +545,16 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
         converged = False
         for iterations in range(1, cfg.max_iters + 1):
             rho_history.append(rho)
-            # c = rho (2 lam_g Y^H Y + rho I)^-1 (a - u - B0) + B0
-            np.subtract(a, u, out=x)
-            ridge(x, out=c, rb0=rb0)
-
-            np.add(c, u, out=x)  # shrunk in place into the new a
-            # ||a|| and ||u|| for the new a and u = (c + u) - a, from the tube norms
-            a_norm2, u_norm2 = kernels.scale_tubes(x, 1.0 / rho, lam_h / rho, excluded)
-            np.subtract(a, x, out=a)  # the old a's buffer takes the step, then c - a
-            s_norm = rho * math.sqrt(kernels._sq_norm(a))
-            a, x = x, a
-            np.subtract(c, a, out=x)
-            u += x
-            r_norm = math.sqrt(kernels._sq_norm(x))
+            a, u, la, lu, free, (step_sq, gap_sq, c_sq, a_sq, u_sq) = _step(
+                ridge, a, u, la, lu, lb0, free, 1.0 / rho, lam_h / rho, excluded
+            )
+            s_norm = rho * math.sqrt(step_sq)
+            r_norm = math.sqrt(gap_sq)
             primal_history.append(r_norm)
             dual_history.append(s_norm)
 
-            pri = floor + math.sqrt(max(kernels._sq_norm(c), a_norm2))
-            dual = floor + rho * math.sqrt(u_norm2)
+            pri = floor + math.sqrt(max(c_sq, a_sq))
+            dual = floor + rho * math.sqrt(u_sq)
             if iterations % _LOG_EVERY == 0:
                 _log.debug("iteration %d: r %.3e, s %.3e, rho %g", iterations, r_norm, s_norm, rho)
             if not changed and r_norm <= cfg.tol_rel * pri and s_norm <= cfg.tol_rel * dual:
@@ -523,19 +571,22 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
             if changed:
                 changes += 1
                 u *= rho / new_rho
+                lu *= rho / new_rho
                 rho = new_rho
                 ridge.set_rho(rho)
-                rb0 = folded()
         timings["iterate"] = time.perf_counter() - start
         _log.debug(
             "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
             point, lam_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
-        del x, rb0  # the finish's complex128 copy of c and W need their room
-        if point == len(configs) - 1:
-            del a, u  # no later point starts from them
 
         start = time.perf_counter()
+        # the finish's complex128 copy of c and W need the room of every
+        # other stack, and of the state too after the last point
+        c = np.add(free[1], a, out=free[1])  # (c - a') + a'
+        del free
+        if point == len(configs) - 1:
+            del a, u, la, lu, lb0  # no later point starts from them
         c = c.astype(np.complex128, copy=False)  # the finish runs in complex128
         _feasible(c, excluded, root_w if cfg.affine else None)
         objective = _objective(c, yf, root_w * xf, lam_g, lam_h)

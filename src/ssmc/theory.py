@@ -25,7 +25,7 @@ from .t_algebra import (
     _as_tensor3,
     _check_count,
     _faces,
-    _rescaled,
+    _pow2_scaled,
     _tube_cos,
     bcirc_singular_values,
     norm_f1,
@@ -263,17 +263,21 @@ def min_f1_representation(dictionary, x):
     same rule decides span membership: ``x`` is refused with ``ValueError``
     ('not in generated submodule') when the residual off those directions,
     ``||x_f - Y_f B0||`` over all faces, exceeds ``RANK_TOL`` times ``||x_f||``
-    over all faces.  Both norms are taken exactly at any scale, so scaling the
-    dictionary or the target changes no verdict.  The program is homogeneous
-    in ``x``, so it is solved for ``x / ||B0||`` and ``a`` is scaled back,
-    where ``||B0||`` is the largest modulus of its face entries, which neither
-    overflows nor underflows (a zero ``B0`` is left as it is).  The solver's
-    loop runs at ``lambda_g = inf`` from ``B0 / ||B0||``, on that already
-    normalized program, under the module's one ``_MIN_F1`` config
-    (``tol_rel = 1e-12``, at most 100000 iterations), so neither the target's
-    nor the dictionary's scale changes the iterations: from 1e-300 to 1e300
-    they are those of scale 1.  The residual histories are those of the
-    normalized program; ``report.objective`` is
+    over all faces.  All of this runs on the dictionary and the target each
+    divided by the power of two of its largest entry, which is exact, so
+    scaling either changes no verdict and no scale under- or overflows.  The
+    coefficients scale back by the ratio of those powers, and a target whose
+    coefficients would then leave float64's normal range (their largest
+    modulus above 1.8e308 or below 2.2e-308) is refused with ``ValueError``
+    before the loop runs.  The program is homogeneous in ``x``, so it is
+    solved for ``x / ||B0||``, where ``||B0||`` is the largest modulus of its
+    face entries (a zero ``B0`` is left as it is).  The solver's loop runs at
+    ``lambda_g = inf`` from ``B0 / ||B0||``, on that normalized program,
+    under the module's one ``_MIN_F1`` config (``tol_rel = 1e-12``, at most
+    100000 iterations), so neither the target's nor the dictionary's scale
+    changes the iterations: from 1e-300 to 1e300 they are those of scale 1.
+    The residual histories are those of the normalized program;
+    ``report.objective`` is
     ``||a||_F1 + ||x - dictionary * a||_F^2`` of the returned ``a``, in the
     caller's units, each norm exact at any scale.  Stopping at ``max_iters``
     first is not an error: the last iterate is returned and a
@@ -286,21 +290,32 @@ def min_f1_representation(dictionary, x):
         raise ValueError(f"target shape {x.shape} does not match ({h}, 1, {depth})")
 
     start = time.perf_counter()
-    yf, xf = _faces(dictionary), _faces(x)  # (F, h, m), (F, h, 1)
+    # exact: each operand's largest entry lands in [0.5, 1), and the
+    # coefficients scale back by 2^shift
+    (y_unit, y_exp), (x_unit, x_exp) = _pow2_scaled(dictionary), _pow2_scaled(x)
+    shift = x_exp.item() - y_exp.item()
+    yf, xf = _faces(y_unit), _faces(x_unit)  # (F, h, m), (F, h, 1)
     timings = {"fft": time.perf_counter() - start}
     start = time.perf_counter()
     ridge = _RidgeInverse(yf, np.inf)
     a0 = ridge.lstsq(xf)  # (F, m, 1)
-    off_span, norm_x = (_rescaled(np.linalg.norm, f.view(np.float64)) for f in (xf - yf @ a0, xf))
-    if off_span > RANK_TOL * norm_x:
+    if np.linalg.norm(xf - yf @ a0) > RANK_TOL * np.linalg.norm(xf):
         raise ValueError("not in generated submodule")
     # the program is homogeneous: solve it for x / ||B0||, then scale a back.
     # Any norm of degree 1 serves; the largest modulus has no squares to overflow
     scale = float(np.abs(a0).max()) or 1.0  # a zero B0 stays as it is
+    top = math.frexp(scale)[1] + shift  # the coefficients lie in [2^(top-1), 2^top)
+    if a0.any() and not -1021 <= top <= 1024:
+        raise ValueError(
+            f"the target's coefficients over this dictionary reach about "
+            f"1e{math.log10(scale) + shift * math.log10(2.0):.0f}, outside float64's "
+            f"normal range (largest entries: dictionary {np.abs(dictionary).max():.1e}, "
+            f"target {np.abs(x).max():.1e})"
+        )
     timings["factor"] = time.perf_counter() - start
     path = _path(yf, xf / scale, depth, ridge, [_MIN_F1], timings, a0 / scale, ([], []))
     a, report = next(path)
-    a *= scale
+    a = np.ldexp(a * scale, shift)
     resid = norm_fro(x - tprod(dictionary, a))
     report.objective = norm_f1(a) + resid * resid
     if not report.converged:

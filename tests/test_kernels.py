@@ -90,8 +90,8 @@ def test_scale_tubes_applies_group_shrink(even_depth):
     rng = np.random.default_rng(9)
     v = _weighted_faces(rng, (4, 5), 6 if even_depth else 5)
     tau = 1.6  # zeroes some tubes and shrinks the rest
-    out = v.copy()
-    kernels.scale_tubes(out, tau)
+    out = np.empty_like(v)
+    kernels.scale_tubes(v.copy(), out, tau)
     factor = _plain_shrink(_tube_norms(v), tau)
     assert 0 < (factor == 0).sum() < factor.size
     assert np.abs(out - v * factor).max() < 1e-14
@@ -100,11 +100,11 @@ def test_scale_tubes_applies_group_shrink(even_depth):
 def test_scale_tubes_edge_cases():
     rng = np.random.default_rng(10)
     v = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    out = v.copy()
-    kernels.scale_tubes(out, 0.0)
+    out = np.empty_like(v)
+    kernels.scale_tubes(v.copy(), out, 0.0)
     assert np.array_equal(out, v)
     big = 1.0 + _tube_norms(v).max()
-    kernels.scale_tubes(out, big)
+    kernels.scale_tubes(v.copy(), out, big)
     assert (out == 0).all()
 
 
@@ -148,9 +148,10 @@ def test_scale_tubes_returns_the_squared_norms_kept_and_taken(row_tau):
     v = rng.standard_normal((4, 4, 5)) + 1j * rng.standard_normal((4, 4, 5))
     v[:, 0] = 0.0
     v[:, 1] *= 1e-3
-    out = v.copy()
-    kept, taken = kernels.scale_tubes(out, 0.7, row_tau)
+    out, rest = np.empty_like(v), v.copy()
+    kept, taken = kernels.scale_tubes(rest, out, 0.7, row_tau)
     assert (out[:, :2] == 0).all()
+    assert np.abs(rest - (v - out)).max() < 1e-15 * np.abs(v).max()
     want_kept = _sq_total(out)
     want_taken = _sq_total(v - out)
     assert abs(kept - want_kept) < 1e-13 * want_kept
@@ -164,11 +165,12 @@ def test_scale_tubes_zeroes_the_excluded_tubes_before_the_row_stage(row_tau):
     rng = np.random.default_rng(15)
     v = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     diag = (np.arange(4), np.arange(4))
-    out = v.copy()
-    kept, taken = kernels.scale_tubes(out, 0.3, row_tau, diag)
-    want = v.copy()
-    want[:, diag[0], diag[1]] = 0.0
-    kernels.scale_tubes(want, 0.3, row_tau)
+    out = np.empty_like(v)
+    kept, taken = kernels.scale_tubes(v.copy(), out, 0.3, row_tau, diag)
+    zeroed = v.copy()
+    zeroed[:, diag[0], diag[1]] = 0.0
+    want = np.empty_like(v)
+    kernels.scale_tubes(zeroed, want, 0.3, row_tau)
     assert np.abs(out - want).max() < 1e-14
     assert (out[:, diag[0], diag[1]] == 0).all()
     assert abs(kept - _sq_total(out)) < 1e-13 * kept
@@ -181,8 +183,8 @@ def test_scale_tubes_row_stage_applies_group_shrink(even_depth):
     rng = np.random.default_rng(11)
     v = _weighted_faces(rng, (4, 6), 6 if even_depth else 5)
     tau = 5.5  # zeroes some rows and shrinks the rest
-    out = v.copy()
-    kernels.scale_tubes(out, 0.0, tau)  # the row stage alone
+    out = np.empty_like(v)
+    kernels.scale_tubes(v.copy(), out, 0.0, tau)  # the row stage alone
     factor = _plain_shrink(np.sqrt((np.abs(v) ** 2).sum(axis=(0, 2))), tau)
     assert 0 < (factor == 0).sum() < factor.size
     assert np.abs(out - v * factor[None, :, None]).max() < 1e-14

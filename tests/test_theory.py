@@ -545,6 +545,28 @@ def test_span_membership_does_not_depend_on_scale(d_scale, x_scale):
     assert ta.norm_fro(ta.tprod(dictionary, a / unit) - inside) <= 1e-12 * ta.norm_fro(inside)
 
 
+@pytest.mark.parametrize(
+    "d_scale,x_scale,coefficients",
+    [(1e-300, 1e200, "1e501"), (1e300, 1e-10, "1e-309"), (1e200, 1e-300, "1e-499")],
+)
+def test_coefficients_outside_the_normal_range_are_refused(d_scale, x_scale, coefficients):
+    # the in-span target's coefficients have the scale x_scale / d_scale: an
+    # overflow, a subnormal and an underflow to 0.  Each was an overflow
+    # warning from a divide or a refusal as "not in generated submodule"; now
+    # the refusal names the scales, and no warning escapes.  A target off the
+    # span is still refused as one
+    rng = np.random.default_rng(0)
+    dictionary = rng.standard_normal((4, 2, 5))
+    outside = rng.standard_normal((4, 1, 5))
+    inside = ta.tprod(dictionary, rng.standard_normal((2, 1, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"reach about {coefficients}, outside float64"):
+            min_f1_representation(d_scale * dictionary, x_scale * inside)
+        with pytest.raises(ValueError, match="not in generated submodule"):
+            min_f1_representation(d_scale * dictionary, x_scale * outside)
+
+
 @pytest.mark.parametrize("off_span,accepted", [(1e-12, True), (1e-8, False)])
 def test_span_membership_follows_the_rank_rule(off_span, accepted):
     # the dictionary spans the tensors on rows 0 and 1, so a part on rows 2
