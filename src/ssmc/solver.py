@@ -10,6 +10,7 @@ the unit tube) by ADMM carried out in the Fourier domain, where the tensor
 product splits into independent per-frequency matrix products.  The
 self-representation is ``x = y`` with the diagonal excluded;
 ``theory.min_f1_representation`` is one target, none excluded, ``lambda_g = inf``.
+Both enter through ``_fit``, the one entry point for targets over a dictionary.
 
 Splitting: one block, ``c = a``.  The ``c`` update is a per-face ridge solve
 that takes the fidelity; the ``a`` update is the prox of everything else,
@@ -142,6 +143,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -228,6 +230,13 @@ class SolverConfig:
         _check_count("max_iters", self.max_iters)
         if self.tol_rel < 0:
             raise ValueError("tolerances must be nonnegative")
+
+
+# The budget of the constrained program Y * c = X, which _fit runs when it is
+# given no configs (theory.min_f1_representation's).  Its ridge weighs the fit
+# inf and no objective is evaluated for it, so lambda_g here enters nothing;
+# tol_rel = 1e-12 runs the state in complex128.
+_CONSTRAINED = SolverConfig(lambda_g=1.0, max_iters=100000, tol_rel=1e-12)
 
 
 @dataclass
@@ -399,15 +408,16 @@ def _feasible(c, excluded, sums):
         c[tubes] = 0.0
 
 
-def _objective(c, yf, xw, lambda_g, lambda_h):
-    """The primal objective of a coefficient stack ``c`` in weighted coordinates,
-    for targets ``xw`` in the same coordinates: every norm is a plain one."""
+def _objective(yf, c, root_w, cfg):
+    """The self-representation's objective at ``cfg`` of a coefficient stack
+    ``c`` over the faces ``yf``, in the weighted coordinates that the face
+    weights' square roots ``root_w`` give: every norm is a plain one."""
     grp = kernels.tube_sq_norms(c)
     f1 = float(np.sqrt(grp).sum())
     ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
     resid = yf @ c
-    np.subtract(xw, resid, out=resid)
-    return f1 + lambda_h * ff1 + lambda_g * kernels._sq_norm(resid)
+    np.subtract(root_w * yf, resid, out=resid)
+    return f1 + cfg.lambda_h * ff1 + cfg.lambda_g * kernels._sq_norm(resid)
 
 
 def solve_self_representation(y, cfg):
@@ -447,22 +457,53 @@ def solve_path(y, configs):
         raise ValueError("need at least two samples")
     if not y.any():
         raise ValueError("input tensor is identically zero")
-    dtype = _state_dtype(cfg.tol_rel)
-    _check_memory(n, d, dtype)
+    _check_memory(n, d, _state_dtype(cfg.tol_rel))
     if cfg.normalize_columns:
         # exact, and keeps the squares in each column's norm in range
         y, _ = _pow2_scaled(y, axis=(0, 2))
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
     yf = _faces(y)
-    timings = {"fft": time.perf_counter() - start}
-
-    start = time.perf_counter()
     with np.errstate(over="ignore"):  # an overflow is refused by _check_scale
-        ridge = _RidgeInverse(yf, cfg.lambda_g, affine=cfg.affine, dtype=dtype)
-        _check_scale(y, ridge.s, max(other.lambda_g for other in configs))
+        s, _, path = _fit(yf, yf, d, configs, True, start, partial(_objective, yf))
+        _check_scale(y, s, max(other.lambda_g for other in configs))
+    return path
+
+
+def _fit(yf, xf, d, configs, exclude_diagonal, start, objective=None):
+    """The one entry point for targets ``xf`` over a dictionary ``yf``, face
+    stacks of depth-``d`` tensors, solved at each of ``configs`` as one path.
+
+    With ``exclude_diagonal`` the diagonal tubes are held at 0 and ``B0`` is
+    the identity: the self-representation, whose ``xf`` is ``yf``.  Otherwise
+    no tube is held and ``B0`` is the ridge's ``lstsq`` start.  ``configs``
+    None is the constrained program ``Y * c = X``, ``lambda_g = inf``, which
+    ``SolverConfig`` refuses: it runs under ``_CONSTRAINED``'s budget.  The
+    first config's ``tol_rel`` sets the dtype of the ridge and of the state
+    (``_state_dtype``).  At a finite ``lambda_g`` the ridge's weights
+    overflow for data whose scale ``_check_scale`` refuses, so such a caller
+    calls this under ``np.errstate(over="ignore")`` and refuses there, as
+    ``solve_path`` does.  ``start`` is the ``time.perf_counter`` reading at
+    which the caller began its input checks, the ``fft`` timing's start.
+    ``objective(c, root_w, cfg)``, when given, is each report's objective,
+    taken of the finished coefficients in weighted coordinates; without it
+    the report's objective is None and no objective is evaluated.
+
+    Returns ``(s, b0, path)``: the ridge's kept singular values, ``B0`` (None
+    for the identity) and the generator of ``(w, report)`` per config that
+    ``solve_path`` describes.  The SVD and ``B0`` are taken here; the loop
+    reads ``B0`` when the generator is first advanced, so a caller can refuse
+    the input or rescale ``B0`` in place before that.
+    """
+    timings = {"fft": time.perf_counter() - start}
+    start = time.perf_counter()
+    cfg = configs[0] if configs else _CONSTRAINED
+    weight = cfg.lambda_g if configs else np.inf
+    ridge = _RidgeInverse(yf, weight, cfg.affine, _state_dtype(cfg.tol_rel))
+    b0 = None if exclude_diagonal else ridge.lstsq(xf)
+    excluded = (np.arange(yf.shape[2]),) * 2 if exclude_diagonal else ([], [])
     timings["factor"] = time.perf_counter() - start
-    return _path(yf, yf, d, ridge, configs, timings, None, (np.arange(n), np.arange(n)))
+    return ridge.s, b0, _path(d, ridge, configs or [cfg], timings, b0, excluded, objective)
 
 
 def _step(ridge, a, u, la, lu, lb0, free, tau, row_tau, excluded):
@@ -503,18 +544,19 @@ def _step(ridge, a, u, la, lu, lb0, free, tau, row_tau, excluded):
     return a_new, v, la_new, lu_new, (step, gap), (step_sq, gap_sq, c_sq, a_sq, u_sq)
 
 
-def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
-    """The ADMM loop for the targets ``xf`` over ``yf``, run once per config on
-    carried state.  ``B0`` is ``b0``, or the identity when ``b0`` is None; the
-    tubes at the ``(rows, cols)`` index arrays ``excluded`` are held at 0.
-    ``ridge`` is weighted for the first config's ``lambda_g`` at
-    ``_RHO_START``, where every path starts, and its dtype is that of the
-    state.  The state and the complex128 finish run in weighted coordinates
-    ``sqrt(w_f) x_f``: ``B0`` is weighted for the loop and the targets for the
-    objective, and ``c`` is unweighted once, for the inverse rFFT."""
-    n, k = yf.shape[2], xf.shape[2]
+def _path(d, ridge, configs, timings, b0, excluded, objective):
+    """``_fit``'s ADMM loop, run once per config on carried state.  ``B0`` is
+    ``b0``, or the identity when ``b0`` is None; the tubes at the
+    ``(rows, cols)`` index arrays ``excluded`` are held at 0.  ``ridge`` is
+    weighted for the first config's ``lambda_g`` at ``_RHO_START``, where
+    every path starts, and its dtype is that of the state.  The state and the
+    complex128 finish run in weighted coordinates ``sqrt(w_f) x_f``: ``B0`` is
+    weighted for the loop, ``objective`` takes ``c`` in them, and ``c`` is
+    unweighted once, for the inverse rFFT."""
+    faces, _, n = ridge.lh.shape
+    k = n if b0 is None else b0.shape[2]
     root_w = np.sqrt(_face_weights(d))[:, None, None]
-    shape = (root_w.shape[0], n, k)
+    shape = (faces, n, k)
     dtype = ridge.dtype
     a = np.zeros(shape, dtype=dtype)
     u = np.zeros(shape, dtype=dtype)
@@ -527,17 +569,14 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
     floor = _SCALE_FLOOR * math.sqrt(n * k * d)
 
     for point, cfg in enumerate(configs):
-        lam_g, lam_h = cfg.lambda_g, cfg.lambda_h
         if point:
             start = time.perf_counter()
-            ridge.set_lambda_g(lam_g, rho)
+            ridge.set_lambda_g(cfg.lambda_g, rho)
             timings = {"fft": 0.0, "factor": time.perf_counter() - start}
 
         start = time.perf_counter()
         free = (np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype))
-        rho_history = []
-        primal_history = []
-        dual_history = []
+        rho_history, primal_history, dual_history = [], [], []
         # the first step after a change of lambda_g or rho is not tested: its
         # dual residual measures a step taken under two programs
         changed = point > 0
@@ -546,7 +585,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
         for iterations in range(1, cfg.max_iters + 1):
             rho_history.append(rho)
             a, u, la, lu, free, (step_sq, gap_sq, c_sq, a_sq, u_sq) = _step(
-                ridge, a, u, la, lu, lb0, free, 1.0 / rho, lam_h / rho, excluded
+                ridge, a, u, la, lu, lb0, free, 1.0 / rho, cfg.lambda_h / rho, excluded
             )
             s_norm = rho * math.sqrt(step_sq)
             r_norm = math.sqrt(gap_sq)
@@ -577,7 +616,7 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
         timings["iterate"] = time.perf_counter() - start
         _log.debug(
             "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
-            point, lam_g, dtype.name, ridge.inner, iterations, converged,
+            point, cfg.lambda_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
 
         start = time.perf_counter()
@@ -589,14 +628,14 @@ def _path(yf, xf, d, ridge, configs, timings, b0, excluded):
             del a, u, la, lu, lb0  # no later point starts from them
         c = c.astype(np.complex128, copy=False)  # the finish runs in complex128
         _feasible(c, excluded, root_w if cfg.affine else None)
-        objective = _objective(c, yf, root_w * xf, lam_g, lam_h)
+        score = objective(c, root_w, cfg) if objective else None
         c /= root_w  # out of weighted coordinates; c is not used again
         w = _from_faces(c, d)
         del c
         timings["finalize"] = time.perf_counter() - start
         yield w, SolverReport(
             iterations=iterations,
-            objective=objective,
+            objective=score,
             converged=converged,
             rho_history=rho_history,
             primal_history=primal_history,

@@ -6,8 +6,13 @@ slice collection generates a submodule, estimates the angular coherence
 between two sampled submodules from random combinations of each side's
 generators (drawn and scored a block of trials at a time), evaluates the
 sufficient recovery condition that compares coherence against
-block-circulant singular values, and, on the solver's ADMM loop, finds
-minimum-F1-norm representations over a dictionary.
+block-circulant singular values, and finds minimum-F1-norm representations
+over a dictionary.  That program is the solver's: it enters through
+``solver._fit``, the one entry point for targets over a dictionary, which
+the self-representation also takes.  This module keeps only what is the
+program's own: the operand checks, the exact power-of-two rescaling and
+the span test of the start, the objective in the caller's units and the
+warning when the loop stops unconverged.
 """
 
 import itertools
@@ -20,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 # RANK_TOL is re-exported: theory.RANK_TOL names the rank rule's tolerance
-from .solver import RANK_TOL, SolverConfig, _nonzero, _path, _RidgeInverse
+from .solver import RANK_TOL, _fit, _nonzero
 from .t_algebra import (
     _as_tensor3,
     _check_count,
@@ -46,9 +51,6 @@ SUBTENSOR_BUDGET = 200
 # combination entries (trials x h x depth) that coherence scores at once:
 # about 10 MB of working arrays at any image size
 _BLOCK_ENTRIES = 2**18
-# min_f1_representation's loop: the ridge holds lambda_g = inf, so lambda_g
-# here weighs only the path's own objective, which the caller's replaces
-_MIN_F1 = SolverConfig(lambda_g=1.0, max_iters=100000, tol_rel=1e-12)
 
 
 def _as_generators(y, finite=False):
@@ -125,6 +127,13 @@ def is_generating_set(y):
     return bool(_nonzero(np.linalg.svd(_faces(y), compute_uv=False)).all())
 
 
+def _check_alike(si, sj):
+    """Refuse two samples whose generators differ in height or depth."""
+    if si.generators.shape[::2] != sj.generators.shape[::2]:
+        shapes = f"{si.generators.shape} and {sj.generators.shape}"
+        raise ValueError(f"sample shape mismatch: generators {shapes} differ in height or depth")
+
+
 def coherence(si, sj, trials, seed):
     """Monte-Carlo lower bound on the angular coherence of two submodules.
 
@@ -140,11 +149,12 @@ def coherence(si, sj, trials, seed):
     bound on the supremum over the full submodules, and is reported as such.
     The estimate does not depend on the generators' scale: ``_tube_cos``
     divides each combination by a power of two, which is exact.  ``ValueError``
-    is raised for generators of another height or depth than the other
-    side's, and for a zero combination, which only all-zero generators
-    produce.
+    is raised, naming both generator shapes, for generators of another
+    height or depth than the other side's, and for a zero combination,
+    which only all-zero generators produce.
     """
     _check_count("trials", trials)
+    _check_alike(si, sj)
     gi, gj = si.generators, sj.generators
     h, d_i, depth = gi.shape
     block = max(1, _BLOCK_ENTRIES // (h * depth))
@@ -194,8 +204,10 @@ def theorem3_check(
     report carries ``rhs = 0``, ``holds = False`` and
     ``rank_deficient = True``.  ``ValueError`` is raised for empty ``data``,
     an ``i`` outside it, a ``subtensor_budget`` or ``coherence_trials`` that
-    is not an integer of at least 1, and a cluster ``i`` with no points or
-    fewer points than its submodular dimension.
+    is not an integer of at least 1, a cluster ``i`` with no points or
+    fewer points than its submodular dimension, and, before any coherence
+    trial, a sample whose generators differ from cluster ``i``'s in height
+    or depth (the message names both shapes).
     """
     if not data:
         raise ValueError("need at least one submodule sample")
@@ -211,11 +223,12 @@ def theorem3_check(
     if d_i > m_i:
         raise ValueError(f"submodular dimension {d_i} exceeds point count {m_i}")
 
-    coherence_max = 0.0
-    for j, sj in enumerate(data):
-        if j == i:
-            continue
-        coherence_max = max(coherence_max, coherence(si, sj, coherence_trials, [seed, j]))
+    for sj in data:
+        _check_alike(si, sj)
+    coherence_max = max(
+        (coherence(si, sj, coherence_trials, [seed, j]) for j, sj in enumerate(data) if j != i),
+        default=0.0,
+    )
 
     rest = [_linear_points(sj) for j, sj in enumerate(data) if j != i]
     if rest:
@@ -254,38 +267,42 @@ def min_f1_representation(dictionary, x):
 
     ``dictionary`` is ``(h, m, depth)``, ``x`` an ``(h, 1, depth)`` oriented
     matrix; returns ``(a, report)``, the ``(m, 1, depth)`` coefficient tensor
-    and its ``SolverReport``.  Non-finite input raises ``ValueError``.  The
-    dictionary's faces take one SVD, which serves both the start and the
-    loop.  The start ``B0`` is ``pinv(dictionary) x`` face by face over the
-    directions that the package's one rank rule (``solver._nonzero``) keeps,
-    the same ones the loop's null-space projector keeps, so a face at
-    round-off relative to the whole dictionary adds nothing to ``B0``.  The
-    same rule decides span membership: ``x`` is refused with ``ValueError``
-    ('not in generated submodule') when the residual off those directions,
-    ``||x_f - Y_f B0||`` over all faces, exceeds ``RANK_TOL`` times ``||x_f||``
-    over all faces.  All of this runs on the dictionary and the target each
-    divided by the power of two of its largest entry, which is exact, so
-    scaling either changes no verdict and no scale under- or overflows.  The
-    coefficients scale back by the ratio of those powers, and a target whose
-    coefficients would then leave float64's normal range (their largest
-    modulus above 1.8e308 or below 2.2e-308) is refused with ``ValueError``
-    before the loop runs.  The program is homogeneous in ``x``, so it is
-    solved for ``x / ||B0||``, where ``||B0||`` is the largest modulus of its
-    face entries (a zero ``B0`` is left as it is).  The solver's loop runs at
-    ``lambda_g = inf`` from ``B0 / ||B0||``, on that normalized program,
-    under the module's one ``_MIN_F1`` config (``tol_rel = 1e-12``, at most
+    and its ``SolverReport``.  Non-finite input and a dictionary with no
+    lateral slice raise ``ValueError``.  The program enters the solver
+    through ``solver._fit`` at ``lambda_g = inf``, where the dictionary's
+    faces take one SVD, which serves both the start and the loop.  The start
+    ``B0`` is ``pinv(dictionary) x`` face by face over the directions that
+    the package's one rank rule (``solver._nonzero``) keeps, the same ones
+    the loop's null-space projector keeps, so a face at round-off relative to
+    the whole dictionary adds nothing to ``B0``.  The same rule decides span
+    membership: ``x`` is refused with ``ValueError`` ('not in generated
+    submodule') when the residual off those directions, ``||x_f - Y_f B0||``
+    over all faces, exceeds ``RANK_TOL`` times ``||x_f||`` over all faces.
+    All of this runs on the dictionary and the target each divided by the
+    power of two of its largest entry, which is exact, so scaling either
+    changes no verdict and no scale under- or overflows.  The coefficients
+    scale back by the ratio of those powers, and a target whose coefficients
+    would then leave float64's normal range (their largest modulus above
+    1.8e308 or below 2.2e-308) is refused with ``ValueError`` before the
+    loop runs.  The program is homogeneous in ``x``, so it is solved for
+    ``x / ||B0||``, where ``||B0||`` is the largest modulus of its face
+    entries (a zero ``B0`` is left as it is).  The solver's loop runs from
+    ``B0 / ||B0||``, on that normalized program, under the solver's one
+    budget for it, ``solver._CONSTRAINED`` (``tol_rel = 1e-12``, at most
     100000 iterations), so neither the target's nor the dictionary's scale
     changes the iterations: from 1e-300 to 1e300 they are those of scale 1.
     The residual histories are those of the normalized program;
-    ``report.objective`` is
-    ``||a||_F1 + ||x - dictionary * a||_F^2`` of the returned ``a``, in the
-    caller's units, each norm exact at any scale.  Stopping at ``max_iters``
-    first is not an error: the last iterate is returned and a
+    ``report.objective`` is ``||a||_F1 + ||x - dictionary * a||_F^2`` of the
+    returned ``a``, in the caller's units, each norm exact at any scale, and
+    the solver evaluates no objective of its own for it.  Stopping at
+    ``max_iters`` first is not an error: the last iterate is returned and a
     ``RuntimeWarning`` says so.
     """
     dictionary = _as_tensor3(dictionary, "dictionary", finite=True)
     x = _as_tensor3(x, "target", finite=True)
-    h, _, depth = dictionary.shape
+    h, m, depth = dictionary.shape
+    if m < 1:
+        raise ValueError(f"dictionary {dictionary.shape} holds no lateral slice")
     if x.shape != (h, 1, depth):
         raise ValueError(f"target shape {x.shape} does not match ({h}, 1, {depth})")
 
@@ -295,10 +312,7 @@ def min_f1_representation(dictionary, x):
     (y_unit, y_exp), (x_unit, x_exp) = _pow2_scaled(dictionary), _pow2_scaled(x)
     shift = x_exp.item() - y_exp.item()
     yf, xf = _faces(y_unit), _faces(x_unit)  # (F, h, m), (F, h, 1)
-    timings = {"fft": time.perf_counter() - start}
-    start = time.perf_counter()
-    ridge = _RidgeInverse(yf, np.inf)
-    a0 = ridge.lstsq(xf)  # (F, m, 1)
+    _, a0, path = _fit(yf, xf, depth, None, False, start)  # a0: B0, (F, m, 1)
     if np.linalg.norm(xf - yf @ a0) > RANK_TOL * np.linalg.norm(xf):
         raise ValueError("not in generated submodule")
     # the program is homogeneous: solve it for x / ||B0||, then scale a back.
@@ -312,15 +326,14 @@ def min_f1_representation(dictionary, x):
             f"normal range (largest entries: dictionary {np.abs(dictionary).max():.1e}, "
             f"target {np.abs(x).max():.1e})"
         )
-    timings["factor"] = time.perf_counter() - start
-    path = _path(yf, xf / scale, depth, ridge, [_MIN_F1], timings, a0 / scale, ([], []))
+    a0 /= scale  # in place: the loop reads B0 when the path first advances
     a, report = next(path)
     a = np.ldexp(a * scale, shift)
     resid = norm_fro(x - tprod(dictionary, a))
     report.objective = norm_f1(a) + resid * resid
     if not report.converged:
         warnings.warn(
-            f"min_f1_representation stopped at max_iters={_MIN_F1.max_iters} without converging",
+            f"min_f1_representation stopped at max_iters={report.iterations} without converging",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 
 import oracles
 from ssmc import t_algebra as ta
-from ssmc import theory
+from ssmc import solver, theory
 from ssmc.data import SynthSpec, generate_submodules
 from ssmc.solver import _RidgeInverse
 from ssmc.theory import (
@@ -482,6 +483,15 @@ def test_theorem3_validates_arguments():
     empty = SubmoduleSample(generators=a.generators, points=np.zeros((5, 0, 3)))
     with pytest.raises(ValueError, match="cluster has no points"):
         theorem3_check([empty, a], 0)
+    # samples of another height or depth are refused before any coherence
+    # trial, naming both generator shapes, not the trial-stacked operands
+    for shape in ((4, 2, 3), (5, 2, 4)):
+        other = _sample(rng.standard_normal(shape), 4, rng)
+        both = re.escape(f"generators (5, 2, 3) and {shape} differ in height or depth")
+        with pytest.raises(ValueError, match=both):
+            theorem3_check([a, other], 0)
+        with pytest.raises(ValueError, match=both):
+            theorem3_check([a, a, other], 1)
     # one cluster: no coherence is estimated, so only the checker can refuse
     with pytest.raises(ValueError, match="subtensor_budget must be at least 1, got 0"):
         theorem3_check([a], 0, subtensor_budget=0)
@@ -585,6 +595,35 @@ def test_span_membership_follows_the_rank_rule(off_span, accepted):
     else:
         with pytest.raises(ValueError, match="not in generated submodule"):
             min_f1_representation(dictionary, x)
+
+
+@pytest.mark.parametrize("target", ["zero", "nonzero"])
+def test_empty_dictionary_is_refused(target):
+    # m = 0 used to divide by zero in the ridge, then refuse a nonzero target
+    # as "not in generated submodule" and fail inside numpy on a zero one
+    x = np.zeros((4, 1, 3)) if target == "zero" else np.ones((4, 1, 3))
+    with pytest.raises(ValueError, match=re.escape("dictionary (4, 0, 3) holds no lateral slice")):
+        min_f1_representation(np.zeros((4, 0, 3)), x)
+
+
+def test_min_f1_evaluates_no_self_representation_objective(monkeypatch):
+    # the objective of the constrained program is the caller's, in its units;
+    # the solver's penalized objective used to be evaluated and then discarded
+    calls = []
+
+    def spy(*args):
+        calls.append(objective(*args))
+        return calls[-1]
+
+    objective = solver._objective
+    monkeypatch.setattr(solver, "_objective", spy)
+    rng = np.random.default_rng(19)
+    dictionary = rng.standard_normal((4, 6, 3))
+    x = ta.tprod(dictionary, rng.standard_normal((6, 1, 3)))
+    _, report = min_f1_representation(dictionary, x)
+    assert report.converged and calls == []
+    _, report = solver.solve_self_representation(dictionary, solver.SolverConfig(lambda_g=1.0))
+    assert calls == [report.objective]
 
 
 def test_target_shape_is_validated():
@@ -713,7 +752,8 @@ def test_min_f1_warns_when_it_stops_unconverged(monkeypatch):
     rng = np.random.default_rng(15)
     dictionary = rng.standard_normal((4, 6, 5))
     x = ta.tprod(dictionary, rng.standard_normal((6, 1, 5)))
-    monkeypatch.setattr(theory, "_MIN_F1", dataclasses.replace(theory._MIN_F1, max_iters=1))
+    budget = dataclasses.replace(solver._CONSTRAINED, max_iters=1)
+    monkeypatch.setattr(solver, "_CONSTRAINED", budget)
     with pytest.warns(RuntimeWarning, match="stopped at max_iters=1 without converging"):
         a, _ = min_f1_representation(dictionary, x)
     assert a.shape == (6, 1, 5)
