@@ -275,7 +275,14 @@ def _cluster_payload(tensor, truth, cfg, k, seed):
     return payload, affinity
 
 
+def _check_apart(out, other, clash):
+    """Refuse a second output path ``other`` that names the file ``--out`` names."""
+    if out and other and os.path.abspath(other) == os.path.abspath(out):
+        raise ParameterError(f"--out {out!r} {clash}")
+
+
 def cmd_cluster(args):
+    _check_apart(args.out, args.affinity_out, "would overwrite --affinity-out")
     cfg = _solver_config(args)
     tensor, truth = _load_input(args)
     payload, affinity = _cluster_payload(tensor, truth, cfg, args.k, args.seed)
@@ -290,8 +297,7 @@ def cmd_sweep(args):
     csv_path = None
     if args.out:
         csv_path = os.path.splitext(args.out)[0] + ".csv"
-        if csv_path == args.out:
-            raise ParameterError(f"--out {args.out!r} would be overwritten by the sweep's CSV")
+        _check_apart(args.out, csv_path, "would be overwritten by the sweep's CSV")
     base = _solver_config(args)
     configs = [replace(base, lambda_g=lam) for lam in args.grid]
     tensor, truth = _load_input(args)

@@ -10,7 +10,9 @@ the unit tube) by ADMM carried out in the Fourier domain, where the tensor
 product splits into independent per-frequency matrix products.  The
 self-representation is ``x = y`` with the diagonal excluded;
 ``theory.min_f1_representation`` is one target, none excluded, ``lambda_g = inf``.
-Both enter through ``_fit``, the one entry point for targets over a dictionary.
+Both enter through ``_fit``, the one entry point for targets over a dictionary,
+which takes the path's ``lambda_g`` values as a list of weights: ``inf`` is
+one more value on it, which ``SolverConfig`` does not take.
 
 Splitting: one block, ``c = a``.  The ``c`` update is a per-face ridge solve
 that takes the fidelity; the ``a`` update is the prox of everything else,
@@ -104,7 +106,11 @@ A grid of ``lambda_g`` values is solved as one path (``solve_path``; Friedman,
 Hastie & Tibshirani 2010, *Regularization paths for GLMs via coordinate
 descent*).  The ridge inverse depends on ``lambda_g`` only through
 ``2 lambda_g s^2``, so the input checks, the rFFT and the SVD run once per
-path, and a new ``lambda_g`` re-weights ``g`` as a new ``rho`` does.  Each
+path, and the SVD holds no weight: each point weighs ``g`` for its
+``lambda_g`` when it starts, the first included, and again for each new
+``rho``.  So no weight exists before the path first advances, and
+``solve_path`` refuses data whose scale would overflow one (``_check_scale``)
+on the SVD alone.  Each
 point after the first starts from the previous point's ``a``, ``u`` and
 ``rho``; ``u`` is kept as it is, since ``rho`` is carried.  The first
 iteration after a change of ``lambda_g`` is not tested for convergence either,
@@ -232,9 +238,9 @@ class SolverConfig:
             raise ValueError("tolerances must be nonnegative")
 
 
-# The budget of the constrained program Y * c = X, which _fit runs when it is
-# given no configs (theory.min_f1_representation's).  Its ridge weighs the fit
-# inf and no objective is evaluated for it, so lambda_g here enters nothing;
+# The budget of the constrained program Y * c = X, which theory's
+# min_f1_representation passes to _fit with the one weight inf.  _fit reads its
+# weights from that list, never from a config, so lambda_g here enters nothing;
 # tol_rel = 1e-12 runs the state in complex128.
 _CONSTRAINED = SolverConfig(lambda_g=1.0, max_iters=100000, tol_rel=1e-12)
 
@@ -245,11 +251,11 @@ class SolverReport:
 
     ``timings`` holds the seconds spent in each stage of the solve, from
     ``time.perf_counter``: ``fft`` (input checks and the depth rFFT),
-    ``factor`` (the per-face SVD), ``iterate`` (the ADMM loop) and
-    ``finalize`` (the feasible projection, the objective and the inverse
-    rFFT).  On the points of a path after the first, which reuse the first
-    point's rFFT and SVD, ``fft`` is 0 and ``factor`` is the re-weighting of
-    the stored SVD for the new ``lambda_g``.  ``rho_history`` holds the
+    ``factor`` (the per-face SVD and the ridge's weighing for the point's
+    ``lambda_g``), ``iterate`` (the ADMM loop) and ``finalize`` (the
+    feasible projection, the objective and the inverse rFFT).  On the points
+    of a path after the first, which reuse the first point's rFFT and SVD,
+    ``fft`` is 0 and ``factor`` is the weighing alone.  ``rho_history`` holds the
     penalty in force at each iteration (1 on a path's first iteration, then
     carried from point to point), and ``primal_history`` and ``dual_history``
     the residuals ``r`` and ``s`` of each iteration; each has one entry per
@@ -284,8 +290,9 @@ def _check_memory(n, d, dtype):
 def _check_scale(y, s, lambda_g):
     """Refuse data whose fidelity ``lambda_g ||Y||^2`` or largest ridge weight
     ``2 lambda_g s^2`` overflows at the path's largest ``lambda_g``."""
-    fidelity = lambda_g * float(np.vdot(y, y))
-    weight = 2.0 * lambda_g * np.max(s, initial=0.0) ** 2
+    with np.errstate(over="ignore"):  # refused just below
+        fidelity = lambda_g * float(np.vdot(y, y))
+        weight = 2.0 * lambda_g * np.max(s, initial=0.0) ** 2
     if not np.isfinite([fidelity, weight]).all():
         raise ValueError(
             f"the input's scale overflows float64 at lambda_g={lambda_g:g}: "
@@ -312,7 +319,7 @@ class _RidgeInverse:
     ``yf`` is the ``(F, h, n)`` face stack.  With the thin SVD
     ``Y_f = U diag(s) V^H`` (``s`` that ``_nonzero`` refuses taken as 0) this is
     ``x - V (g V^H x)``, where ``g = 1 - rho / (2 lambda_g s^2 + rho)``, 0 or 1
-    at ``lambda_g = inf`` (which ``SolverConfig`` refuses); there every kept
+    at ``lambda_g = inf`` (min-F1's weight); there every kept
     direction weighs ``inf`` with no square of ``s`` taken, so no scale of
     ``Y`` under- or overflows its weight.  A direction cut as 0 has ``g = 0``
     at every ``lambda_g`` and ``rho``, so the factors hold only the kept ones:
@@ -334,10 +341,10 @@ class _RidgeInverse:
     stack.  The nonzero columns of ``L`` are orthonormal, so ``L^H L w = w``
     for every ``w`` that is 0 where they are, and the ADMM loop carries the
     small products ``L^H a`` and ``L^H u`` of its state in place of the
-    differences ``a - u`` and ``c`` (``_step``).  ``set_rho`` re-weights
-    ``g`` for a new ``rho`` from the stored SVD, and ``set_lambda_g`` for a new
-    ``lambda_g``; a new instance is weighted at ``_RHO_START``, where every
-    path starts.  ``lstsq`` applies ``pinv(Y_f)`` over the kept directions,
+    differences ``a - u`` and ``c`` (``_step``).  An instance holds only the
+    SVD's factors; ``weigh(lambda_g, rho)`` forms ``g`` from them, for any
+    ``lambda_g`` and ``rho``, and must be called before the first apply.
+    ``lstsq`` applies ``pinv(Y_f)`` over the kept directions,
     from the same SVD (``uh`` holds the rows of ``U^H`` for them), so a start
     ``B0`` taken from it lies in the span that the apply keeps by
     construction; at ``lambda_g = inf`` the apply is the projector
@@ -346,10 +353,10 @@ class _RidgeInverse:
     The SVD is taken in complex128, and ``s`` and ``U^H`` are kept in it;
     ``L``, ``L^H`` and ``g`` are held in ``dtype``, the precision of the ADMM
     state that the apply serves (``_state_dtype``), and its real counterpart,
-    and ``g`` is cast on every re-weighting.  ``lstsq`` runs in ``dtype``.
+    and ``g`` is cast on every weighing.  ``lstsq`` runs in ``dtype``.
     """
 
-    def __init__(self, yf, lambda_g, affine=False, dtype=np.complex128):
+    def __init__(self, yf, affine=False, dtype=np.complex128):
         faces, _, n = yf.shape
         if affine:
             yf = yf - yf.mean(axis=2, keepdims=True)
@@ -365,17 +372,14 @@ class _RidgeInverse:
         self.lh[:, r:] = 1.0 / np.sqrt(n)
         self.left = np.ascontiguousarray(np.conj(np.swapaxes(self.lh, 1, 2)))
         self.g = np.ones((faces, inner, 1), dtype=np.finfo(self.dtype).dtype)
-        self.set_lambda_g(lambda_g, _RHO_START)
 
-    def set_lambda_g(self, lambda_g, rho):
+    def weigh(self, lambda_g, rho):
+        """Form ``g`` for ``lambda_g`` and ``rho`` from the stored SVD."""
         # at lambda_g = inf a kept direction weighs inf, even where s^2 underflows
         s2 = np.inf if lambda_g == np.inf else 2.0 * lambda_g * self.s**2
-        self.s2 = np.where(self.kept, s2, 0.0)
-        self.set_rho(rho)
-
-    def set_rho(self, rho):
+        s2 = np.where(self.kept, s2, 0.0)
         # 1 at s2 = inf, where s2 / (s2 + rho) is nan; the affine column keeps 1
-        self.g[:, : self.rank, 0] = 1.0 - rho / (self.s2 + rho)
+        self.g[:, : self.rank, 0] = 1.0 - rho / (s2 + rho)
 
     def lstsq(self, x):
         """``pinv(Y_f) x_f`` on every face, over the kept directions only."""
@@ -408,16 +412,17 @@ def _feasible(c, excluded, sums):
         c[tubes] = 0.0
 
 
-def _objective(yf, c, root_w, cfg):
-    """The self-representation's objective at ``cfg`` of a coefficient stack
-    ``c`` over the faces ``yf``, in the weighted coordinates that the face
-    weights' square roots ``root_w`` give: every norm is a plain one."""
+def _objective(yf, lambda_h, c, root_w, lambda_g):
+    """The self-representation's objective at ``lambda_h`` and ``lambda_g`` of
+    a coefficient stack ``c`` over the faces ``yf``, in the weighted
+    coordinates that the face weights' square roots ``root_w`` give: every
+    norm is a plain one."""
     grp = kernels.tube_sq_norms(c)
     f1 = float(np.sqrt(grp).sum())
     ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
     resid = yf @ c
     np.subtract(root_w * yf, resid, out=resid)
-    return f1 + cfg.lambda_h * ff1 + cfg.lambda_g * kernels._sq_norm(resid)
+    return f1 + lambda_h * ff1 + lambda_g * kernels._sq_norm(resid)
 
 
 def solve_self_representation(y, cfg):
@@ -464,46 +469,46 @@ def solve_path(y, configs):
         scale = np.sqrt((y * y).sum(axis=(0, 2)))
         y = y / np.where(scale > 0, scale, 1.0)[None, :, None]
     yf = _faces(y)
-    with np.errstate(over="ignore"):  # an overflow is refused by _check_scale
-        s, _, path = _fit(yf, yf, d, configs, True, start, partial(_objective, yf))
-        _check_scale(y, s, max(other.lambda_g for other in configs))
+    weights = [other.lambda_g for other in configs]
+    s, _, path = _fit(yf, yf, d, cfg, weights, True, start, partial(_objective, yf, cfg.lambda_h))
+    _check_scale(y, s, max(weights))
     return path
 
 
-def _fit(yf, xf, d, configs, exclude_diagonal, start, objective=None):
+def _fit(yf, xf, d, cfg, weights, exclude_diagonal, start, objective=None):
     """The one entry point for targets ``xf`` over a dictionary ``yf``, face
-    stacks of depth-``d`` tensors, solved at each of ``configs`` as one path.
+    stacks of depth-``d`` tensors, solved at each fidelity weight ``lambda_g``
+    of ``weights`` in turn as one path, under ``cfg``'s other fields.
 
     With ``exclude_diagonal`` the diagonal tubes are held at 0 and ``B0`` is
     the identity: the self-representation, whose ``xf`` is ``yf``.  Otherwise
-    no tube is held and ``B0`` is the ridge's ``lstsq`` start.  ``configs``
-    None is the constrained program ``Y * c = X``, ``lambda_g = inf``, which
-    ``SolverConfig`` refuses: it runs under ``_CONSTRAINED``'s budget.  The
-    first config's ``tol_rel`` sets the dtype of the ridge and of the state
-    (``_state_dtype``).  At a finite ``lambda_g`` the ridge's weights
-    overflow for data whose scale ``_check_scale`` refuses, so such a caller
-    calls this under ``np.errstate(over="ignore")`` and refuses there, as
-    ``solve_path`` does.  ``start`` is the ``time.perf_counter`` reading at
+    no tube is held and ``B0`` is the ridge's ``lstsq`` start.  A weight is
+    any positive value, ``inf`` included: that is the constrained program
+    ``Y * c = X``, which ``theory.min_f1_representation`` runs under
+    ``_CONSTRAINED``.  ``cfg.lambda_g`` is not read.  ``cfg.tol_rel`` sets
+    the dtype of the ridge and of the state (``_state_dtype``).  No weight
+    enters anything before the path first advances: the ridge is weighted
+    when each point starts, so a caller can refuse data whose scale would
+    overflow a weight, as ``solve_path`` does with ``_check_scale``, right
+    after this returns.  ``start`` is the ``time.perf_counter`` reading at
     which the caller began its input checks, the ``fft`` timing's start.
-    ``objective(c, root_w, cfg)``, when given, is each report's objective,
-    taken of the finished coefficients in weighted coordinates; without it
-    the report's objective is None and no objective is evaluated.
+    ``objective(c, root_w, lambda_g)``, when given, is each report's
+    objective, taken of the finished coefficients in weighted coordinates;
+    without it the report's objective is None and no objective is evaluated.
 
     Returns ``(s, b0, path)``: the ridge's kept singular values, ``B0`` (None
-    for the identity) and the generator of ``(w, report)`` per config that
+    for the identity) and the generator of ``(w, report)`` per weight that
     ``solve_path`` describes.  The SVD and ``B0`` are taken here; the loop
     reads ``B0`` when the generator is first advanced, so a caller can refuse
     the input or rescale ``B0`` in place before that.
     """
     timings = {"fft": time.perf_counter() - start}
     start = time.perf_counter()
-    cfg = configs[0] if configs else _CONSTRAINED
-    weight = cfg.lambda_g if configs else np.inf
-    ridge = _RidgeInverse(yf, weight, cfg.affine, _state_dtype(cfg.tol_rel))
+    ridge = _RidgeInverse(yf, cfg.affine, _state_dtype(cfg.tol_rel))
     b0 = None if exclude_diagonal else ridge.lstsq(xf)
     excluded = (np.arange(yf.shape[2]),) * 2 if exclude_diagonal else ([], [])
     timings["factor"] = time.perf_counter() - start
-    return ridge.s, b0, _path(d, ridge, configs or [cfg], timings, b0, excluded, objective)
+    return ridge.s, b0, _path(d, ridge, cfg, weights, timings, b0, excluded, objective)
 
 
 def _step(ridge, a, u, la, lu, lb0, free, tau, row_tau, excluded):
@@ -544,15 +549,18 @@ def _step(ridge, a, u, la, lu, lb0, free, tau, row_tau, excluded):
     return a_new, v, la_new, lu_new, (step, gap), (step_sq, gap_sq, c_sq, a_sq, u_sq)
 
 
-def _path(d, ridge, configs, timings, b0, excluded, objective):
-    """``_fit``'s ADMM loop, run once per config on carried state.  ``B0`` is
-    ``b0``, or the identity when ``b0`` is None; the tubes at the
-    ``(rows, cols)`` index arrays ``excluded`` are held at 0.  ``ridge`` is
-    weighted for the first config's ``lambda_g`` at ``_RHO_START``, where
-    every path starts, and its dtype is that of the state.  The state and the
-    complex128 finish run in weighted coordinates ``sqrt(w_f) x_f``: ``B0`` is
-    weighted for the loop, ``objective`` takes ``c`` in them, and ``c`` is
-    unweighted once, for the inverse rFFT."""
+def _path(d, ridge, cfg, weights, timings, b0, excluded, objective):
+    """``_fit``'s ADMM loop, run once per weight ``lambda_g`` of ``weights``
+    on carried state, under ``cfg``'s other fields.  ``B0`` is ``b0``, or the
+    identity when ``b0`` is None; the tubes at the ``(rows, cols)`` index
+    arrays ``excluded`` are held at 0.  ``ridge`` holds the SVD only, and its
+    dtype is that of the state: each point weighs it for its ``lambda_g`` and
+    the ``rho`` in force when it starts (``_RHO_START`` at the first), and
+    again on every change of ``rho``; the weighing counts in the point's
+    ``factor`` timing.  The state and the complex128 finish run in weighted
+    coordinates ``sqrt(w_f) x_f``: ``B0`` is weighted for the loop,
+    ``objective`` takes ``c`` in them, and ``c`` is unweighted once, for the
+    inverse rFFT."""
     faces, _, n = ridge.lh.shape
     k = n if b0 is None else b0.shape[2]
     root_w = np.sqrt(_face_weights(d))[:, None, None]
@@ -568,11 +576,12 @@ def _path(d, ridge, configs, timings, b0, excluded, objective):
     rho = _RHO_START
     floor = _SCALE_FLOOR * math.sqrt(n * k * d)
 
-    for point, cfg in enumerate(configs):
+    for point, lambda_g in enumerate(weights):
+        start = time.perf_counter()
+        ridge.weigh(lambda_g, rho)
         if point:
-            start = time.perf_counter()
-            ridge.set_lambda_g(cfg.lambda_g, rho)
-            timings = {"fft": 0.0, "factor": time.perf_counter() - start}
+            timings = {"fft": 0.0, "factor": 0.0}
+        timings["factor"] += time.perf_counter() - start
 
         start = time.perf_counter()
         free = (np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype))
@@ -612,11 +621,11 @@ def _path(d, ridge, configs, timings, b0, excluded, objective):
                 u *= rho / new_rho
                 lu *= rho / new_rho
                 rho = new_rho
-                ridge.set_rho(rho)
+                ridge.weigh(lambda_g, rho)
         timings["iterate"] = time.perf_counter() - start
         _log.debug(
             "point %d, lambda_g %g: %s, inner dimension %d, %d iterations, converged %s",
-            point, cfg.lambda_g, dtype.name, ridge.inner, iterations, converged,
+            point, lambda_g, dtype.name, ridge.inner, iterations, converged,
         )  # fmt: skip
 
         start = time.perf_counter()
@@ -624,11 +633,11 @@ def _path(d, ridge, configs, timings, b0, excluded, objective):
         # other stack, and of the state too after the last point
         c = np.add(free[1], a, out=free[1])  # (c - a') + a'
         del free
-        if point == len(configs) - 1:
+        if point == len(weights) - 1:
             del a, u, la, lu, lb0  # no later point starts from them
         c = c.astype(np.complex128, copy=False)  # the finish runs in complex128
         _feasible(c, excluded, root_w if cfg.affine else None)
-        score = objective(c, root_w, cfg) if objective else None
+        score = objective(c, root_w, lambda_g) if objective else None
         c /= root_w  # out of weighted coordinates; c is not used again
         w = _from_faces(c, d)
         del c

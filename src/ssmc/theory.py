@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import solver
+
 # RANK_TOL is re-exported: theory.RANK_TOL names the rank rule's tolerance
 from .solver import RANK_TOL, _fit, _nonzero
 from .t_algebra import (
@@ -194,6 +196,8 @@ def theorem3_check(
     sample's ``affine_offset``, when present, is first subtracted from its
     points, so that the coherence (taken of the generators), the subtensor
     search and ``sigma_max_rest`` all describe the same linear submodules.
+    ``sigma_max_rest`` is 0 when no other cluster has a point, as when there
+    is no other sample: then ``lhs`` is 0 too.
     The points take one rFFT, and each candidate one SVD of its columns of those
     faces.  A candidate is full rank by ``is_generating_set``'s rule,
     ``solver._nonzero``: its smallest singular value over all faces exceeds
@@ -230,11 +234,9 @@ def theorem3_check(
         default=0.0,
     )
 
-    rest = [_linear_points(sj) for j, sj in enumerate(data) if j != i]
-    if rest:
-        sigma_max_rest = float(bcirc_singular_values(np.concatenate(rest, axis=1))[0])
-    else:
-        sigma_max_rest = 0.0
+    rest = [si.points[:, :0]] + [_linear_points(sj) for j, sj in enumerate(data) if j != i]
+    rest = np.concatenate(rest, axis=1)  # (h, 0, depth) when no other sample has a point
+    sigma_max_rest = float(bcirc_singular_values(rest)[0]) if rest.size else 0.0
     lhs = math.sqrt(d_i) * coherence_max * sigma_max_rest
 
     exhaustive = math.comb(m_i, d_i) <= subtensor_budget
@@ -269,8 +271,9 @@ def min_f1_representation(dictionary, x):
     matrix; returns ``(a, report)``, the ``(m, 1, depth)`` coefficient tensor
     and its ``SolverReport``.  Non-finite input and a dictionary with no
     lateral slice raise ``ValueError``.  The program enters the solver
-    through ``solver._fit`` at ``lambda_g = inf``, where the dictionary's
-    faces take one SVD, which serves both the start and the loop.  The start
+    through ``solver._fit`` as a one-point path at the weight
+    ``lambda_g = inf``, where the dictionary's faces take one SVD, which
+    serves both the start and the loop.  The start
     ``B0`` is ``pinv(dictionary) x`` face by face over the directions that
     the package's one rank rule (``solver._nonzero``) keeps, the same ones
     the loop's null-space projector keeps, so a face at round-off relative to
@@ -312,7 +315,8 @@ def min_f1_representation(dictionary, x):
     (y_unit, y_exp), (x_unit, x_exp) = _pow2_scaled(dictionary), _pow2_scaled(x)
     shift = x_exp.item() - y_exp.item()
     yf, xf = _faces(y_unit), _faces(x_unit)  # (F, h, m), (F, h, 1)
-    _, a0, path = _fit(yf, xf, depth, None, False, start)  # a0: B0, (F, m, 1)
+    # a0 is B0, (F, m, 1); the budget is the one solver holds at call time
+    _, a0, path = _fit(yf, xf, depth, solver._CONSTRAINED, [np.inf], False, start)
     if np.linalg.norm(xf - yf @ a0) > RANK_TOL * np.linalg.norm(xf):
         raise ValueError("not in generated submodule")
     # the program is homogeneous: solve it for x / ||B0||, then scale a back.

@@ -153,6 +153,29 @@ def test_unwritable_affinity_out_is_a_parameter_error(two_cluster_files, tmp_pat
     assert str(target) in err[0]
 
 
+def test_cluster_refuses_an_affinity_out_that_out_would_overwrite(
+    two_cluster_files, tmp_path, monkeypatch, capsys
+):
+    # --out is written after --affinity-out, so one file for both would keep
+    # only the JSON payload; the paths are compared as absolute paths, before
+    # the input is read
+    def no_read(*args):
+        raise AssertionError("read the input before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_load_input", no_read)
+    monkeypatch.chdir(tmp_path)
+    tensor_path, _ = two_cluster_files
+    out = tmp_path / "both.tsr1"
+    for aff in (str(out), "both.tsr1", "./runs/../both.tsr1"):
+        argv = ["cluster", "--input", tensor_path, "--k", "2", "--out", str(out),
+                "--affinity-out", aff]  # fmt: skip
+        assert run_cli(argv) == cli.EXIT_PARAM
+        assert capsys.readouterr().err == (
+            f"ssmc cluster: parameter error: --out {str(out)!r} would overwrite --affinity-out\n"
+        )
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--lambda-g", "inf"), ("--lambda-h", "nan"), ("--tol-rel", "inf")]
 )

@@ -2,6 +2,7 @@
 depth-1 reduction, pinned iterate path, adaptive penalty and report histories, depth-shift
 and sample-permutation invariance."""
 
+import logging
 import re
 import tracemalloc
 import warnings
@@ -138,6 +139,20 @@ def test_rejects_input_whose_scale_overflows(scale, grid):
         solve_path(y, [SolverConfig(lambda_g=lam) for lam in grid])
 
 
+@pytest.mark.parametrize("scale,grid", [(1e160, [1.0]), (1e150, [1.0, 5e6])])
+def test_scale_refusal_comes_before_any_weight(scale, grid, monkeypatch):
+    """``_check_scale`` runs on the SVD alone: the ridge is never weighted on
+    data it refuses, so no weight overflows and no warning is raised."""
+    weighed = []
+    monkeypatch.setattr(_RidgeInverse, "weigh", lambda *args: weighed.append(args))
+    y = np.full((2, 3, 3), scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows float64"):
+            solve_path(y, [SolverConfig(lambda_g=lam) for lam in grid])
+    assert weighed == []
+
+
 def test_rejects_non_finite_and_zero_input():
     y = np.ones((2, 3, 2))
     y[0, 0, 0] = np.nan
@@ -179,8 +194,8 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
     # the apply is rho (2 lam_g Y^H Y + rho I)^-1; the solver's c update
     # ridge(x - I) + I is rho (2 lam_g Y^H Y + rho I)^-1 x plus the constant
     # (2 lam_g Y^H Y + rho I)^-1 2 lam_g Y^H Y; a repeated sample column gives
-    # a zero singular value inside the thin SVD; after set_lambda_g and set_rho
-    # the same SVD must serve the new weights like a fresh build
+    # a zero singular value inside the thin SVD; weighed again for a new
+    # lambda_g and each rho, the same SVD must serve them like a fresh build
     rng = np.random.default_rng(7)
     f = 4
     yf = rng.standard_normal((f, h, n)) + 1j * rng.standard_normal((f, h, n))
@@ -190,15 +205,16 @@ def test_ridge_inverse_matches_direct_solve(h, n, repeated, lam_g):
     rhs = rng.standard_normal((f, n, 3)) + 1j * rng.standard_normal((f, n, 3))
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, 1.0 / lam_g)  # built at the other end of the grid
-    ridge.set_lambda_g(lam_g, 1.4)
+    ridge = _RidgeInverse(yf)
+    ridge.weigh(1.0 / lam_g, 1.0)  # weighed at the other end of the grid first
+    ridge.weigh(lam_g, 1.4)
     # up and down in factor-2 steps, as the solver moves.  Below rho = 0.7 at
     # lam_g = 1e2 the apply shrinks its input about 1e3-fold and the cancellation
     # in I - V diag(g) V^H costs digits: 1.7e-12 relative at rho = 0.35
     for rho in [1.4, 11.2, 0.7]:
-        ridge.set_rho(rho)
-        fresh = _RidgeInverse(yf, lam_g)
-        fresh.set_rho(rho)
+        ridge.weigh(lam_g, rho)
+        fresh = _RidgeInverse(yf)
+        fresh.weigh(lam_g, rho)
         mats = 2.0 * lam_g * gram + rho * np.eye(n)[None]
         for got, again, want in [
             (ridge(rhs), fresh(rhs), rho * np.linalg.solve(mats, rhs)),
@@ -228,10 +244,11 @@ def test_affine_ridge_update_is_the_constrained_solve(h, n, repeated, lam_g):
         yf[:, :, -1] = yf[:, :, 0]
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, 1.0 / lam_g, affine=True)
-    ridge.set_lambda_g(lam_g, 1.4)
+    ridge = _RidgeInverse(yf, affine=True)
+    ridge.weigh(1.0 / lam_g, 1.0)
+    ridge.weigh(lam_g, 1.4)
     for rho in [1.4, 11.2, 0.7]:
-        ridge.set_rho(rho)
+        ridge.weigh(lam_g, rho)
         c = ridge(x - eye) + eye
         assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-12
         want = _dense_ridge_update(yf, x, lam_g, rho, affine=True)
@@ -242,8 +259,8 @@ def test_affine_ridge_update_is_the_constrained_solve(h, n, repeated, lam_g):
 def test_ridge_inverse_holds_only_the_kept_directions(affine):
     # faces of numeric rank 2 and 3: the factors hold the 3 leading directions
     # (plus the fixed 1/sqrt(n) one under affine), and a rank-2 face carries a
-    # zero-weight row; the apply is still the dense solve after set_lambda_g
-    # and set_rho, and at lambda_g = inf the projector onto the null space of
+    # zero-weight row; the apply is still the dense solve at each lambda_g and
+    # rho it is weighed for, and at lambda_g = inf the projector onto the null space of
     # the (centred) face, less the ones direction under affine; the 1/4 keeps
     # s_max near 6, where the dense solves at lam_g = 1e2 hold 12 digits.  The
     # last face is the second scaled to round-off of the whole stack: it keeps
@@ -263,14 +280,14 @@ def test_ridge_inverse_holds_only_the_kept_directions(affine):
     f = len(ranks)
     x = rng.standard_normal((f, n, n)) + 1j * rng.standard_normal((f, n, n))
     eye = np.eye(n)[None]
-    ridge = _RidgeInverse(yf, 1e2, affine=affine)
+    ridge = _RidgeInverse(yf, affine=affine)
     assert ridge.rank == max(ranks)
     assert ridge.inner == ridge.left.shape[2] == ridge.lh.shape[1] == max(ranks) + affine
     assert (ridge.kept.sum(axis=1) == ranks).all()
     for lam_g in [1e2, 1e-2]:
-        ridge.set_lambda_g(lam_g, 1.4)
+        ridge.weigh(lam_g, 1.4)
         for rho in [1.4, 11.2, 0.7]:
-            ridge.set_rho(rho)
+            ridge.weigh(lam_g, rho)
             got = ridge(x - eye) + eye
             want = _dense_ridge_update(yf, x, lam_g, rho, affine)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -281,9 +298,9 @@ def test_ridge_inverse_holds_only_the_kept_directions(affine):
     pinv = np.linalg.pinv(yc, rcond=RANK_TOL * s_max.max() / s_max)
     null = eye - pinv @ yc - affine * np.ones((n, n)) / n
     assert (null[-1] == eye[0] - affine * np.ones((n, n)) / n).all()
-    ridge.set_lambda_g(np.inf, 1.0)
+    ridge.weigh(np.inf, 1.0)
     for rho in [1.0, 8.0]:
-        ridge.set_rho(rho)
+        ridge.weigh(np.inf, rho)
         want = null @ x
         assert np.abs(ridge(x) - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -298,7 +315,7 @@ def test_affine_solve_of_identical_samples_has_a_rank_zero_ridge():
     sample = rng.integers(-3, 4, size=(h, 1, d)).astype(float)
     sample[0, 0, 0] = 1.0  # not identically zero
     y = np.repeat(sample, n, axis=1)
-    ridge = _RidgeInverse(ta._faces(y), 1.0, affine=True)
+    ridge = _RidgeInverse(ta._faces(y), affine=True)
     assert (ridge.rank, ridge.inner) == (0, 1)
     w, report = solve_self_representation(y, SolverConfig(lambda_g=1.0, affine=True))
     assert report.converged
@@ -324,8 +341,8 @@ def test_small_side_step_matches_the_dense_apply(dtype, affine, general_b0):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     yf = np.stack([draw(h, r) @ draw(r, n) for r in [3, 2, 3, 3]])
-    ridge = _RidgeInverse(yf, 0.3, affine=affine, dtype=dtype)
-    ridge.set_rho(2.0)
+    ridge = _RidgeInverse(yf, affine=affine, dtype=dtype)
+    ridge.weigh(0.3, 2.0)
     b0 = draw(f, n, k) if general_b0 else np.eye(n)[None]
     lb0 = (ridge.lh @ b0).astype(dtype)
     a, u = draw(f, n, k).astype(dtype), draw(f, n, k).astype(dtype)
@@ -950,6 +967,43 @@ def test_permuting_samples_permutes_the_representation(affine):
     labels = spectral_cluster(affinity_from_tensor(w), 3, 0).labels
     labels_p = spectral_cluster(affinity_from_tensor(w_p), 3, 0).labels
     assert clustering_error(labels_p, labels[p]) == 0.0
+
+
+# -- logging -----------------------------------------------------------------
+
+
+def test_debug_lines_name_each_point_s_own_weight(caplog):
+    """At DEBUG every path point logs the weight its ridge is weighed for:
+    ``inf`` for a min-F1 solve, each grid value on a path, and every 50
+    iterations a line of the residuals and ``rho``."""
+    caplog.set_level(logging.DEBUG, logger="ssmc.solver")
+    rng = np.random.default_rng(23)
+    dictionary = rng.standard_normal((4, 6, 3))
+    _, report = theory.min_f1_representation(
+        dictionary, ta.tprod(dictionary, rng.standard_normal((6, 1, 3)))
+    )
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("point")] == [
+        f"point 0, lambda_g inf: complex128, inner dimension 4, "
+        f"{report.iterations} iterations, converged {report.converged}"
+    ]
+    caplog.clear()
+    y = generate_synthetic(
+        SynthSpec(h=6, d_per_cluster=[2, 2], samples_per_cluster=[6, 6], depth=4, seed=0)
+    ).tensor
+    configs = [SolverConfig(lambda_g=lam) for lam in (1e-2, 1.0, 1e2)]
+    reports = [report for _, report in solve_path(y, configs)]
+    messages = [r.getMessage() for r in caplog.records]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    points = [m for m in messages if m.startswith("point")]
+    assert [m.split(":")[0] for m in points] == [
+        "point 0, lambda_g 0.01", "point 1, lambda_g 1", "point 2, lambda_g 100"
+    ]  # fmt: skip
+    assert reports[0].iterations >= 50
+    periodic = [m for m in messages if m.startswith("iteration")]
+    assert len(periodic) == sum(report.iterations // 50 for report in reports)
+    residual = r"\d\.\d{3}e[+-]\d+"
+    rho = reports[0].rho_history[49]
+    assert re.fullmatch(f"iteration 50: r {residual}, s {residual}, rho {rho:g}", periodic[0])
 
 
 # -- affinity ----------------------------------------------------------------

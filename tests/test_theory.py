@@ -127,7 +127,7 @@ def test_both_checkers_apply_one_rank_rule(scale):
         report = theorem3_check([SubmoduleSample(generators=y, points=y)], 0)
         assert report.rank_deficient
         assert report.rhs == 0.0
-        assert _RidgeInverse(ta._faces(y), 1.0).rank == 2
+        assert _RidgeInverse(ta._faces(y)).rank == 2
 
 
 def test_generating_set_shape_guard():
@@ -504,6 +504,19 @@ def test_theorem3_validates_arguments():
             theorem3_check([a], 0, coherence_trials=bad)
 
 
+def test_theorem3_reads_a_rest_with_no_point_as_no_other_sample():
+    # the other cluster has generators but no point: the rest is empty, so its
+    # largest singular value is 0, as with no other sample
+    rng = np.random.default_rng(22)
+    s1 = _sample(rng.standard_normal((6, 2, 3)), 5, rng)
+    empty = SubmoduleSample(rng.standard_normal((6, 2, 3)), np.zeros((6, 0, 3)))
+    report = theorem3_check([s1, empty], 0)
+    assert report.sigma_max_rest == report.lhs == 0.0
+    assert report.coherence_max > 0.0
+    alone = theorem3_check([s1], 0)
+    assert report == dataclasses.replace(alone, coherence_max=report.coherence_max)
+
+
 # -- min_f1_representation ---------------------------------------------------
 
 
@@ -729,8 +742,8 @@ def test_exact_fit_ridge_apply_is_the_null_space_projector(rank_deficient):
     m = yf.shape[2]
     eye = np.broadcast_to(np.eye(m, dtype=np.complex128), (yf.shape[0], m, m))
     for rho in (1.0, 8.0):
-        ridge = _RidgeInverse(yf, np.inf)
-        ridge.set_rho(rho)
+        ridge = _RidgeInverse(yf)
+        ridge.weigh(np.inf, rho)
         applied = ridge(eye.copy())
         assert np.abs(applied - (eye - np.linalg.pinv(yf, rcond=1e-12) @ yf)).max() <= 1e-12
 
