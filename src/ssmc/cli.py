@@ -3,8 +3,9 @@ benchmarks, and evaluate the recovery-condition checker.
 
 Exit codes: 0 success, 2 data error (unreadable, malformed or refused input),
 3 parameter error (bad or unknown flags, or an output path that cannot be
-written).  A flag value that its argparse type refuses is refused before any
-file is read.  ``cluster``, ``sweep`` and ``synth`` share one solve-and-cluster
+written).  A flag value that its argparse type refuses, and an output path
+whose directory does not exist or which names a directory, are refused before
+any input is read.  ``cluster``, ``sweep`` and ``synth`` share one solve-and-cluster
 pipeline.  Every command prints its JSON payload to stdout and, with
 ``--out``, writes the same payload to a file; payloads contain no timestamps
 or timings, so reruns with identical flags produce byte-identical files.
@@ -13,6 +14,7 @@ or timings, so reruns with identical flags produce byte-identical files.
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -275,14 +277,24 @@ def _cluster_payload(tensor, truth, cfg, k, seed):
     return payload, affinity
 
 
-def _check_apart(out, other, clash):
-    """Refuse a second output path ``other`` that names the file ``--out`` names."""
-    if out and other and os.path.abspath(other) == os.path.abspath(out):
-        raise ParameterError(f"--out {out!r} {clash}")
+def _check_outputs(out, *others):
+    """Refuse, before any input is read, each output path that cannot be
+    written: one that names a directory or whose directory does not exist,
+    with the error that opening it would raise.  ``others`` are ``(path,
+    clash)`` pairs for the paths written besides ``--out``; one that names the
+    file ``--out`` names is refused, with ``clash`` ending the message."""
+    for path, clash in others:
+        if out and path and os.path.abspath(path) == os.path.abspath(out):
+            raise ParameterError(f"--out {out!r} {clash}")
+    for path in [out, *(path for path, _ in others)]:
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def cmd_cluster(args):
-    _check_apart(args.out, args.affinity_out, "would overwrite --affinity-out")
+    _check_outputs(args.out, (args.affinity_out, "would overwrite --affinity-out"))
     cfg = _solver_config(args)
     tensor, truth = _load_input(args)
     payload, affinity = _cluster_payload(tensor, truth, cfg, args.k, args.seed)
@@ -294,10 +306,8 @@ def cmd_cluster(args):
 
 
 def cmd_sweep(args):
-    csv_path = None
-    if args.out:
-        csv_path = os.path.splitext(args.out)[0] + ".csv"
-        _check_apart(args.out, csv_path, "would be overwritten by the sweep's CSV")
+    csv_path = os.path.splitext(args.out)[0] + ".csv" if args.out else None
+    _check_outputs(args.out, (csv_path, "would be overwritten by the sweep's CSV"))
     base = _solver_config(args)
     configs = [replace(base, lambda_g=lam) for lam in args.grid]
     tensor, truth = _load_input(args)
@@ -338,6 +348,7 @@ def _synth_spec(args, noise=0.0):
 
 
 def cmd_synth(args):
+    _check_outputs(args.out)
     spec = _synth_spec(args, args.noise)
     cfg = _solver_config(args)
     k = args.k if args.k is not None else len(spec.d_per_cluster)
@@ -373,6 +384,7 @@ def _orthogonal_samples(spec, rng):
 
 
 def cmd_check(args):
+    _check_outputs(args.out)
     if args.fixture == "orthogonal" and (args.affine_data or args.shift_model):
         raise ParameterError("--affine-data/--shift-model apply only to --fixture gaussian")
     spec = _synth_spec(args)

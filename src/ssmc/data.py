@@ -258,10 +258,11 @@ def _max_assignment(confusion):
     the greedy matching of each row to its first largest entry, when no
     lower row took that column, with each row's potential its largest entry:
     a feasible, tight start.  Each row left over then takes one Dijkstra
-    search, whose steps are numpy passes over the columns not yet reached
-    only, and which takes a free column among equally near ones, so that
-    ties, which small counts make common, end the search early.  The matrix
-    is not empty: ``clustering_error`` refuses empty labelings.
+    search, whose steps are numpy passes over all the columns, and which
+    takes a free column among equally near ones.  Ties, which small counts
+    make common, then end the search early: that preference and the greedy
+    start carry the speed.  The matrix is not empty: ``clustering_error``
+    refuses empty labelings.
     """
     w = np.asarray(confusion, dtype=np.int64)
     if w.shape[0] > w.shape[1]:
@@ -274,42 +275,40 @@ def _max_assignment(confusion):
     col4row = np.full(r, -1)
     cols, rows = np.unique(cost.argmin(axis=1), return_index=True)
     row4col[cols], col4row[rows] = rows, cols
-    path = np.empty(c, dtype=np.intp)  # the row before each reached column
+    far = np.iinfo(np.int64).max
     for start in np.flatnonzero(col4row < 0):
-        # per unreached column: its index, path cost, the row before it on its
-        # path and its potential; and whether it is free
-        far = np.iinfo(np.int64).max
-        unreached = np.stack([np.arange(c), np.full(c, far), np.full(c, start), v])
+        # per column: its path cost (far once reached), the row before it on
+        # its path, and whether the search has yet to reach it
+        dist = np.full(c, far)
+        before = np.empty(c, dtype=np.intp)
+        unreached = np.ones(c, dtype=bool)
         free = row4col < 0
-        reached, reached_dist = [], []
-        i, low = start, 0
+        i = start
         while True:
-            cols, dist, before, v_cols = unreached
-            reduced = low + cost[i, cols] - u[i] - v_cols
-            shorter = reduced < dist
-            dist[shorter] = reduced[shorter]
-            before[shorter] = i
+            reduced = cost[i] - u[i] - v
+            step = (reduced < dist) & unreached
+            dist[step] = reduced[step]
+            before[step] = i
             low = dist.min()
             ties = np.flatnonzero(dist == low)
             free_ties = ties[free[ties]]
-            k = free_ties[0] if free_ties.size else ties[0]
-            j = cols[k]
-            path[j] = before[k]
-            reached.append(j)
-            reached_dist.append(low)
-            if free[k]:
+            j = free_ties[0] if free_ties.size else ties[0]
+            if free[j]:
                 break
             i = row4col[j]
-            # drop column k: the last one takes its place
-            unreached[:, k], free[k] = unreached[:, -1], free[-1]
-            unreached, free = unreached[:, :-1], free[:-1]
-        reached = np.array(reached)
-        shift = low - np.array(reached_dist)  # 0 at the free column that ends the path
+            # reached at path cost low: its row's potential takes -low now, so
+            # that the pass from that row reads path costs, and both take
+            # their final shift by the last low below (v[j] is read from now
+            # on only where the search has reached)
+            unreached[j], dist[j] = False, far
+            u[i] -= low
+            v[j] += low
+        reached = ~unreached
         u[start] += low
-        u[row4col[reached[:-1]]] += shift[:-1]
-        v[reached] -= shift
+        u[row4col[reached]] += low
+        v[reached] -= low
         while True:  # augment along the path back to the start row
-            i = path[j]
+            i = before[j]
             row4col[j] = i
             col4row[i], j = j, col4row[i]
             if i == start:

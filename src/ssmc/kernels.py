@@ -1,6 +1,7 @@
-"""Numpy helpers of the solver and of k-means: tube norms, the tube and row
-shrink, squared distances to one center per restart, and lockstep Lloyd
-iterations.
+"""Numpy helpers of the solver and of k-means.  The two public ones are the
+tube and row shrink and lockstep Lloyd iterations; the private ones are the
+reductions that they share with their callers: squared tube norms, real dot
+products and squared distances to one center per restart.
 
 Dense Fourier-face stacks are laid out ``(F, n, m)`` with the face index
 first, so per-face work hits contiguous memory.  Each reduction is one numpy
@@ -8,20 +9,6 @@ call, an ``einsum`` or a BLAS dot, with no temporary as large as the stack.
 """
 
 import numpy as np
-
-
-def tube_sq_norms(x):
-    """Squared tube norms ``sum_f |x[f, ...]|^2`` of a face stack, shape ``x.shape[1:]``.
-
-    One ``einsum`` over the faces of a real view in the input's precision
-    (float32 for complex64, float64 otherwise) sums the squares of the real
-    and imaginary parts, which alternate in that view, with no temporary but
-    the result and its pair sum.  Only a non-contiguous stack (a transposed
-    view, say) is copied first.
-    """
-    x = np.asarray(x)
-    parts = _part_sq_sums(np.ascontiguousarray(x, dtype=np.result_type(x.dtype, np.complex64)))
-    return parts[..., 0] + parts[..., 1]
 
 
 def _part_sq_sums(x):
@@ -140,7 +127,6 @@ def lloyd(X, C0, max_iter):
     hist = []
     live = np.arange(restarts)  # the restarts still iterating
     n_iter = 0
-    columns = [np.ascontiguousarray(X[:, j]) for j in range(dim)]
     # allocated once and sliced as restarts stop: temporaries of a new,
     # shrinking size every iteration fragmented the heap of a long-running
     # process and raised its peak RSS by about 2 MB
@@ -165,7 +151,7 @@ def lloyd(X, C0, max_iter):
         counts = np.bincount(groups, minlength=size)
         sums = np.empty((size, dim))
         for j in range(dim):
-            weights = np.broadcast_to(columns[j], (live.size, n)).ravel()
+            weights = np.broadcast_to(X[:, j], (live.size, n)).ravel()
             sums[:, j] = np.bincount(groups, weights=weights, minlength=size)
         means = C[live].reshape(size, dim)
         kept = counts > 0

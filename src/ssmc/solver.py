@@ -235,7 +235,7 @@ class SolverConfig:
             raise ValueError(f"lambda_h must be nonnegative, got {self.lambda_h}")
         _check_count("max_iters", self.max_iters)
         if self.tol_rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+            raise ValueError(f"tol_rel must be nonnegative, got {self.tol_rel}")
 
 
 # The budget of the constrained program Y * c = X, which theory's
@@ -417,7 +417,7 @@ def _objective(yf, lambda_h, c, root_w, lambda_g):
     a coefficient stack ``c`` over the faces ``yf``, in the weighted
     coordinates that the face weights' square roots ``root_w`` give: every
     norm is a plain one."""
-    grp = kernels.tube_sq_norms(c)
+    grp = kernels._part_sq_sums(c).sum(axis=-1)
     f1 = float(np.sqrt(grp).sum())
     ff1 = float(np.sqrt(grp.sum(axis=1)).sum())
     resid = yf @ c

@@ -23,6 +23,7 @@ the power of two it returns, so they too are exact at any scale.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -234,20 +235,24 @@ def write_tsr1(path, t):
 
 
 def read_tsr1(path):
-    """Read a TSR1 file, validating magic, length, and finiteness."""
+    """Read a TSR1 file, validating magic, length, and finiteness.
+
+    The payload is read once, straight into the writable array returned.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise FormatError(f"truncated TSR1 header: {len(raw)} bytes, need 16")
-    if raw[:4] != TSR1_MAGIC:
-        raise FormatError(f"bad TSR1 magic {raw[:4]!r} at offset 0")
-    h, n, d = struct.unpack("<III", raw[4:16])
-    if h < 1 or n < 1 or d < 1:
-        raise FormatError(f"invalid TSR1 dimensions ({h}, {n}, {d})")
-    expected = 16 + h * n * d * 8
-    if len(raw) != expected:
-        raise FormatError(f"TSR1 length {len(raw)} != expected {expected} bytes")
-    t = np.frombuffer(raw, dtype="<f8", offset=16).reshape(h, n, d)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 16:
+            raise FormatError(f"truncated TSR1 header: {len(head)} bytes, need 16")
+        if head[:4] != TSR1_MAGIC:
+            raise FormatError(f"bad TSR1 magic {head[:4]!r} at offset 0")
+        h, n, d = struct.unpack("<III", head[4:16])
+        if h < 1 or n < 1 or d < 1:
+            raise FormatError(f"invalid TSR1 dimensions ({h}, {n}, {d})")
+        expected = 16 + h * n * d * 8
+        if size != expected:
+            raise FormatError(f"TSR1 length {size} != expected {expected} bytes")
+        t = np.fromfile(fh, dtype="<f8", count=h * n * d).reshape(h, n, d)
     if not np.isfinite(t).all():
         raise FormatError("TSR1 payload contains non-finite values")
-    return np.ascontiguousarray(t)
+    return t

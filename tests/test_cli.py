@@ -1,8 +1,10 @@
 """Command-line driver tests: exit codes, payload shape, determinism."""
 
 import argparse
+import errno
 import json
 import logging
+import os
 import struct
 import warnings
 from dataclasses import fields
@@ -177,6 +179,39 @@ def test_cluster_refuses_an_affinity_out_that_out_would_overwrite(
 
 
 @pytest.mark.parametrize(
+    "command,flag,name,code",
+    [("cluster", "--out", "missing/x.json", errno.ENOENT),
+     ("cluster", "--affinity-out", "missing/a.tsr1", errno.ENOENT),
+     ("sweep", "--out", "missing/x.json", errno.ENOENT),
+     ("sweep", "--out", "runs.json", errno.EISDIR),  # its CSV names a directory
+     ("synth", "--out", "missing/x.json", errno.ENOENT),
+     ("synth", "--out", ".", errno.EISDIR),
+     ("check", "--out", "missing/x.json", errno.ENOENT)],
+)  # fmt: skip
+def test_unwritable_outputs_are_refused_before_any_input_is_read(
+    two_cluster_files, tmp_path, monkeypatch, capsys, command, flag, name, code
+):
+    # each of these used to run the whole solve, then exit 3 without printing
+    # the payload
+    for stage in ("read_tsr1", "solve_path", "generate_submodules", "theorem3_check"):
+        monkeypatch.setattr(cli, stage, lambda *a, stage=stage: pytest.fail(f"{stage} ran"))
+    (tmp_path / "runs.csv").mkdir()
+    tensor_path, _ = two_cluster_files
+    target = str(tmp_path / name)
+    argv = {
+        "cluster": ["cluster", "--input", tensor_path, "--k", "2"],
+        "sweep": ["sweep", "--input", tensor_path, "--k", "2", "--grid", "1"],
+        "synth": ["synth", "--seed", "1"],
+        "check": ["check"],
+    }[command]
+    assert run_cli(argv + [flag, target]) == cli.EXIT_PARAM
+    refused = str(tmp_path / "runs.csv") if name == "runs.json" else target
+    assert capsys.readouterr().err == (
+        f"ssmc {command}: parameter error: [Errno {code}] {os.strerror(code)}: {refused!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "flag,value", [("--lambda-g", "inf"), ("--lambda-h", "nan"), ("--tol-rel", "inf")]
 )
 def test_non_finite_solver_values_are_parameter_errors(two_cluster_files, capsys, flag, value):
@@ -285,7 +320,7 @@ def test_sweep_grid_validation(two_cluster_files):
     "flags,err",
     [
         (["--lambda-g", "5"], "ssmc: error: unrecognized arguments: --lambda-g 5"),
-        (["--tol-rel", "-1"], "ssmc sweep: parameter error: tolerances must be nonnegative"),
+        (["--tol-rel", "-1"], "ssmc sweep: parameter error: tol_rel must be nonnegative, got -1.0"),
     ],
     ids=["lambda-g", "tol-rel"],
 )

@@ -436,10 +436,10 @@ def test_max_assignment_finds_a_planted_matching():
 
 
 def test_max_assignment_is_fast_on_uniformly_random_labels():
-    # the slow case of a search over every column per step: 300 labels per
-    # side on 3000 samples took 0.6-1.1 s, and about 1270 labels per side on
-    # 2000 samples 6-9 s; the greedy start and the searches over unreached
-    # columns took 0.02-0.06 s each (seeds 900 and 901; this test draws 902)
+    # without the greedy start and the searches' preference for a free column
+    # among equally near ones, 300 labels per side on 3000 samples took
+    # 0.6-1.1 s, and about 1270 labels per side on 2000 samples 6-9 s; with
+    # them, 0.02-0.06 s each (seeds 900 and 901; this test draws 902)
     for labels, n in ((300, 3000), (2000, 2000)):
         rng = np.random.default_rng([902, labels])
         pred, truth = rng.integers(0, labels, n), rng.integers(0, labels, n)

@@ -64,7 +64,7 @@ def _ista_depth_one(y, lam_g, iters):
         (dict(lambda_g=1.0, lambda_h=-0.1), "lambda_h"),
         (dict(lambda_g=1.0, max_iters=2.5), "max_iters"),
         (dict(lambda_g=1.0, max_iters=0), "max_iters"),
-        (dict(lambda_g=1.0, tol_rel=-1e-9), "tolerances"),
+        (dict(lambda_g=1.0, tol_rel=-1e-9), "tol_rel must be nonnegative"),
         (dict(lambda_g=float("inf")), "lambda_g"),
         (dict(lambda_g=1.0, lambda_h=float("nan")), "lambda_h"),
         (dict(lambda_g=1.0, lambda_h=float("inf")), "lambda_h"),

@@ -1,5 +1,6 @@
 """Tensor-algebra tests: transform conventions, product oracles, norms, TSR1."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,6 +339,23 @@ def test_tsr1_roundtrip_is_bitwise(tmp_path):
     path = tmp_path / "t.tsr1"
     ta.write_tsr1(path, t)
     assert np.array_equal(ta.read_tsr1(path), t)
+
+
+def test_tsr1_read_is_writable_and_holds_the_payload_once(tmp_path):
+    # the payload used to be a read-only view of the file's bytes; a copy of it
+    # would hold it twice
+    t = np.random.default_rng(16).standard_normal((28, 400, 28))
+    path = tmp_path / "t.tsr1"
+    ta.write_tsr1(path, t)
+    tracemalloc.start()
+    try:
+        back = ta.read_tsr1(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * t.nbytes
+    back[0, 0, 0] = 5.0
+    assert back[0, 0, 0] == 5.0 and np.array_equal(back[1:], t[1:])
 
 
 def test_tsr1_header_layout(tmp_path):
