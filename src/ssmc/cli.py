@@ -3,13 +3,17 @@ benchmarks, and evaluate the recovery-condition checker.
 
 Exit codes: 0 success, 2 data error (unreadable, malformed or refused input),
 3 parameter error (bad or unknown flags, or an output path that cannot be
-written).  A flag value that its argparse type refuses, and an output path
-whose directory does not exist or which names a directory, are refused before
-any input is read.  ``cluster``, ``sweep`` and ``synth`` share one solve-and-cluster
-pipeline.  Every command prints its JSON payload to stdout and, with
-``--out``, writes the same payload to a file; payloads contain no timestamps
-or timings, so reruns with identical flags produce byte-identical files.
-``synth`` additionally reports its wall time on stdout only.
+written).  One rule decides between 2 and 3: a ``ValueError`` or ``OSError``
+is a parameter error unless it was raised while reading the input or truth
+labels, or while solving and clustering the input; those are data errors, as
+is a ``RuntimeError``.  A flag value that its argparse type refuses, and an
+output path whose directory does not exist or which names a directory, are
+refused before any input is read.  ``cluster``, ``sweep`` and ``synth`` share
+one solve-and-cluster pipeline.  Every command prints its JSON payload to
+stdout and, with ``--out``, writes the same payload to a file; payloads
+contain no timestamps or timings, so reruns with identical flags produce
+byte-identical files.  ``synth`` additionally reports its wall time on stdout
+only.
 """
 
 import argparse
@@ -34,7 +38,7 @@ from .data import (
 )
 from .solver import SolverConfig, affinity_from_tensor, solve_path
 from .spectral import spectral_cluster
-from .t_algebra import FormatError, read_tsr1, tprod, write_tsr1
+from .t_algebra import FormatError, _check_count, read_tsr1, tprod, write_tsr1
 from .theory import SubmoduleSample, theorem3_check
 
 __all__ = ["main"]
@@ -43,10 +47,6 @@ SCHEMA = "ssmc/1"
 
 EXIT_DATA = 2
 EXIT_PARAM = 3
-
-
-class ParameterError(Exception):
-    pass
 
 
 class DataError(Exception):
@@ -180,20 +180,12 @@ def build_parser():
 
 def _solver_config(args):
     # every solver flag's argparse dest is the name of its SolverConfig field
-    try:
-        return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-
-
-def _check_k(k, n):
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in 1..{n}, got {k}")
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _load_input(args):
     if args.format != "pgmdir" and (args.decimate != 1 or args.crop is not None):
-        raise ParameterError("--decimate/--crop apply only to --format pgmdir")
+        raise ValueError("--decimate/--crop apply only to --format pgmdir")
     try:
         if args.format == "tsr1":
             tensor = read_tsr1(args.input)
@@ -201,12 +193,10 @@ def _load_input(args):
             tensor = load_idx_images(args.input)
         else:
             tensor, _ = load_pgm_dir(args.input, decimate=args.decimate, crop=args.crop)
-    except (OSError, FormatError) as exc:
+    except (OSError, FormatError) as exc:  # load_pgm_dir's other ValueErrors are the flags'
         raise DataError(str(exc)) from exc
-    except ValueError as exc:  # load_pgm_dir: a --decimate or --crop the images cannot take
-        raise ParameterError(str(exc)) from exc
     n = tensor.shape[1]
-    _check_k(args.k, n)
+    _check_count("k", args.k, high=n)
     truth = _load_truth(args.truth) if args.truth else None
     if truth is not None and truth.shape[0] != n:
         raise DataError(f"truth has {truth.shape[0]} labels for {n} samples")
@@ -245,17 +235,13 @@ def _emit(args, payload, **stdout_extra):
 def _solve_and_cluster(tensor, configs, k, seed):
     """Yield ``(report, affinity, labels)`` for each of ``configs``, solved as one path."""
     try:
-        path = solve_path(tensor, configs)
-    except ValueError as exc:  # the input, refused once for every config
-        raise DataError(str(exc)) from exc
-    for w, report in path:
-        affinity = affinity_from_tensor(w)
-        del w  # the next solve's memory estimate leaves no room for this one
-        try:
+        for w, report in solve_path(tensor, configs):
+            affinity = affinity_from_tensor(w)
+            del w  # the next solve's memory estimate leaves no room for this one
             labels = spectral_cluster(affinity, k, seed)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        yield report, affinity, labels
+            yield report, affinity, labels
+    except ValueError as exc:  # the configs are valid, so the input is at fault
+        raise DataError(str(exc)) from exc
 
 
 def _cluster_payload(tensor, truth, cfg, k, seed):
@@ -285,7 +271,7 @@ def _check_outputs(out, *others):
     file ``--out`` names is refused, with ``clash`` ending the message."""
     for path, clash in others:
         if out and path and os.path.abspath(path) == os.path.abspath(out):
-            raise ParameterError(f"--out {out!r} {clash}")
+            raise ValueError(f"--out {out!r} {clash}")
     for path in [out, *(path for path, _ in others)]:
         if path and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -332,19 +318,16 @@ def cmd_sweep(args):
 
 
 def _synth_spec(args, noise=0.0):
-    try:
-        return SynthSpec(
-            h=args.h,
-            d_per_cluster=args.dims,
-            samples_per_cluster=args.samples,
-            depth=args.depth,
-            noise_sigma=noise,
-            affine=args.affine_data,
-            shift_model=args.shift_model,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    return SynthSpec(
+        h=args.h,
+        d_per_cluster=args.dims,
+        samples_per_cluster=args.samples,
+        depth=args.depth,
+        noise_sigma=noise,
+        affine=args.affine_data,
+        shift_model=args.shift_model,
+        seed=args.seed,
+    )
 
 
 def cmd_synth(args):
@@ -353,12 +336,9 @@ def cmd_synth(args):
     cfg = _solver_config(args)
     k = args.k if args.k is not None else len(spec.d_per_cluster)
     n = sum(spec.samples_per_cluster)
-    _check_k(k, n)
+    _check_count("k", k, high=n)
     start = time.perf_counter()
-    try:
-        labeled = generate_submodules(spec)[1]
-    except ValueError as exc:  # a noise_sigma whose draw overflows
-        raise ParameterError(str(exc)) from exc
+    labeled = generate_submodules(spec)[1]
     payload, _ = _cluster_payload(labeled.tensor, labeled.truth, cfg, k, args.seed)
     runtime = time.perf_counter() - start
     _emit(args, {**payload, "n": n}, runtime_seconds=runtime)
@@ -368,9 +348,7 @@ def cmd_synth(args):
 def _orthogonal_samples(spec, rng):
     total = sum(spec.d_per_cluster)
     if total > spec.h:
-        raise ParameterError(
-            f"orthogonal fixture needs h >= sum of dims ({total}), got {spec.h}"
-        )
+        raise ValueError(f"orthogonal fixture needs h >= sum of dims ({total}), got {spec.h}")
     samples = []
     row = 0
     for d_c, m_c in zip(spec.d_per_cluster, spec.samples_per_cluster):
@@ -386,22 +364,19 @@ def _orthogonal_samples(spec, rng):
 def cmd_check(args):
     _check_outputs(args.out)
     if args.fixture == "orthogonal" and (args.affine_data or args.shift_model):
-        raise ParameterError("--affine-data/--shift-model apply only to --fixture gaussian")
+        raise ValueError("--affine-data/--shift-model apply only to --fixture gaussian")
     spec = _synth_spec(args)
     if args.fixture == "orthogonal":
         samples = _orthogonal_samples(spec, np.random.default_rng(spec.seed))
     else:
         samples = generate_submodules(spec)[0]
-    try:
-        report = theorem3_check(
-            samples,
-            args.cluster_index,
-            subtensor_budget=args.budget,
-            seed=args.seed,
-            coherence_trials=args.coherence_trials,
-        )
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    report = theorem3_check(
+        samples,
+        args.cluster_index,
+        subtensor_budget=args.budget,
+        seed=args.seed,
+        coherence_trials=args.coherence_trials,
+    )
     payload = {
         "cluster_index": args.cluster_index,
         "fixture": args.fixture,
@@ -424,7 +399,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, OSError) as exc:  # inputs' OSErrors are DataErrors by now
+    except (ValueError, OSError) as exc:  # the data stages' own are DataErrors by now
         print(f"ssmc {args.command}: parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except DataError as exc:

@@ -172,7 +172,9 @@ def _read_idx(path, magic, ndim, kind):
 def load_idx_images(path):
     """Load an IDX u8 image file as an ``(rows, count, cols)`` tensor in [0, 1]."""
     data = _read_idx(path, IDX_IMAGE_MAGIC, 3, "image")
-    return np.ascontiguousarray(data.astype(np.float64).transpose(1, 0, 2) / 255.0)
+    tensor = np.ascontiguousarray(data.transpose(1, 0, 2), dtype=np.float64)
+    tensor /= 255.0  # in place: one float64 copy of the stack
+    return tensor
 
 
 def load_idx_labels(path):
@@ -206,7 +208,10 @@ def _read_pgm(path):
         raise FormatError(
             f"{path}: payload at offset {pos} has {len(payload)} bytes, expected {expected}"
         )
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width) / maxval
+    # cast, then divide in place: dividing the integers casts through a buffer
+    img = np.frombuffer(payload, dtype=dtype).reshape(height, width).astype(np.float64)
+    img /= maxval
+    return img
 
 
 def load_pgm_dir(path, decimate=1, crop=None):
@@ -221,25 +226,23 @@ def load_pgm_dir(path, decimate=1, crop=None):
     names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
     if not names:
         raise FormatError(f"{path}: no PGM files found")
-    imgs = []
-    for name in names:
+    # each image is reduced as it is read, into a tensor allocated from the
+    # first image's shape, against which crop is checked
+    stack = None
+    for j, name in enumerate(names):
         img = _read_pgm(os.path.join(path, name))
-        if imgs and img.shape != imgs[0].shape:
-            raise FormatError(
-                f"{path}/{name}: size {img.shape} differs from {imgs[0].shape}"
-            )
-        imgs.append(img)
-    stack = np.stack(imgs, axis=1)  # (rows, count, cols)
-    if decimate > 1:
-        stack = stack[::decimate, :, ::decimate]
-    if crop is not None:
-        a, b = int(crop[0]), int(crop[1])
-        if not 0 <= a <= b < stack.shape[2]:
-            raise ValueError(
-                f"crop {a}:{b} outside column range 0..{stack.shape[2] - 1}"
-            )
-        stack = stack[:, :, a : b + 1]
-    return np.ascontiguousarray(stack), names
+        if stack is None:
+            shape = img.shape
+            rows, width = (-(-m // decimate) for m in shape)  # left after decimating
+            a, b = (0, width - 1) if crop is None else (int(crop[0]), int(crop[1]))
+            if not 0 <= a <= b < width:
+                raise ValueError(f"crop {a}:{b} outside column range 0..{width - 1}")
+            cols = slice(a * decimate, b * decimate + 1, decimate)
+            stack = np.empty((rows, len(names), b - a + 1))  # (rows, count, cols)
+        elif img.shape != shape:
+            raise FormatError(f"{path}/{name}: size {img.shape} differs from {shape}")
+        stack[:, j] = img[::decimate, cols]
+    return stack, names
 
 
 def _label_array(labels):

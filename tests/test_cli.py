@@ -144,17 +144,6 @@ def test_cluster_parameter_errors(two_cluster_files, capsys):
     assert run_cli(["cluster", "--k", "2"]) == 3  # --input is required
 
 
-def test_unwritable_affinity_out_is_a_parameter_error(two_cluster_files, tmp_path, capsys):
-    tensor_path, _ = two_cluster_files
-    target = tmp_path / "missing" / "aff.tsr1"
-    argv = ["cluster", "--input", tensor_path, "--k", "2", "--affinity-out", str(target)]
-    assert run_cli(argv) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("ssmc cluster: parameter error: [Errno 2]")
-    assert str(target) in err[0]
-
-
 def test_cluster_refuses_an_affinity_out_that_out_would_overwrite(
     two_cluster_files, tmp_path, monkeypatch, capsys
 ):
@@ -452,6 +441,34 @@ def test_clustering_step_errors_are_data_errors(two_cluster_files, monkeypatch, 
     assert err == [f"ssmc {argv[0]}: data error: affinity contains non-finite values"]
 
 
+def _refuse(*args):
+    raise ValueError("the path refuses this input")
+
+
+def _refusing_path(*args):
+    # a generator: it raises once the path is iterated, not when it is made
+    yield _refuse()
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+@pytest.mark.parametrize(
+    "stage,stub",
+    [("affinity_from_tensor", _refuse), ("solve_path", _refusing_path)],
+    ids=["affinity_from_tensor", "path-iteration"],
+)
+def test_value_errors_while_solving_are_data_errors(
+    two_cluster_files, monkeypatch, capsys, command, stage, stub
+):
+    # an affinity or path iteration that refuses the input used to escape
+    # as a traceback
+    monkeypatch.setattr(cli, stage, stub)
+    tensor_path, _ = two_cluster_files
+    argv = [command, "--input", tensor_path, "--k", "2"]
+    assert run_cli(argv + (["--grid", "1,10"] if command == "sweep" else [])) == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ssmc {command}: data error: the path refuses this input"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["synth", "--h", "6", "--depth", "4", "--dims", "2,2", "--samples", "5,5"],
@@ -577,15 +594,6 @@ def test_synth_output_is_byte_deterministic(tmp_path):
     assert run_cli(SYNTH_ARGS + ["--out", str(a)]) == 0
     assert run_cli(SYNTH_ARGS + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_unwritable_synth_out_is_a_parameter_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "synth.json"
-    assert run_cli(SYNTH_ARGS + ["--out", str(target)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("ssmc synth: parameter error: [Errno 2]")
-    assert str(target) in err[0]
 
 
 def test_synth_parameter_validation(capsys):

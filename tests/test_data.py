@@ -3,6 +3,7 @@
 import itertools
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -182,6 +183,21 @@ def test_idx_images_scale_and_layout(tmp_path):
     assert t[2, 1, 2] == pytest.approx(17 / 255)
 
 
+def test_idx_images_hold_one_float64_copy(tmp_path):
+    raw = np.random.default_rng(5).integers(0, 256, (600, 28, 28), dtype=np.uint8)
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(_idx_image_bytes(raw.tobytes(), 600, 28, 28))
+    tracemalloc.start()
+    try:
+        t = load_idx_images(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(t, raw.astype(np.float64).transpose(1, 0, 2) / 255.0)
+    assert t.flags.c_contiguous
+    assert peak <= 1.25 * t.nbytes
+
+
 def test_idx_labels_roundtrip(tmp_path):
     path = tmp_path / "labels.idx"
     path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([3, 1, 2, 0]))
@@ -329,6 +345,36 @@ def test_pgm_decimate_and_crop(tmp_path):
         load_pgm_dir(tmp_path, crop=(0, 480))
     with pytest.raises(ValueError, match="decimate"):
         load_pgm_dir(tmp_path, decimate=0)
+
+
+@pytest.mark.parametrize("decimate,crop", [(1, None), (4, (3, 17))])
+def test_pgm_images_are_reduced_as_they_are_read(tmp_path, decimate, crop):
+    # the stack of full-resolution images is never held: at most the result
+    # and a few images are live at once
+    height, width = 96, 84
+    imgs = np.random.default_rng(6).integers(0, 256, (40, height, width), dtype=np.uint8)
+    for i, img in enumerate(imgs):
+        _write_pgm(tmp_path / f"{i:02d}.pgm", width, height, 255, img.tobytes())
+    tracemalloc.start()
+    try:
+        t, _ = load_pgm_dir(tmp_path, decimate=decimate, crop=crop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = (imgs.transpose(1, 0, 2) / 255.0)[::decimate, :, ::decimate]
+    if crop is not None:
+        expected = expected[:, :, crop[0] : crop[1] + 1]
+    assert np.array_equal(t, expected)
+    assert t.flags.c_contiguous
+    assert peak <= t.nbytes + 3 * height * width * 8
+
+
+def test_pgm_crop_is_checked_on_the_first_image(tmp_path):
+    # a crop past the last column is refused before a later file is read
+    _write_pgm(tmp_path / "a.pgm", 4, 2, 255, bytes(8))
+    (tmp_path / "b.pgm").write_bytes(b"not a PGM")
+    with pytest.raises(ValueError, match="crop 1:4 outside column range 0..3"):
+        load_pgm_dir(tmp_path, crop=(1, 4))
 
 
 # -- clustering_error --------------------------------------------------------
