@@ -1,19 +1,26 @@
 """Command-line driver: cluster files, sweep lambda grids, run synthetic
 benchmarks, and evaluate the recovery-condition checker.
 
+Each input names its own format: ``--input`` is a directory of PGM images
+(the only input that ``--decimate`` and ``--crop`` accompany), a TSR1 file
+when it starts with the TSR1 magic, and otherwise an IDX image file.
+``--truth`` is an IDX label file when it starts with the IDX label magic, and
+otherwise a JSON list.
+
 Exit codes: 0 success, 2 data error (unreadable, malformed or refused input),
 3 parameter error (bad or unknown flags, or an output path that cannot be
 written).  One rule decides between 2 and 3: a ``ValueError`` or ``OSError``
 is a parameter error unless it was raised while reading the input or truth
 labels, or while solving and clustering the input; those are data errors, as
 is a ``RuntimeError``.  A flag value that its argparse type refuses, and an
-output path whose directory does not exist or which names a directory, are
-refused before any input is read.  ``cluster``, ``sweep`` and ``synth`` share
-one solve-and-cluster pipeline.  Every command prints its JSON payload to
-stdout and, with ``--out``, writes the same payload to a file; payloads
-contain no timestamps or timings, so reruns with identical flags produce
-byte-identical files.  ``synth`` additionally reports its wall time on stdout
-only.
+output path whose directory does not exist, which names a directory, or which
+names the same file as another output, ``--input`` or ``--truth`` (symlinks
+resolved), are refused before any input is read.  ``cluster``, ``sweep`` and
+``synth`` share one solve-and-cluster pipeline.  Every command prints its JSON
+payload to stdout and, with ``--out``, writes the same payload to a file;
+payloads contain no timestamps or timings, so reruns with identical flags
+produce byte-identical files.  ``synth`` additionally reports its wall time on
+stdout only.
 """
 
 import argparse
@@ -29,6 +36,7 @@ from dataclasses import MISSING, asdict, fields, replace
 import numpy as np
 
 from .data import (
+    IDX_LABEL_MAGIC,
     SynthSpec,
     clustering_error,
     generate_submodules,
@@ -38,8 +46,8 @@ from .data import (
 )
 from .solver import SolverConfig, affinity_from_tensor, solve_path
 from .spectral import spectral_cluster
-from .t_algebra import FormatError, _check_count, read_tsr1, tprod, write_tsr1
-from .theory import SubmoduleSample, theorem3_check
+from .t_algebra import TSR1_MAGIC, FormatError, _check_count, read_tsr1, tprod, write_tsr1
+from .theory import SUBTENSOR_BUDGET, SubmoduleSample, theorem3_check
 
 __all__ = ["main"]
 
@@ -121,11 +129,10 @@ def _add_solver_args(p, lambda_g=True):
 
 
 def _add_input_args(p):
-    p.add_argument("--input", required=True, help="input path")
-    p.add_argument("--format", choices=["tsr1", "idx", "pgmdir"], default="tsr1")
-    p.add_argument("--decimate", type=int, default=1, help="pgmdir: keep every n-th pixel")
-    p.add_argument("--crop", type=_crop, metavar="A:B", help="pgmdir: inclusive column range")
-    p.add_argument("--truth", default=None, help="true labels (.json list or IDX) for error")
+    p.add_argument("--input", required=True, help="TSR1 or IDX image file, or PGM directory")
+    p.add_argument("--decimate", type=int, default=1, help="PGMs: keep every n-th pixel")
+    p.add_argument("--crop", type=_crop, metavar="A:B", help="PGMs: inclusive column range")
+    p.add_argument("--truth", default=None, help="true labels (JSON list or IDX) for error")
 
 
 def _add_synth_args(p):
@@ -171,7 +178,7 @@ def build_parser():
     _add_synth_args(p)
     p.add_argument("--fixture", choices=["gaussian", "orthogonal"], default="gaussian")
     p.add_argument("--cluster-index", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200, help="subtensor search budget")
+    p.add_argument("--budget", type=int, default=SUBTENSOR_BUDGET, help="subtensor search budget")
     p.add_argument("--coherence-trials", type=int, default=64)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
@@ -183,16 +190,22 @@ def _solver_config(args):
     return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
+def _starts_with(path, magic):
+    with open(path, "rb") as fh:
+        return fh.read(len(magic)) == magic
+
+
 def _load_input(args):
-    if args.format != "pgmdir" and (args.decimate != 1 or args.crop is not None):
-        raise ValueError("--decimate/--crop apply only to --format pgmdir")
+    pgm = os.path.isdir(args.input)
+    if not pgm and (args.decimate != 1 or args.crop is not None):
+        raise ValueError("--decimate/--crop apply only to a directory of PGM images")
     try:
-        if args.format == "tsr1":
-            tensor = read_tsr1(args.input)
-        elif args.format == "idx":
-            tensor = load_idx_images(args.input)
-        else:
+        if pgm:
             tensor, _ = load_pgm_dir(args.input, decimate=args.decimate, crop=args.crop)
+        elif _starts_with(args.input, TSR1_MAGIC):
+            tensor = read_tsr1(args.input)
+        else:  # refuses every magic but the IDX image magic
+            tensor = load_idx_images(args.input)
     except (OSError, FormatError) as exc:  # load_pgm_dir's other ValueErrors are the flags'
         raise DataError(str(exc)) from exc
     n = tensor.shape[1]
@@ -205,15 +218,15 @@ def _load_input(args):
 
 def _load_truth(path):
     try:
-        if path.endswith(".json"):
-            with open(path) as fh:
-                labels = json.load(fh)
-            # one integer per sample: a nested list or a float would be
-            # reshaped or truncated into labels the file does not hold
-            if not isinstance(labels, list) or not all(type(v) is int for v in labels):
-                raise DataError("truth labels must be a flat JSON list of integers")
-            return np.asarray(labels, dtype=np.int64)
-        return load_idx_labels(path)
+        if _starts_with(path, IDX_LABEL_MAGIC.to_bytes(4, "big")):
+            return load_idx_labels(path)
+        with open(path) as fh:
+            labels = json.load(fh)
+        # one integer per sample: a nested list or a float would be
+        # reshaped or truncated into labels the file does not hold
+        if not isinstance(labels, list) or not all(type(v) is int for v in labels):
+            raise DataError("truth labels must be a flat JSON list of integers")
+        return np.asarray(labels, dtype=np.int64)
     except (OSError, FormatError, ValueError, OverflowError) as exc:
         raise DataError(f"cannot read truth labels: {exc}") from exc
 
@@ -263,16 +276,19 @@ def _cluster_payload(tensor, truth, cfg, k, seed):
     return payload, affinity
 
 
-def _check_outputs(out, *others):
-    """Refuse, before any input is read, each output path that cannot be
-    written: one that names a directory or whose directory does not exist,
-    with the error that opening it would raise.  ``others`` are ``(path,
-    clash)`` pairs for the paths written besides ``--out``; one that names the
-    file ``--out`` names is refused, with ``clash`` ending the message."""
-    for path, clash in others:
-        if out and path and os.path.abspath(path) == os.path.abspath(out):
-            raise ValueError(f"--out {out!r} {clash}")
-    for path in [out, *(path for path, _ in others)]:
+def _check_outputs(args, *outputs):
+    """Refuse, before any input is read, each of the command's ``outputs``,
+    ``(flag, path)`` pairs with ``path`` None when not written, that must not
+    or cannot be written: one whose real path (symlinks resolved) is that of
+    another output, ``--input`` or ``--truth``, and one that names a directory
+    or whose directory does not exist, with the error that opening it would
+    raise."""
+    named = [*outputs, ("--input", vars(args).get("input")), ("--truth", vars(args).get("truth"))]
+    real = [path and os.path.realpath(path) for _, path in named]
+    for i, (flag, path) in enumerate(outputs):
+        if path and real[i] in real[i + 1 :]:  # a clash with an earlier output was refused there
+            other = named[real.index(real[i], i + 1)][0]
+            raise ValueError(f"{flag} {path!r} names the same file as {other}")
         if path and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if path and not os.path.isdir(os.path.dirname(path) or "."):
@@ -280,7 +296,7 @@ def _check_outputs(out, *others):
 
 
 def cmd_cluster(args):
-    _check_outputs(args.out, (args.affinity_out, "would overwrite --affinity-out"))
+    _check_outputs(args, ("--out", args.out), ("--affinity-out", args.affinity_out))
     cfg = _solver_config(args)
     tensor, truth = _load_input(args)
     payload, affinity = _cluster_payload(tensor, truth, cfg, args.k, args.seed)
@@ -293,7 +309,7 @@ def cmd_cluster(args):
 
 def cmd_sweep(args):
     csv_path = os.path.splitext(args.out)[0] + ".csv" if args.out else None
-    _check_outputs(args.out, (csv_path, "would be overwritten by the sweep's CSV"))
+    _check_outputs(args, ("--out", args.out), ("the sweep's CSV", csv_path))
     base = _solver_config(args)
     configs = [replace(base, lambda_g=lam) for lam in args.grid]
     tensor, truth = _load_input(args)
@@ -331,7 +347,7 @@ def _synth_spec(args, noise=0.0):
 
 
 def cmd_synth(args):
-    _check_outputs(args.out)
+    _check_outputs(args, ("--out", args.out))
     spec = _synth_spec(args, args.noise)
     cfg = _solver_config(args)
     k = args.k if args.k is not None else len(spec.d_per_cluster)
@@ -362,7 +378,7 @@ def _orthogonal_samples(spec, rng):
 
 
 def cmd_check(args):
-    _check_outputs(args.out)
+    _check_outputs(args, ("--out", args.out))
     if args.fixture == "orthogonal" and (args.affine_data or args.shift_model):
         raise ValueError("--affine-data/--shift-model apply only to --fixture gaussian")
     spec = _synth_spec(args)

@@ -353,7 +353,8 @@ class _RidgeInverse:
     The SVD is taken in complex128, and ``s`` and ``U^H`` are kept in it;
     ``L``, ``L^H`` and ``g`` are held in ``dtype``, the precision of the ADMM
     state that the apply serves (``_state_dtype``), and its real counterpart,
-    and ``g`` is cast on every weighing.  ``lstsq`` runs in ``dtype``.
+    and ``g`` is cast on every weighing.  ``lstsq`` applies ``U^H`` and ``s``
+    first, so it returns complex128 whatever ``dtype`` is.
     """
 
     def __init__(self, yf, affine=False, dtype=np.complex128):

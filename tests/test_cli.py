@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ssmc import cli, data, solver
+from ssmc import cli, data, solver, theory
 from ssmc.data import SynthSpec, generate_synthetic
 from ssmc.t_algebra import read_tsr1, write_tsr1
 
@@ -93,9 +93,17 @@ def test_cluster_accepts_idx_input(tmp_path, capsys):
         struct.pack(">IIII", 0x00000803, 3, 4, 4)
         + rng.integers(1, 256, 48).astype(np.uint8).tobytes()
     )
-    code = run_cli(["cluster", "--input", str(path), "--format", "idx", "--k", "2"])
+    code = run_cli(["cluster", "--input", str(path), "--k", "2"])
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["labels"]) == 3
+    # each file is read by its content, whatever its name says
+    disguised, truth = tmp_path / "a.tsr1", tmp_path / "t.json"
+    disguised.write_bytes(path.read_bytes())
+    truth.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, 1, 1]))
+    argv = ["cluster", "--input", str(disguised), "--k", "2", "--truth", str(truth)]
+    assert run_cli(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["labels"]) == 3 and "clustering_error" in payload
 
 
 def test_cluster_accepts_pgmdir_with_decimate_and_crop(tmp_path, capsys):
@@ -105,8 +113,8 @@ def test_cluster_accepts_pgmdir_with_decimate_and_crop(tmp_path, capsys):
         (tmp_path / f"im{i}.pgm").write_bytes(b"P5\n12 8\n255\n" + img.tobytes())
     code = run_cli(
         [
-            "cluster", "--input", str(tmp_path), "--format", "pgmdir",
-            "--decimate", "2", "--crop", "1:4", "--k", "2",
+            "cluster", "--input", str(tmp_path), "--decimate", "2", "--crop", "1:4",
+            "--k", "2",
         ]
     )
     assert code == 0
@@ -119,9 +127,14 @@ def test_cluster_data_errors(two_cluster_files, tmp_path, capsys):
     assert run_cli(argv) == 2
     assert "ssmc cluster: data error: cannot read truth labels" in capsys.readouterr().err
     assert run_cli(["cluster", "--input", str(tmp_path / "missing.tsr1"), "--k", "2"]) == 2
+    capsys.readouterr()
+    # neither TSR1 nor IDX: read as IDX images, whose reader names the magic
     bad = tmp_path / "bad.tsr1"
     bad.write_bytes(b"XXXX" + bytes(12))
     assert run_cli(["cluster", "--input", str(bad), "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"ssmc cluster: data error: {bad}: bad image magic 0x58585858 at offset 0\n"
+    )
     short_truth = tmp_path / "t.json"
     short_truth.write_text("[0, 1]")
     assert (
@@ -141,6 +154,10 @@ def test_cluster_parameter_errors(two_cluster_files, capsys):
     assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--lambda-g", "0"]) == 3
     assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--decimate", "2"]) == 3
     assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--no-such-flag"]) == 3
+    capsys.readouterr()
+    # each input names its own format
+    assert run_cli(["cluster", "--input", tensor_path, "--k", "2", "--format", "idx"]) == 3
+    assert "unrecognized arguments: --format idx" in capsys.readouterr().err
     assert run_cli(["cluster", "--k", "2"]) == 3  # --input is required
 
 
@@ -148,8 +165,8 @@ def test_cluster_refuses_an_affinity_out_that_out_would_overwrite(
     two_cluster_files, tmp_path, monkeypatch, capsys
 ):
     # --out is written after --affinity-out, so one file for both would keep
-    # only the JSON payload; the paths are compared as absolute paths, before
-    # the input is read
+    # only the JSON payload; the paths are compared as real paths, before the
+    # input is read
     def no_read(*args):
         raise AssertionError("read the input before the output paths were checked")
 
@@ -162,7 +179,8 @@ def test_cluster_refuses_an_affinity_out_that_out_would_overwrite(
                 "--affinity-out", aff]  # fmt: skip
         assert run_cli(argv) == cli.EXIT_PARAM
         assert capsys.readouterr().err == (
-            f"ssmc cluster: parameter error: --out {str(out)!r} would overwrite --affinity-out\n"
+            f"ssmc cluster: parameter error: --out {str(out)!r} names the same file as "
+            "--affinity-out\n"
         )
         assert not out.exists()
 
@@ -175,29 +193,43 @@ def test_cluster_refuses_an_affinity_out_that_out_would_overwrite(
      ("sweep", "--out", "runs.json", errno.EISDIR),  # its CSV names a directory
      ("synth", "--out", "missing/x.json", errno.ENOENT),
      ("synth", "--out", ".", errno.EISDIR),
-     ("check", "--out", "missing/x.json", errno.ENOENT)],
+     ("check", "--out", "missing/x.json", errno.ENOENT),
+     ("cluster", "--out", "data.tsr1", "--input"),
+     ("cluster", "--out", "link.json", "--input"),  # a symlink to the input
+     ("cluster", "--affinity-out", "truth.json", "--truth"),
+     ("sweep", "--out", "data.json", "--input")],  # its CSV names the input
 )  # fmt: skip
 def test_unwritable_outputs_are_refused_before_any_input_is_read(
     two_cluster_files, tmp_path, monkeypatch, capsys, command, flag, name, code
 ):
     # each of these used to run the whole solve, then exit 3 without printing
-    # the payload
-    for stage in ("read_tsr1", "solve_path", "generate_submodules", "theorem3_check"):
+    # the payload; one that names an input used to overwrite it
+    for stage in ("_load_input", "solve_path", "generate_submodules", "theorem3_check"):
         monkeypatch.setattr(cli, stage, lambda *a, stage=stage: pytest.fail(f"{stage} ran"))
     (tmp_path / "runs.csv").mkdir()
-    tensor_path, _ = two_cluster_files
+    tensor_path, truth_path = two_cluster_files
+    sweep_input = tmp_path / "data.csv"  # a TSR1 file, named for the CSV of --out data.json
+    sweep_input.write_bytes((tmp_path / "data.tsr1").read_bytes())
+    (tmp_path / "link.json").symlink_to(tensor_path)
+    files = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     target = str(tmp_path / name)
     argv = {
-        "cluster": ["cluster", "--input", tensor_path, "--k", "2"],
-        "sweep": ["sweep", "--input", tensor_path, "--k", "2", "--grid", "1"],
+        "cluster": ["cluster", "--input", tensor_path, "--k", "2", "--truth", truth_path],
+        "sweep": ["sweep", "--input", str(sweep_input), "--k", "2", "--grid", "1"],
         "synth": ["synth", "--seed", "1"],
         "check": ["check"],
     }[command]
     assert run_cli(argv + [flag, target]) == cli.EXIT_PARAM
-    refused = str(tmp_path / "runs.csv") if name == "runs.json" else target
-    assert capsys.readouterr().err == (
-        f"ssmc {command}: parameter error: [Errno {code}] {os.strerror(code)}: {refused!r}\n"
+    refused, refused_flag = target, flag
+    if name in ("runs.json", "data.json"):
+        refused, refused_flag = os.path.splitext(target)[0] + ".csv", "the sweep's CSV"
+    problem = (
+        f"{refused_flag} {refused!r} names the same file as {code}"
+        if isinstance(code, str)
+        else f"[Errno {code}] {os.strerror(code)}: {refused!r}"
     )
+    assert capsys.readouterr().err == f"ssmc {command}: parameter error: {problem}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == files
 
 
 @pytest.mark.parametrize(
@@ -209,13 +241,31 @@ def test_non_finite_solver_values_are_parameter_errors(two_cluster_files, capsys
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_crop_errors_surface_as_parameter_errors(tmp_path):
+def test_crop_errors_surface_as_parameter_errors(tmp_path, capsys):
     (tmp_path / "a.pgm").write_bytes(b"P5\n4 2\n255\n" + bytes(8))  # 4 pixels wide
-    base = ["cluster", "--input", str(tmp_path), "--format", "pgmdir", "--k", "1"]
+    base = ["cluster", "--input", str(tmp_path), "--k", "1"]
     assert run_cli(base + ["--crop", "notarange"]) == 3
+    assert "argument --crop: must be integer A:B, got 'notarange'" in capsys.readouterr().err
     assert run_cli(base + ["--crop", "4:1"]) == 3
+    assert "argument --crop: must have 0 <= A <= B, got '4:1'" in capsys.readouterr().err
     assert run_cli(base + ["--crop", "2:9"]) == 3  # past the last column
+    assert "parameter error: crop 2:9 outside column range 0..3" in capsys.readouterr().err
     assert run_cli(base + ["--decimate", "0"]) == 3
+    assert "parameter error: decimate must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--decimate", "2"], ["--crop", "0:0"]], ids=lambda f: f[0])
+def test_decimate_and_crop_are_refused_for_a_file_input(
+    two_cluster_files, monkeypatch, capsys, flags
+):
+    # only a directory of PGM images is decimated or cropped
+    for stage in ("_starts_with", "read_tsr1", "load_idx_images", "load_pgm_dir"):
+        monkeypatch.setattr(cli, stage, lambda *a, stage=stage, **kw: pytest.fail(f"{stage} ran"))
+    tensor_path, _ = two_cluster_files
+    assert run_cli(["cluster", "--input", tensor_path, "--k", "2"] + flags) == cli.EXIT_PARAM
+    assert capsys.readouterr().err == (
+        "ssmc cluster: parameter error: --decimate/--crop apply only to a directory of PGM images\n"
+    )
 
 
 # -- sweep -------------------------------------------------------------------
@@ -293,7 +343,9 @@ def test_sweep_refuses_an_out_its_csv_would_overwrite(
     out = tmp_path / "res.csv"
     argv = ["sweep", "--input", tensor_path, "--k", "2", "--grid", "1", "--out", str(out)]
     assert run_cli(argv) == cli.EXIT_PARAM
-    assert "would be overwritten by the sweep's CSV" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"ssmc sweep: parameter error: --out {str(out)!r} names the same file as the sweep's CSV\n"
+    )
     assert not out.exists()
 
 
@@ -634,8 +686,7 @@ def test_negative_seed_is_refused_before_any_work(monkeypatch, capsys, argv):
         (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "1,-1,10"], "--grid"),
         (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "0"], "--grid"),
         (["sweep", "--input", "data.tsr1", "--k", "2", "--grid", "-0.0"], "--grid"),
-        (["cluster", "--input", "data.tsr1", "--format", "pgmdir", "--k", "2",
-          "--crop", "4:1"], "--crop"),
+        (["cluster", "--input", "data.tsr1", "--k", "2", "--crop", "4:1"], "--crop"),
         (["synth", "--dims", "x"], "--dims"),
         (["synth", "--dims", "0"], "--dims"),
         (["check", "--samples", "4,y"], "--samples"),
@@ -682,6 +733,7 @@ def test_check_gaussian_fixture_runs(capsys):
 
 def test_check_parameter_validation(capsys):
     base = ["check", "--h", "6", "--depth", "3", "--dims", "2,2", "--samples", "4,4"]
+    assert cli.build_parser().parse_args(base).budget == theory.SUBTENSOR_BUDGET
     assert run_cli(base + ["--cluster-index", "5"]) == 3
     assert "cluster index 5 outside 0..1" in capsys.readouterr().err
     assert run_cli(base + ["--budget", "0"]) == 3

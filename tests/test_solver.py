@@ -342,6 +342,8 @@ def test_small_side_step_matches_the_dense_apply(dtype, affine, general_b0):
 
     yf = np.stack([draw(h, r) @ draw(r, n) for r in [3, 2, 3, 3]])
     ridge = _RidgeInverse(yf, affine=affine, dtype=dtype)
+    # U^H and s are held in complex128 at either dtype, and so is the start
+    assert ridge.lstsq(yf).dtype == ridge.lstsq(yf.astype(np.complex64)).dtype == np.complex128
     ridge.weigh(0.3, 2.0)
     b0 = draw(f, n, k) if general_b0 else np.eye(n)[None]
     lb0 = (ridge.lh @ b0).astype(dtype)
